@@ -2,14 +2,21 @@
 //
 // One benchmark binary runs one workload per process:
 //
-//   perfbench --workload engine|http_steady|http_overload
+//   perfbench --workload http_steady|http_overload
 //             --seed N --seconds S --trace 0|1
 //
+// Every run has two phases. The engine phase (engine.cpp) drives the
+// in-process classify path with no net and no serve; the HTTP phase
+// (http.cpp) drives the whole serving stack at the workload's offered
+// rate, in one-second segments, and untraced runs time the engine windows
+// between those segments. So every run reports every metric, and a kernel
+// change shows in the engine metrics of both workloads.
+//
 // Untraced runs (--trace 0) keep obs::StageProfiler off and report the
-// end-to-end metrics of the workload; traced runs (--trace 1) turn it on,
-// reset the obs registry at the start of each measured phase and report
-// the per-layer breakdown. Human-readable provenance and tables go to
-// stdout first; the last stdout line is the result object:
+// end-to-end metrics; traced runs (--trace 1) turn it on, reset the obs
+// registry at the start of each measured phase and report the per-layer
+// breakdown. Human-readable provenance and tables go to stdout first; the
+// last stdout line is the result object:
 //
 //   {"correct": b, "attempted": n, "failed": n,
 //    "metrics": {name: {"value": v, "unit": u}}}
@@ -18,7 +25,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,6 +80,25 @@ inline double seconds_since(Clock::time_point t0) {
 /// Median of a sample (the benchmark's summary of repeated windows).
 double median(std::vector<double> v);
 
+/// CPU ticks the hypervisor has stolen from this machine so far, summed
+/// over all CPUs (/proc/stat; 0 when unreadable).
+double steal_ticks();
+
+/// Timed samples, each with the ticks stolen while it was taken. On a
+/// shared host, stolen stretches stall a thread for milliseconds at a time
+/// and inflate the windows they hit; the calm median keeps them out.
+struct Samples {
+  std::vector<double> value, stolen;
+
+  void add(double v, double stolen_ticks) {
+    value.push_back(v);
+    stolen.push_back(stolen_ticks);
+  }
+  /// Median over the samples whose stolen ticks are at or below the
+  /// median: the calmer half of them, or more on ties.
+  double calm_median() const;
+};
+
 /// Histogram from a registry snapshot, or nullptr when not registered.
 const obs::MetricsSnapshot::HistogramValue* find_histogram(
     const obs::MetricsSnapshot& snap, const std::string& name);
@@ -84,8 +112,33 @@ inline double mean_of(const obs::MetricsSnapshot::HistogramValue* h) {
                        : 0.0;
 }
 
-void run_engine(const Options& opt, Report& report);
-/// `rate` is the offered open-loop rate in requests/second.
-void run_http(const Options& opt, double rate, Report& report);
+/// The engine phase. The constructor builds both networks and the seeded
+/// inputs with their scalar-tier reference logits. run() adds timed
+/// windows and may be called many times, so that the windows spread over
+/// the whole run; traced() measures the per-layer breakdown instead.
+/// finish() reports the metrics and returns the median set-up time (s).
+class EnginePhase {
+ public:
+  EnginePhase(const Options& opt, Report& report);
+  ~EnginePhase();
+  EnginePhase(const EnginePhase&) = delete;
+  EnginePhase& operator=(const EnginePhase&) = delete;
+
+  void run(double seconds);
+  void traced(double seconds, Report& report);
+  double finish(Report& report);
+
+ private:
+  struct State;
+  std::unique_ptr<State> s_;
+};
+
+/// The HTTP phase, `seconds` of load at an offered open-loop `rate` in
+/// requests/second, run as segments; `between`, when set, is called after
+/// each segment with that segment's share of the phase. Returns the median
+/// set-up time (s).
+double run_http(const Options& opt, double rate, double seconds,
+                Report& report,
+                const std::function<void(double)>& between = {});
 
 }  // namespace bcop::perfbench

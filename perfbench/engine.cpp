@@ -1,4 +1,4 @@
-// Workload `engine`: closed-loop, in-process engine throughput.
+// Engine phase of every run: closed-loop, in-process engine throughput.
 //
 // No net and no serve: the calling thread drives core::Predictor::
 // classify_batch (the allocation-free workspace form the serving workers
@@ -44,7 +44,7 @@ using tensor::Tensor;
 
 constexpr std::int64_t kBatch = 16;  // the serving max_batch
 constexpr int kBatches = 4;          // distinct seeded batch-16 inputs
-constexpr int kSetupRuns = 5;        // up-front builds; see run_engine
+constexpr int kSetupRuns = 5;        // up-front builds; see EnginePhase
 constexpr double kWindowS = 0.1;     // one throughput sample
 
 Tensor row_of(const Tensor& batch, std::int64_t r) {
@@ -104,18 +104,30 @@ struct Lane {
 };
 
 /// Run the lanes in round-robin windows for `s` seconds, calling
-/// `between` after each round; returns each lane's median frames/second.
-std::vector<double> interleave(const std::vector<Lane*>& lanes, double s,
-                               const std::function<void()>& between = {}) {
-  std::vector<std::vector<double>> fps(lanes.size());
+/// `between` after each round; adds each window's frames/second to the
+/// lane's entry of `fps`.
+void interleave(const std::vector<Lane*>& lanes, double s,
+                std::vector<Samples>& fps,
+                const std::function<void()>& between = {}) {
+  fps.resize(lanes.size());
   const Clock::time_point t0 = Clock::now();
   do {
-    for (std::size_t i = 0; i < lanes.size(); ++i)
-      fps[i].push_back(lanes[i]->window(kWindowS));
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      const double stolen0 = steal_ticks();
+      const double f = lanes[i]->window(kWindowS);
+      fps[i].add(f, steal_ticks() - stolen0);
+    }
     if (between) between();
   } while (seconds_since(t0) < s);
+}
+
+/// Each lane's calm-median frames/second over `s` seconds of interleaved
+/// windows.
+std::vector<double> interleave(const std::vector<Lane*>& lanes, double s) {
+  std::vector<Samples> fps;
+  interleave(lanes, s, fps);
   std::vector<double> out;
-  for (const auto& f : fps) out.push_back(median(f));
+  for (const Samples& f : fps) out.push_back(f.calm_median());
   return out;
 }
 
@@ -269,9 +281,20 @@ void kernel_rates(const xnor::ExecutionPlan& plan, util::Rng& rng, double s,
     geos.push_back(std::move(g));
   }
   std::vector<kn::KernelLevel> tiers;
-  for (int t = 0; t < kn::kKernelLevelCount; ++t)
-    if (kn::level_available(static_cast<kn::KernelLevel>(t)))
-      tiers.push_back(static_cast<kn::KernelLevel>(t));
+  for (int t = 0; t < kn::kKernelLevelCount; ++t) {
+    const auto level = static_cast<kn::KernelLevel>(t);
+    if (kn::level_available(level)) {
+      tiers.push_back(level);
+      continue;
+    }
+    // Every tier keeps its metric names; one this CPU cannot run reads 0.
+    const std::string tier = kn::kernel_level_name(level);
+    std::printf("kernel tier %s: not executable here, its rates read 0\n",
+                tier.c_str());
+    report.metric("kernels.gemm_gmacs." + tier, 0, "GMAC/s");
+    report.metric("kernels.thresh_gelems." + tier, 0, "Gelem/s");
+    report.metric("kernels.im2row_gbits." + tier, 0, "Gbit/s");
+  }
 
   // ops of one sweep over every geometry, per kernel
   double gemm_ops = 0, thresh_ops = 0, im2row_ops = 0;
@@ -339,33 +362,48 @@ void kernel_rates(const xnor::ExecutionPlan& plan, util::Rng& rng, double s,
 
 }  // namespace
 
-void run_engine(const Options& opt, Report& report) {
-  obs::StageProfiler::global().set_enabled(false);
+struct EnginePhase::State {
+  std::uint64_t seed = 0;
+  Models m;
+  std::vector<double> setups, compiles;
+  util::Rng rng{0};
+  Lane b1, b16, b16_m3;
+  std::vector<Samples> fps;  // per lane, one entry per window
+  double owed_s = 0;         // timed seconds asked of run() not yet run
+  std::uint64_t calls = 0, mismatches = 0;
 
+  std::vector<Lane*> lanes() { return {&b1, &b16, &b16_m3}; }
+  void record(const Models& built) {
+    setups.push_back(built.setup_s);
+    compiles.push_back(built.plan_compile_ms);
+  }
+  void count(const Lane& l) {
+    calls += l.calls;
+    mismatches += l.mismatches;
+  }
+};
+
+EnginePhase::EnginePhase(const Options& opt, Report& report)
+    : s_(std::make_unique<State>()) {
+  State& s = *s_;
+  obs::StageProfiler::global().set_enabled(false);
+  s.seed = opt.seed;
   // Set-up is repeated: a few times here, and in the untraced run once
   // more after every round of windows, so the median spans the host's
   // state over the whole run rather than one burst of it.
-  std::vector<double> setups, compiles;
-  auto set_up_again = [&] {
-    const Models again = set_up(opt.seed);
-    setups.push_back(again.setup_s);
-    compiles.push_back(again.plan_compile_ms);
-  };
-  for (int i = 1; i < kSetupRuns; ++i) set_up_again();
-  Models m = set_up(opt.seed);
-  setups.push_back(m.setup_s);
-  compiles.push_back(m.plan_compile_ms);
-  const Predictor& m1 = *m.m1;
-  const Predictor& m3 = *m.m3;
+  for (int i = 1; i < kSetupRuns; ++i) s.record(set_up(s.seed));
+  s.m = set_up(s.seed);
+  s.record(s.m);
+  const Predictor& m1 = *s.m.m1;
+  const Predictor& m3 = *s.m.m3;
 
   // Seeded inputs and their scalar-tier reference logits.
-  util::Rng rng(opt.seed ^ 0x9e3779b97f4a7c15ull);
-  Lane b1, b16, b16_m3;
-  b1.predictor = &m1;
-  b16.predictor = &m1;
-  b16_m3.predictor = &m3;
+  s.rng = util::Rng(opt.seed ^ 0x9e3779b97f4a7c15ull);
+  s.b1.predictor = &m1;
+  s.b16.predictor = &m1;
+  s.b16_m3.predictor = &m3;
   for (int b = 0; b < kBatches; ++b) {
-    Tensor batch = random_images(rng, kBatch);
+    Tensor batch = random_images(s.rng, kBatch);
     const std::vector<float> ref1 = scalar_logits(m1.network(), batch, 0);
     const std::int64_t classes =
         static_cast<std::int64_t>(ref1.size()) / kBatch;
@@ -376,114 +414,134 @@ void run_engine(const Options& opt, Report& report) {
                                    ref1.begin() + (r + 1) * classes);
       ++report.attempted;
       report.check(single == row, "scalar b1 logits != scalar b16 row");
-      b1.inputs.push_back(std::move(one));
-      b1.ref.push_back(row);
+      s.b1.inputs.push_back(std::move(one));
+      s.b1.ref.push_back(row);
     }
-    b16.ref.push_back(ref1);
-    b16_m3.ref.push_back(scalar_logits(m3.network(), batch, 0));
-    b16.inputs.push_back(batch);
-    b16_m3.inputs.push_back(std::move(batch));
+    s.b16.ref.push_back(ref1);
+    s.b16_m3.ref.push_back(scalar_logits(m3.network(), batch, 0));
+    s.b16.inputs.push_back(batch);
+    s.b16_m3.inputs.push_back(std::move(batch));
   }
-  std::vector<Lane*> lanes = {&b1, &b16, &b16_m3};
-  if (!opt.trace) {
-    const std::vector<double> fps =
-        interleave(lanes, opt.seconds, set_up_again);
-    std::printf("setup: median %.4f s over %zu builds (build + fold M=1 and "
-                "M=3 n-CNV, compile b1/b16/b16_m3 plans)\n",
-                median(setups), setups.size());
-    report.metric("setup_s", median(setups), "s");
-    report.metric("fps_b1", fps[0], "frames/s");
-    report.metric("fps_b16", fps[1], "frames/s");
-    report.metric("fps_b16_m3", fps[2], "frames/s");
-    std::printf("engine: fps_b1 %.0f  fps_b16 %.0f  fps_b16_m3 %.0f "
-                "(median of %.0f ms windows, closed loop, one caller + "
-                "ThreadPool::global())\n",
-                fps[0], fps[1], fps[2], 1e3 * kWindowS);
-  } else {
-    const double s = opt.seconds;
-    const std::string key1 = "b1_in32x32x3", key16 = "b16_in32x32x3";
+}
 
-    // Per-step shares and execute time at b1.
-    const obs::MetricsSnapshot snap1 = profiled(b1, 0.15 * s);
-    report_shares(report, shares_of(snap1, key1), "b1");
-    report.metric("xnor.execute_us.b1", slot_mean_us(snap1, key1, "execute"),
-                  "us");
+EnginePhase::~EnginePhase() = default;
 
-    // b16 with the profiler on and off in alternating windows: the shares
-    // come from the "on" windows, the overhead from the FPS ratio.
-    obs::Registry::global().reset_values();
-    std::vector<double> on, off;
-    const Clock::time_point t0 = Clock::now();
-    do {
-      obs::StageProfiler::global().set_enabled(true);
-      on.push_back(b16.window(kWindowS));
-      obs::StageProfiler::global().set_enabled(false);
-      off.push_back(b16.window(kWindowS));
-    } while (seconds_since(t0) < 0.25 * s);
-    const obs::MetricsSnapshot snap16 = obs::Registry::global().snapshot();
-    const Shares sh16 = shares_of(snap16, key16);
-    report_shares(report, sh16, "b16");
-    report.metric("xnor.execute_us.b16", slot_mean_us(snap16, key16, "execute"),
-                  "us");
-    report.metric("obs.trace_overhead_frac", 1 - median(on) / median(off),
-                  "ratio");
+void EnginePhase::run(double seconds) {
+  State& s = *s_;
+  // A call shorter than one round of windows runs a whole round and
+  // carries the excess into the next call, so the calls add up to the
+  // time asked for.
+  s.owed_s += seconds;
+  if (s.owed_s <= 0) return;
+  const Clock::time_point t0 = Clock::now();
+  interleave(s.lanes(), s.owed_s, s.fps, [&s] { s.record(set_up(s.seed)); });
+  s.owed_s -= seconds_since(t0);
+}
 
-    // M = 3 at full depth: whole-replay time and the mean residual
-    // binary-conv step (residual steps have no sub-phase timers).
-    const obs::MetricsSnapshot snap3 = profiled(b16_m3, 0.1 * s);
-    report.metric("xnor.execute_us.b16_m3",
-                  slot_mean_us(snap3, key16, "execute"), "us");
-    report.metric("xnor.residual_step_us.m3",
-                  slot_mean_us(snap3, key16, "binary_conv"), "us");
+void EnginePhase::traced(double s, Report& report) {
+  State& st = *s_;
+  const Predictor& m1 = *st.m.m1;
+  const Predictor& m3 = *st.m.m3;
+  Lane& b16 = st.b16;
+  const std::string key1 = "b1_in32x32x3", key16 = "b16_in32x32x3";
 
-    // Per-frame cost of the same M = 3 net at level cap 3 vs cap 1.
-    Lane cap3, cap1;
-    cap3.net = cap1.net = &m3.network();
-    cap1.levels = 1;
-    cap3.inputs = cap1.inputs = b16_m3.inputs;
-    cap3.ref = b16_m3.ref;
-    for (const Tensor& x : cap1.inputs)
-      cap1.ref.push_back(scalar_logits(m3.network(), x, 1));
-    const std::vector<double> caps = interleave({&cap3, &cap1}, 0.2 * s);
-    report.metric("xnor.m3_over_m1_cost", caps[1] / caps[0], "ratio");
+  // Per-step shares and execute time at b1.
+  const obs::MetricsSnapshot snap1 = profiled(st.b1, 0.15 * s);
+  report_shares(report, shares_of(snap1, key1), "b1");
+  report.metric("xnor.execute_us.b1", slot_mean_us(snap1, key1, "execute"),
+                "us");
 
-    // classify_batch minus the forward_batch it wraps, paired call by
-    // call on the same b16 input.
-    Lane fwd;
-    fwd.net = &m1.network();
-    fwd.inputs = b16.inputs;
-    fwd.ref = b16.ref;
-    fwd.next = b16.next;
-    std::vector<double> overhead_us;
-    const Clock::time_point t1 = Clock::now();
-    do {
-      const Clock::time_point a = Clock::now();
-      b16.call();
-      const Clock::time_point b = Clock::now();
-      fwd.call();
-      overhead_us.push_back(
-          1e6 * (std::chrono::duration<double>(b - a).count() -
-                 seconds_since(b)));
-    } while (seconds_since(t1) < 0.1 * s);
-    report.metric("core.classify_overhead_us.b16", median(overhead_us), "us");
+  // b16 with the profiler on and off in alternating windows: the shares
+  // come from the "on" windows, the overhead from the FPS ratio.
+  obs::Registry::global().reset_values();
+  std::vector<double> on, off;
+  const Clock::time_point t0 = Clock::now();
+  do {
+    obs::StageProfiler::global().set_enabled(true);
+    on.push_back(b16.window(kWindowS));
+    obs::StageProfiler::global().set_enabled(false);
+    off.push_back(b16.window(kWindowS));
+  } while (seconds_since(t0) < 0.25 * s);
+  const obs::MetricsSnapshot snap16 = obs::Registry::global().snapshot();
+  const Shares sh16 = shares_of(snap16, key16);
+  report_shares(report, sh16, "b16");
+  report.metric("xnor.execute_us.b16", slot_mean_us(snap16, key16, "execute"),
+                "us");
+  report.metric("obs.trace_overhead_frac", 1 - median(on) / median(off),
+                "ratio");
 
-    report.metric("xnor.plan_compile_ms", median(compiles), "ms");
-    kernel_rates(m1.network().plan_for(Shape{kBatch, kSide, kSide, 3}), rng,
-                 0.2 * s, report);
-    print_finn_model(sh16);
-    for (const Lane* l : {&cap3, &cap1, &fwd}) {
-      report.attempted += l->calls;
-      report.failed += l->mismatches;
-    }
+  // M = 3 at full depth: whole-replay time and the mean residual
+  // binary-conv step (residual steps have no sub-phase timers).
+  const obs::MetricsSnapshot snap3 = profiled(st.b16_m3, 0.1 * s);
+  report.metric("xnor.execute_us.b16_m3",
+                slot_mean_us(snap3, key16, "execute"), "us");
+  report.metric("xnor.residual_step_us.m3",
+                slot_mean_us(snap3, key16, "binary_conv"), "us");
+
+  // Per-frame cost of the same M = 3 net at level cap 3 vs cap 1.
+  Lane cap3, cap1;
+  cap3.net = cap1.net = &m3.network();
+  cap1.levels = 1;
+  cap3.inputs = cap1.inputs = st.b16_m3.inputs;
+  cap3.ref = st.b16_m3.ref;
+  for (const Tensor& x : cap1.inputs)
+    cap1.ref.push_back(scalar_logits(m3.network(), x, 1));
+  const std::vector<double> caps = interleave({&cap3, &cap1}, 0.2 * s);
+  report.metric("xnor.m3_over_m1_cost", caps[1] / caps[0], "ratio");
+
+  // classify_batch minus the forward_batch it wraps, paired call by
+  // call on the same b16 input.
+  Lane fwd;
+  fwd.net = &m1.network();
+  fwd.inputs = b16.inputs;
+  fwd.ref = b16.ref;
+  fwd.next = b16.next;
+  std::vector<double> overhead_us;
+  const Clock::time_point t1 = Clock::now();
+  do {
+    const Clock::time_point a = Clock::now();
+    b16.call();
+    const Clock::time_point b = Clock::now();
+    fwd.call();
+    overhead_us.push_back(1e6 * (std::chrono::duration<double>(b - a).count() -
+                                 seconds_since(b)));
+  } while (seconds_since(t1) < 0.1 * s);
+  report.metric("core.classify_overhead_us.b16", median(overhead_us), "us");
+
+  report.metric("xnor.plan_compile_ms", median(st.compiles), "ms");
+  kernel_rates(m1.network().plan_for(Shape{kBatch, kSide, kSide, 3}), st.rng,
+               0.2 * s, report);
+  print_finn_model(sh16);
+  for (const Lane* l : {&cap3, &cap1, &fwd}) st.count(*l);
+}
+
+double EnginePhase::finish(Report& report) {
+  State& s = *s_;
+  if (!s.fps.empty()) {
+    const double b1 = s.fps[0].calm_median(), b16 = s.fps[1].calm_median(),
+                 b16_m3 = s.fps[2].calm_median();
+    report.metric("fps_b1", b1, "frames/s");
+    report.metric("fps_b16", b16, "frames/s");
+    report.metric("fps_b16_m3", b16_m3, "frames/s");
+    std::printf("engine: fps_b1 %.0f  fps_b16 %.0f  fps_b16_m3 %.0f (calm "
+                "median of %zu windows of %.0f ms each, spread over the run; "
+                "over all windows %.0f / %.0f / %.0f; closed loop, one caller "
+                "+ ThreadPool::global())\n",
+                b1, b16, b16_m3, s.fps[0].value.size(), 1e3 * kWindowS,
+                median(s.fps[0].value), median(s.fps[1].value),
+                median(s.fps[2].value));
   }
-  for (const Lane* l : lanes) {
-    report.attempted += l->calls;
-    report.failed += l->mismatches;
-  }
-  std::printf("oracle: %llu calls checked against scalar-tier logits, %llu "
-              "failed\n",
-              static_cast<unsigned long long>(report.attempted),
-              static_cast<unsigned long long>(report.failed));
+  std::printf("engine setup: median %.4f s over %zu builds (build + fold "
+              "M=1 and M=3 n-CNV, compile b1/b16/b16_m3 plans)\n",
+              median(s.setups), s.setups.size());
+  for (const Lane* l : s.lanes()) s.count(*l);
+  report.attempted += s.calls;
+  report.failed += s.mismatches;
+  std::printf("engine oracle: %llu calls checked against scalar-tier logits, "
+              "%llu failed\n",
+              static_cast<unsigned long long>(s.calls),
+              static_cast<unsigned long long>(s.mismatches));
+  return median(s.setups);
 }
 
 }  // namespace bcop::perfbench

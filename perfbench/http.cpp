@@ -1,4 +1,5 @@
-// Workloads `http_steady` and `http_overload`: open-loop load over HTTP.
+// HTTP phase of every run: open-loop load over HTTP, at the offered rate of
+// the workload (`http_steady` or `http_overload`).
 //
 // The whole serving stack runs in this process on an ephemeral loopback
 // port: net::HttpServer -> serve::Router (1 replica x 2 batcher workers,
@@ -9,11 +10,11 @@
 // being shed. net::run_loadgen drives it with a seeded Poisson schedule
 // over 3 pipelined keep-alive connections -- about a fifth of capacity for
 // http_steady, past capacity for http_overload, where admission sheds with
-// 503s. The timed phase is kSegments back-to-back loadgen runs, and the
-// latency percentiles are medians over segments. A fourth connection is
-// the oracle: during the timed phase it sends seeded, distinct f32 images
-// and compares each 2xx answer's class and scores with in-process
-// Predictor::classify_batch; between requests it samples
+// 503s. The timed phase is back-to-back loadgen runs of about kSegmentS;
+// latency and goodput are calm medians over them (Samples). A fourth
+// connection is the oracle: during each segment it sends seeded, distinct
+// f32 images and compares each 2xx answer's class and scores with
+// in-process Predictor::classify_batch; between requests it samples
 // Router::queue_depth().
 //
 // Ledgers checked on every run: loadgen conservation (sent == answered +
@@ -45,7 +46,7 @@ using namespace std::chrono_literals;
 using tensor::Tensor;
 
 constexpr int kSetupRuns = 3;     // builds before and after the timed phase
-constexpr int kSegments = 6;      // timed phase = consecutive loadgen runs
+constexpr double kSegmentS = 1.0;  // one loadgen run of the timed phase
 constexpr double kWarmupS = 1.0;  // fills the per-batch-size plan caches
 constexpr double kSloMs = 50;     // goodput latency limit
 constexpr int kOracleImages = 32;
@@ -197,25 +198,38 @@ double share_within(const net::LoadGenReport& r, double slo_ms) {
   return 1;
 }
 
-/// The timed phase, run as kSegments consecutive loadgen runs. Counts add
-/// up over segments; latency percentiles are medians over segments, so a
-/// host stall moves one segment's tail instead of the whole result.
+/// The timed phase, run as consecutive loadgen segments of about
+/// kSegmentS each. Counts add up over segments; latency and goodput are
+/// calm medians over segments, so a host stall moves a few segments that
+/// are then left out instead of the whole result.
 struct Load {
   net::LoadGenReport sum;  // counts and durations summed, max_ms the max
-  std::vector<double> p50_ms, p99_ms;
-  double within_slo = 0;       // 2xx answered inside the SLO
+  Samples p50_ms, p90_ms, p99_ms;
+  Samples goodput_rps;  // 2xx answered inside the SLO, per second
   bool slo_estimated = false;  // some answers missed it; see share_within
 };
 
-Load run_segments(net::LoadGenConfig cfg, double seconds) {
+Load run_segments(net::LoadGenConfig cfg, double seconds, Oracle& oracle,
+                  const serve::Router& router,
+                  const std::function<void(double)>& between) {
   Load load;
   net::LoadGenReport& sum = load.sum;
   const std::uint64_t seed = cfg.seed;
-  cfg.duration = std::chrono::milliseconds(
-      static_cast<int>(seconds * 1e3 / kSegments));
-  for (int i = 0; i < kSegments; ++i) {
+  const int segments = std::max(3, static_cast<int>(seconds / kSegmentS));
+  const double segment_s = seconds / segments;
+  cfg.duration = std::chrono::milliseconds(static_cast<int>(segment_s * 1e3));
+  for (int i = 0; i < segments; ++i) {
     cfg.seed = seed + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i);
-    const net::LoadGenReport r = net::run_loadgen(cfg);
+    net::LoadGenReport r;
+    const double stolen0 = steal_ticks();
+    {
+      std::jthread monitor([&](std::stop_token stop) {
+        oracle.run(stop, router, cfg.port);
+      });
+      r = net::run_loadgen(cfg);
+    }  // the oracle finishes its request in flight and joins here
+    const double stolen = steal_ticks() - stolen0;
+    if (between) between(1.0 / segments);
     std::printf("loadgen segment %d: %s\n", i, r.to_json().c_str());
     sum.sent += r.sent;
     sum.ok_2xx += r.ok_2xx;
@@ -226,8 +240,9 @@ Load run_segments(net::LoadGenConfig cfg, double seconds) {
     sum.timed_out += r.timed_out;
     sum.duration_s += r.duration_s;
     sum.max_ms = std::max(sum.max_ms, r.max_ms);
-    load.p50_ms.push_back(r.p50_ms);
-    load.p99_ms.push_back(r.p99_ms);
+    load.p50_ms.add(r.p50_ms, stolen);
+    load.p90_ms.add(r.p90_ms, stolen);
+    load.p99_ms.add(r.p99_ms, stolen);
     // Every 2xx is inside the SLO when the slowest answer is. Otherwise
     // run_loadgen gives no per-request latencies, so the answers that
     // missed it are estimated from its percentiles and charged to 2xx.
@@ -237,8 +252,9 @@ Load run_segments(net::LoadGenConfig cfg, double seconds) {
                static_cast<double>(r.sent - r.lost - r.timed_out);
       load.slo_estimated = true;
     }
-    load.within_slo +=
-        std::max(0.0, static_cast<double>(r.ok_2xx) - missed);
+    load.goodput_rps.add(
+        std::max(0.0, static_cast<double>(r.ok_2xx) - missed) / segment_s,
+        stolen);
   }
   sum.offered_rate = static_cast<double>(sum.sent) / seconds;
   return load;
@@ -248,7 +264,8 @@ double us(double ns) { return ns / 1e3; }
 
 }  // namespace
 
-void run_http(const Options& opt, double rate, Report& report) {
+double run_http(const Options& opt, double rate, double seconds,
+                Report& report, const std::function<void(double)>& between) {
   const bool overload = opt.workload == "http_overload";
   obs::StageProfiler::global().set_enabled(false);
 
@@ -288,34 +305,34 @@ void run_http(const Options& opt, double rate, Report& report) {
   obs::Registry::global().reset_values();
   obs::StageProfiler::global().set_enabled(opt.trace);
   const serve::ServerStats before = stack->router.stats();
-  Load load;
-  {
-    std::jthread monitor([&](std::stop_token stop) {
-      oracle.run(stop, stack->router, port);
-    });
-    load = run_segments(cfg, opt.seconds);
-  }  // the oracle finishes its request in flight and joins here
+  const Load load = run_segments(cfg, seconds, oracle, stack->router, between);
   const net::LoadGenReport& lg = load.sum;
-  const double p50_ms = median(load.p50_ms), p99_ms = median(load.p99_ms);
+  const double p50_ms = load.p50_ms.calm_median(),
+               p90_ms = load.p90_ms.calm_median(),
+               p99_ms = load.p99_ms.calm_median();
   obs::StageProfiler::global().set_enabled(false);
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
   const serve::ServerStats after = stack->router.stats();
   for (int i = 0; i < kSetupRuns; ++i) timed_set_up();
-  std::printf("setup: median %.4f s over %zu builds (build + fold n-CNV, "
-              "router + server up, first request answered)\n",
+  std::printf("serving setup: median %.4f s over %zu builds (build + fold "
+              "n-CNV, router + server up, first request answered)\n",
               median(setups), setups.size());
 
-  const double horizon = opt.seconds;
+  const double horizon = seconds;
   const std::uint64_t answered = lg.sent - lg.lost - lg.timed_out;
   std::printf("loadgen: configured %.0f req/s, offered %.1f req/s, run took "
               "%.3f s for a %.3f s schedule (overrun %+.3f s). Latency is "
               "timed from each request's scheduled send; run_loadgen does not "
               "expose per-send lateness, so generator lag is charged to "
-              "latency. p50 %.3f ms / p99 %.3f ms are medians over %d "
-              "segments of %llu answers in all.\n",
+              "latency. p50 %.3f / p90 %.3f / p99 %.3f ms are calm medians "
+              "over %zu segments of %llu answers in all (over all segments "
+              "%.3f / %.3f / %.3f ms).\n",
               rate, lg.offered_rate, lg.duration_s, horizon,
-              lg.duration_s - horizon, p50_ms, p99_ms, kSegments,
-              static_cast<unsigned long long>(answered));
+              lg.duration_s - horizon, p50_ms, p90_ms, p99_ms,
+              load.p50_ms.value.size(),
+              static_cast<unsigned long long>(answered),
+              median(load.p50_ms.value), median(load.p90_ms.value),
+              median(load.p99_ms.value));
   std::printf("oracle: %llu sent, %llu matched, %llu mismatched, %llu shed, "
               "%llu errors; queue depth sampled %llu times\n",
               static_cast<unsigned long long>(oracle.sent),
@@ -327,9 +344,9 @@ void run_http(const Options& opt, double rate, Report& report) {
 
   const std::uint64_t rejected =
       find_counter(snap, "bcop_serve_rejected_total");
-  report.attempted = lg.sent + oracle.sent;
-  report.failed = lg.lost + lg.timed_out + lg.err_4xx + lg.err_5xx +
-                  oracle.mismatched + oracle.errors;
+  report.attempted += lg.sent + oracle.sent;
+  report.failed += lg.lost + lg.timed_out + lg.err_4xx + lg.err_5xx +
+                   oracle.mismatched + oracle.errors;
   report.check(lg.conserved(), "loadgen conservation broken");
   // A lost or timed-out request (already a failure) may still be shed
   // after its client gave up, so the 503 ledger only balances without.
@@ -337,8 +354,9 @@ void run_http(const Options& opt, double rate, Report& report) {
     report.check(rejected == lg.shed_503 + oracle.shed,
                  "bcop_serve_rejected_total != 503s seen by clients");
   report.check(oracle.matched > 0, "oracle verified no answer");
-  if (!overload && lg.shed_503 > 0)
-    std::printf("note: %llu 503s under steady load; p50/p99 include them\n",
+  if (lg.shed_503 > 0)
+    std::printf("note: %llu 503s; percentiles are over every answer, the fast "
+                "503s included\n",
                 static_cast<unsigned long long>(lg.shed_503));
 
   if (!opt.trace) {
@@ -346,18 +364,18 @@ void run_http(const Options& opt, double rate, Report& report) {
       std::printf("note: max latency %.1f ms exceeds the %.0f ms SLO; the "
                   "misses in goodput are estimated from percentiles\n",
                   lg.max_ms, kSloMs);
-    report.metric("setup_s", median(setups), "s");
-    report.metric("goodput_rps", load.within_slo / horizon, "req/s");
-    if (overload) {
-      report.metric("ok_frac",
-                    static_cast<double>(lg.ok_2xx) /
-                        static_cast<double>(lg.sent),
-                    "ratio");
-    } else {
-      report.metric("p50_ms", p50_ms, "ms");
-      report.metric("p99_ms", p99_ms, "ms");
-    }
-    return;
+    report.metric("goodput_rps", load.goodput_rps.calm_median(), "req/s");
+    // Over the whole phase: a median over segments would read exactly 1
+    // on every steady run.
+    report.metric("ok_frac",
+                  static_cast<double>(lg.ok_2xx) / static_cast<double>(lg.sent),
+                  "ratio");
+    report.metric("p50_ms", p50_ms, "ms");
+    // p90, not p99: a 1 s segment at 2000 req/s has 20 answers past its
+    // p99, so one hypervisor stall of 10 ms sets it, and on a shared host
+    // p99 measures the neighbours. p90 has 200 past it.
+    report.metric("p90_ms", p90_ms, "ms");
+    return median(setups);
   }
 
   const auto* req = find_histogram(snap, "bcop_net_request_ns");
@@ -365,14 +383,13 @@ void run_http(const Options& opt, double rate, Report& report) {
   const auto* wait = find_histogram(snap, "bcop_serve_coalesce_wait_ns");
   report.check(req && e2e && wait && req->count && e2e->count,
                "serving telemetry missing from the registry");
-  if (!report.correct) return;
+  if (!report.correct) return median(setups);
   report.metric("net.request_us.p50", us(req->p50), "us");
   report.metric("net.request_us.p99", us(req->p99), "us");
   // Parse + poll tick + render. Under overload the net mean also covers
-  // the fast 503s that never reach serve, so the difference is not a
-  // self time there and is left out.
-  if (!overload)
-    report.metric("net.self_us.mean", us(mean_of(req) - mean_of(e2e)), "us");
+  // the fast 503s that never reach serve, so there the difference is
+  // smaller than a self time and may fall below 0.
+  report.metric("net.self_us.mean", us(mean_of(req) - mean_of(e2e)), "us");
   report.metric("net.client_gap_us.p50", 1e3 * p50_ms - us(req->p50), "us");
   report.metric("serve.coalesce_wait_us.p50", us(wait->p50), "us");
   report.metric("serve.coalesce_wait_us.p99", us(wait->p99), "us");
@@ -389,6 +406,7 @@ void run_http(const Options& opt, double rate, Report& report) {
                 oracle.depth_sum / static_cast<double>(oracle.depth_samples),
                 "count");
   report.metric("serve.rejected_total", static_cast<double>(rejected), "count");
+  return median(setups);
 }
 
 }  // namespace bcop::perfbench

@@ -1,5 +1,5 @@
 // Repository benchmark entry point; see bench.hpp for the command line and
-// output contract, engine.cpp and http.cpp for the workloads.
+// output contract, engine.cpp and http.cpp for the two phases of a run.
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -54,6 +54,14 @@ double median(std::vector<double> v) {
   return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
+double Samples::calm_median() const {
+  const double cut = median(stolen);
+  std::vector<double> calm;
+  for (std::size_t i = 0; i < value.size(); ++i)
+    if (stolen[i] <= cut) calm.push_back(value[i]);
+  return median(calm);
+}
+
 const obs::MetricsSnapshot::HistogramValue* find_histogram(
     const obs::MetricsSnapshot& snap, const std::string& name) {
   for (const auto& h : snap.histograms)
@@ -69,6 +77,10 @@ std::uint64_t find_counter(const obs::MetricsSnapshot& snap,
 }
 
 namespace {
+
+/// Share of --seconds given to the engine phase; the HTTP phase gets the
+/// rest.
+constexpr double kEngineShare = 0.25;
 
 /// The commit being measured, read at run time (a source export without
 /// git metadata reports "unknown").
@@ -108,6 +120,9 @@ std::pair<double, double> cpu_ticks() {
 }
 
 }  // namespace
+
+double steal_ticks() { return cpu_ticks().first; }
+
 }  // namespace bcop::perfbench
 
 int main(int argc, char** argv) {
@@ -127,9 +142,9 @@ int main(int argc, char** argv) {
   double rate = 0;
   if (opt.workload == "http_steady") rate = 2000;
   else if (opt.workload == "http_overload") rate = 16000;
-  else if (opt.workload != "engine") {
+  else {
     std::fprintf(stderr,
-                 "usage: perfbench --workload engine|http_steady|http_overload"
+                 "usage: perfbench --workload http_steady|http_overload"
                  " --seed N --seconds S --trace 0|1\n");
     return 2;
   }
@@ -153,8 +168,22 @@ int main(int argc, char** argv) {
   const auto [steal0, total0] = cpu_ticks();
   Report report;
   try {
-    if (opt.workload == "engine") run_engine(opt, report);
-    else run_http(opt, rate, report);
+    // Untraced, the engine windows run between the HTTP segments, so both
+    // phases sample the host over the whole run and a stall of part of it
+    // moves a minority of either's samples.
+    const double engine_s = kEngineShare * opt.seconds;
+    EnginePhase engine(opt, report);
+    std::function<void(double)> between;
+    if (opt.trace) engine.traced(engine_s, report);
+    else between = [&](double share) { engine.run(share * engine_s); };
+    const double http_setup =
+        run_http(opt, rate, opt.seconds - engine_s, report, between);
+    const double engine_setup = engine.finish(report);
+    if (!opt.trace) {
+      std::printf("setup_s: %.4f s engine + %.4f s serving stack (medians "
+                  "of repeated set-ups)\n", engine_setup, http_setup);
+      report.metric("setup_s", engine_setup + http_setup, "s");
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfbench: %s\n", e.what());
     return 1;
