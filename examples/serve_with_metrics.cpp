@@ -22,6 +22,7 @@
 // --max-batch N, --max-latency-us N. Try --workers 0 (synchronous mode:
 // every batch is size 1, coalesce wait 0) against the default to see the
 // coalescing histograms move.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -94,6 +95,8 @@ int main(int argc, char** argv) {
     cfg.max_batch = args.get_int("max-batch", 16);
     cfg.max_latency =
         std::chrono::microseconds(args.get_int("max-latency-us", 2000));
+    // A whole burst fits in the queue, so try_submit never sheds here.
+    cfg.queue_capacity = std::max(1, burst_size);
 
     // Untrained weights: the observability story is about timing, and the
     // plan interpreter's cost does not depend on the weight values.
@@ -116,8 +119,9 @@ int main(int argc, char** argv) {
             rng.uniform_int(0, facegen::kNumClasses - 1));
         const auto rendered =
             facegen::render_face(facegen::sample_attributes(cls, rng));
-        futures.push_back(server.submit(
-            facegen::MaskedFaceDataset::image_to_tensor(rendered.image)));
+        tensor::Tensor image =
+            facegen::MaskedFaceDataset::image_to_tensor(rendered.image);
+        futures.push_back(server.try_submit(image).future);
       }
       for (auto& f : futures) f.get();
       std::printf("\n--- after burst %d/%d ---\n", burst + 1, bursts);

@@ -77,6 +77,16 @@ LOCK_TOKENS = re.compile(
 )
 OBS_HOT_HEADER = "src/obs/metrics.hpp"
 
+# ---- R9 include table ------------------------------------------------------
+
+# Headers that drag locking, streams, type erasure or sockets into a TU.
+# The hot zone is exactly the R6 allocation-free files plus the recording
+# header, so the two rules cannot drift apart.
+HOT_BANNED_HEADERS = ("mutex", "iostream", "functional", "sys/socket.h",
+                      "poll.h")
+HOT_INCLUDE_TABLE = {rel: HOT_BANNED_HEADERS
+                     for rel in (*ALLOC_FREE_FILES, OBS_HOT_HEADER)}
+
 # ---- R8 patterns -----------------------------------------------------------
 
 # A raw standard-library mutex member/global. These are invisible to
@@ -177,7 +187,8 @@ RULES: list[Rule] = [
     Rule("R4", "every src .cpp has its header referenced from tests/",
          "no untested modules", _check_r4),
     engine.token_confinement(
-        "R5", "blocking coordination confined to src/parallel/ + src/serve/",
+        "R5", "blocking coordination confined to src/parallel/, src/serve/ "
+        "and src/net/",
         "every wait/notify path must be exercised by the TSan stress "
         "suite via ThreadPool / BatchingServer",
         COORD_USE, ("src/parallel/", "src/serve/", "src/net/")),
@@ -200,24 +211,7 @@ RULES: list[Rule] = [
         "the interpreter TU and the recording header must not pull in "
         "locking, stream or type-erasure machinery even transitively "
         "inlined -- the binary audit backs this up at the symbol level",
-        {
-            "src/xnor/exec.cpp":
-                ("mutex", "iostream", "functional", "sys/socket.h", "poll.h"),
-            "src/xnor/exec_residual.cpp":
-                ("mutex", "iostream", "functional", "sys/socket.h", "poll.h"),
-            "src/obs/metrics.hpp":
-                ("mutex", "iostream", "functional", "sys/socket.h", "poll.h"),
-            "src/tensor/bit_span.cpp":
-                ("mutex", "iostream", "functional", "sys/socket.h", "poll.h"),
-            "src/tensor/kernels/scalar.cpp":
-                ("mutex", "iostream", "functional", "sys/socket.h", "poll.h"),
-            "src/tensor/kernels/avx2.cpp":
-                ("mutex", "iostream", "functional", "sys/socket.h", "poll.h"),
-            "src/tensor/kernels/avx512.cpp":
-                ("mutex", "iostream", "functional", "sys/socket.h", "poll.h"),
-            "src/tensor/kernels/dispatch.cpp":
-                ("mutex", "iostream", "functional", "sys/socket.h", "poll.h"),
-        }),
+        HOT_INCLUDE_TABLE),
     engine.token_confinement(
         "R10", "raw sockets and readiness syscalls confined to src/net/",
         "every byte of untrusted network input must enter through the "

@@ -370,16 +370,16 @@ void HttpServer::handle_request(Connection& conn, const ParsedRequest& req) {
     bool any_serving = false;
     std::string replicas = "[";
     for (int i = 0; i < router_.size(); ++i) {
-      const serve::Replica& r = router_.replica(i);
-      const serve::ReplicaState state = r.state();
+      const serve::BatchingServer& r = router_.replica(i);
+      const serve::ServerState state = r.state();
       const std::int64_t rdepth = r.queue_depth();
-      if (state == serve::ReplicaState::kServing) {
+      if (state == serve::ServerState::kServing) {
         any_serving = true;
         if (config_.shed_watermark >= 0 && rdepth < config_.shed_watermark)
           shedding = false;
       }
       if (i) replicas += ",";
-      replicas += "{\"id\":" + std::to_string(r.id());
+      replicas += "{\"id\":" + std::to_string(i);
       replicas += ",\"state\":\"";
       replicas += serve::to_string(state);
       replicas += "\",\"queue_depth\":" + std::to_string(rdepth) + "}";

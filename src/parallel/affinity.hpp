@@ -4,8 +4,9 @@
 // gives each its own slice of the fabric; the CPU analogue is one serving
 // replica per disjoint core set, so replicas never migrate onto each
 // other's caches and the capacity sweep (bench/bench_capacity) measures
-// cores -> req/s instead of scheduler noise. serve::Replica workers call
-// pin_current_thread() with the set handed out by partition_cpus().
+// cores -> req/s instead of scheduler noise. The workers of each
+// serve::BatchingServer replica call pin_current_thread() with the set
+// handed out by partition_cpus().
 //
 // Everything degrades gracefully: on hosts without sched_setaffinity (or
 // when the requested CPUs are outside the process mask) pinning reports

@@ -28,18 +28,27 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// A future already carrying the rejection: the no-throw shutdown path of
-/// submit(). The caller's get() observes std::runtime_error, but submit
-/// itself never throws for load/lifecycle reasons (only for caller bugs
-/// like a mis-shaped image).
-std::future<Predictor::Result> rejected_future(const char* why) {
-  std::promise<Predictor::Result> promise;
-  auto future = promise.get_future();
-  promise.set_exception(std::make_exception_ptr(std::runtime_error(why)));
-  return future;
+/// [S, S, C] of a request image; [1, S, S, C] is the same request.
+Shape request_shape(const Tensor& image) {
+  const Shape& s = image.shape();
+  if (s.rank() == 4 && s[0] == 1) return Shape{s[1], s[2], s[3]};
+  BCOP_CHECK(s.rank() == 3,
+             "BatchingServer::try_submit: image must be [S, S, C] or "
+             "[1, S, S, C], got %s",
+             s.str().c_str());
+  return s;
 }
 
 }  // namespace
+
+const char* to_string(ServerState state) {
+  switch (state) {
+    case ServerState::kServing: return "serving";
+    case ServerState::kDraining: return "draining";
+    case ServerState::kStopped: return "stopped";
+  }
+  return "unknown";
+}
 
 /// Server telemetry (naming scheme in docs/observability.md). The global
 /// bcop_serve_* family is registered once on first server construction; a
@@ -77,73 +86,128 @@ void BatchingServer::each_metrics(Fn&& fn) const {
   if (replica_metrics_) fn(*replica_metrics_);
 }
 
-BatchingServer::BatchingServer(const Predictor& predictor,
+BatchingServer::BatchingServer(const Predictor& prototype,
                                BatcherConfig config)
-    : predictor_(predictor), config_(config), pool_(config.workers) {
+    : config_(std::move(config)),
+      model_(std::make_unique<const Predictor>(prototype.replicate())),
+      pool_(config_.workers) {
   BCOP_CHECK(config_.max_batch >= 1, "max_batch %lld must be >= 1",
              static_cast<long long>(config_.max_batch));
   BCOP_CHECK(config_.queue_capacity >= 1, "queue_capacity %lld must be >= 1",
              static_cast<long long>(config_.queue_capacity));
-  const Shape want = predictor_.network().expected_input_shape();
+  const Shape want = prototype.network().expected_input_shape();
   if (want.rank() == 3) image_shape_ = want;
   Metrics::global();  // register before traffic so exports always list them
   if (config_.replica_id >= 0)
     replica_metrics_ = std::make_unique<Metrics>(Metrics::make(
         "bcop_serve_replica" + std::to_string(config_.replica_id)));
+  start_workers();
+}
+
+BatchingServer::~BatchingServer() { drain(); }
+
+void BatchingServer::start_workers() {
   for (unsigned i = 0; i < config_.workers; ++i)
     pool_.submit([this] { worker_loop(); });
 }
 
-BatchingServer::~BatchingServer() { shutdown(); }
+void BatchingServer::drain() {
+  MutexLock admin(admin_mutex_);
+  drain_admin();
+}
 
-void BatchingServer::shutdown() {
+void BatchingServer::drain_admin() {
   {
     MutexLock lock(mutex_);
-    stopping_ = true;
+    // Under admin_mutex_ the state is kServing or kStopped, never
+    // mid-drain: a second drain() is a no-op.
+    if (state_.load(std::memory_order_relaxed) != ServerState::kServing)
+      return;
+    state_.store(ServerState::kDraining, std::memory_order_release);
   }
   cv_work_.notify_all();
-  cv_space_.notify_all();
   // Workers drain the queue before exiting, so every accepted request is
-  // answered even when the server is shut down mid-burst. Idempotent: a
-  // second call finds the pool already idle and returns immediately.
+  // answered. The join runs outside mutex_: admission answers kUnavailable
+  // and depth probes keep answering meanwhile.
   pool_.wait_idle();
+  MutexLock lock(mutex_);
+  state_.store(ServerState::kStopped, std::memory_order_release);
 }
 
-Tensor BatchingServer::normalize_rank(Tensor image) const {
-  const Shape s = image.shape();
-  if (s.rank() == 4 && s[0] == 1)
-    return image.reshaped(Shape{s[1], s[2], s[3]});
-  if (s.rank() != 3) {
-    each_metrics([](Metrics& m) { m.rejected.add(1); });
-    throw std::invalid_argument("BatchingServer::submit: image must be "
-                                "[S, S, C] or [1, S, S, C], got " + s.str());
+void BatchingServer::swap_model(const Predictor& prototype) {
+  MutexLock admin(admin_mutex_);
+  const Shape want = prototype.network().expected_input_shape();
+  Shape have;
+  {
+    MutexLock lock(mutex_);
+    have = model_->network().expected_input_shape();
   }
-  return image;
+  // A different input shape would turn every queued-for-later request into
+  // a contract failure; refuse while the current generation still serves.
+  if (want != have)
+    throw std::invalid_argument("BatchingServer::swap_model: model input " +
+                                want.str() + " does not match the served " +
+                                have.str());
+  std::unique_ptr<const Predictor> next =
+      std::make_unique<const Predictor>(prototype.replicate());
+  drain_admin();
+  {
+    MutexLock lock(mutex_);
+    // The old generation's workers have joined, so nothing references the
+    // old model; it is freed below, outside the lock.
+    std::swap(model_, next);
+    ++generation_;
+    state_.store(ServerState::kServing, std::memory_order_release);
+  }
+  start_workers();
 }
 
-std::future<Predictor::Result> BatchingServer::enqueue_locked(Tensor image) {
+BatchingServer::Admitted BatchingServer::try_submit(Tensor& image,
+                                                    std::int64_t max_depth) {
+  const Shape s = request_shape(image);
+  Admitted out;
+  UniqueLock lock(mutex_);
+  if (image_shape_.rank() == 0) image_shape_ = s;
+  BCOP_CHECK(s == image_shape_,
+             "BatchingServer::try_submit: image %s does not match the served "
+             "model input %s",
+             s.str().c_str(), image_shape_.str().c_str());
+  if (state_.load(std::memory_order_relaxed) != ServerState::kServing)
+    return out;  // kUnavailable: nothing counted, image untouched
+  if (config_.workers == 0) {
+    out.future = classify_inline(image);
+    out.admission = Admission::kAccepted;
+    return out;
+  }
+  std::int64_t limit = config_.queue_capacity;
+  if (max_depth >= 0) limit = std::min(limit, max_depth);
+  if (static_cast<std::int64_t>(queue_.size()) >= limit) {
+    each_metrics([](Metrics& m) { m.rejected.add(1); });
+    out.admission = Admission::kShed;
+    return out;
+  }
   Request request;
   request.image = std::move(image);
   request.enqueued = std::chrono::steady_clock::now();
-  auto future = request.promise.get_future();
+  out.future = request.promise.get_future();
   queue_.push_back(std::move(request));
   ++stats_.requests;
-  // Gauge moves with the queue mutation it mirrors, inside the critical
-  // section (recording is lock-free, so this costs one relaxed fetch_add
-  // under the lock): a snapshot can no longer observe a pushed request
-  // with an un-bumped depth, or the transiently negative depth the old
-  // unlock-then-add ordering allowed when a worker drained first.
+  // The gauge moves with the queue mutation it mirrors, inside the
+  // critical section, so a snapshot never sees a pushed request with an
+  // un-bumped depth (recording is one relaxed fetch_add).
   each_metrics([](Metrics& m) { m.queue_depth.add(1); });
-  return future;
+  lock.unlock();
+  each_metrics([](Metrics& m) { m.submitted.add(1); });
+  cv_work_.notify_one();
+  out.admission = Admission::kAccepted;
+  return out;
 }
 
-std::future<Predictor::Result> BatchingServer::classify_inline(Tensor image) {
-  {
-    MutexLock lock(mutex_);
-    ++stats_.requests;
-    ++stats_.batches;
-    stats_.max_batch_seen = std::max<std::int64_t>(stats_.max_batch_seen, 1);
-  }
+std::future<Predictor::Result> BatchingServer::classify_inline(
+    const Tensor& image) {
+  ++stats_.requests;
+  ++stats_.batches;
+  stats_.max_batch_seen = std::max<std::int64_t>(stats_.max_batch_seen, 1);
   each_metrics([](Metrics& m) {
     m.submitted.add(1);
     m.batches.add(1);
@@ -154,9 +218,10 @@ std::future<Predictor::Result> BatchingServer::classify_inline(Tensor image) {
   std::promise<Predictor::Result> promise;
   auto future = promise.get_future();
   try {
-    const Shape& s = image.shape();
-    const Tensor batch = image.reshaped(Shape{1, s[0], s[1], s[2]});
-    promise.set_value(predictor_.classify_batch(batch).front());
+    const Shape& s = image_shape_;
+    promise.set_value(
+        model_->classify_batch(image.reshaped(Shape{1, s[0], s[1], s[2]}))
+            .front());
   } catch (...) {
     promise.set_exception(std::current_exception());
   }
@@ -165,84 +230,9 @@ std::future<Predictor::Result> BatchingServer::classify_inline(Tensor image) {
   return future;
 }
 
-std::future<Predictor::Result> BatchingServer::submit(Tensor image) {
-  image = normalize_rank(std::move(image));
-  const Shape s = image.shape();
-  {
-    UniqueLock lock(mutex_);
-    if (image_shape_.rank() == 0) image_shape_ = s;
-    if (s != image_shape_) {
-      each_metrics([](Metrics& m) { m.rejected.add(1); });
-      throw std::invalid_argument("BatchingServer::submit: image " + s.str() +
-                                  " does not match the served model input " +
-                                  image_shape_.str());
-    }
-    // Shutdown is a lifecycle event, not a caller bug: report it through
-    // the future (no-throw admission, same discipline as try_submit's
-    // nullopt) so a drain racing a client cannot unwind the client.
-    if (stopping_) {
-      each_metrics([](Metrics& m) { m.rejected.add(1); });
-      return rejected_future("BatchingServer::submit: server is shutting down");
-    }
-
-    if (config_.workers != 0) {
-      // Back-pressure wait, written as an explicit loop over guarded state
-      // so the thread-safety analysis sees every access (predicate lambdas
-      // are opaque to it; see util/thread_annotations.hpp).
-      while (!stopping_ &&
-             static_cast<std::int64_t>(queue_.size()) >= config_.queue_capacity)
-        cv_space_.wait(lock.native());
-      if (stopping_) {
-        each_metrics([](Metrics& m) { m.rejected.add(1); });
-        return rejected_future(
-            "BatchingServer::submit: server is shutting down");
-      }
-      auto future = enqueue_locked(std::move(image));
-      lock.unlock();
-      each_metrics([](Metrics& m) { m.submitted.add(1); });
-      cv_work_.notify_one();
-      return future;
-    }
-  }
-  // Synchronous degenerate mode: no queue, classify on the caller.
-  return classify_inline(std::move(image));
-}
-
-std::optional<std::future<Predictor::Result>> BatchingServer::try_submit(
-    Tensor image, std::int64_t max_depth) {
-  image = normalize_rank(std::move(image));
-  const Shape s = image.shape();
-  {
-    UniqueLock lock(mutex_);
-    if (image_shape_.rank() == 0) image_shape_ = s;
-    if (s != image_shape_) {
-      each_metrics([](Metrics& m) { m.rejected.add(1); });
-      throw std::invalid_argument(
-          "BatchingServer::try_submit: image " + s.str() +
-          " does not match the served model input " + image_shape_.str());
-    }
-    // Shutdown is load the caller cannot fix by retrying elsewhere, but a
-    // network front-end must still answer 503 rather than crash: report it
-    // as a rejection instead of throwing.
-    if (stopping_) {
-      each_metrics([](Metrics& m) { m.rejected.add(1); });
-      return std::nullopt;
-    }
-    if (config_.workers != 0) {
-      std::int64_t limit = config_.queue_capacity;
-      if (max_depth >= 0) limit = std::min(limit, max_depth);
-      if (static_cast<std::int64_t>(queue_.size()) >= limit) {
-        each_metrics([](Metrics& m) { m.rejected.add(1); });
-        return std::nullopt;
-      }
-      auto future = enqueue_locked(std::move(image));
-      lock.unlock();
-      each_metrics([](Metrics& m) { m.submitted.add(1); });
-      cv_work_.notify_one();
-      return future;
-    }
-  }
-  return classify_inline(std::move(image));
+std::int64_t BatchingServer::generation() const {
+  MutexLock lock(mutex_);
+  return generation_;
 }
 
 std::int64_t BatchingServer::queue_depth() const {
@@ -260,29 +250,31 @@ void BatchingServer::worker_loop() {
   // (parallel::partition_cpus); a failed pin just leaves the worker
   // floating -- affinity is a performance hint, never a requirement.
   if (!config_.pin_cpus.empty()) parallel::pin_current_thread(config_.pin_cpus);
-  WorkerState state;  // lives as long as the worker: arena grows, then holds
+  WorkerState buffers;  // lives as long as the worker: arena grows, then holds
   for (;;) {
     std::deque<Request> batch;
+    const Predictor* model = nullptr;
+    Shape image_shape;
     {
       UniqueLock lock(mutex_);
-      while (!stopping_ && queue_.empty()) cv_work_.wait(lock.native());
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;  // spurious wake or another worker took the work
-      }
-      if (!stopping_ && config_.max_latency.count() > 0 &&
+      const auto serving = [this] {
+        return state_.load(std::memory_order_relaxed) == ServerState::kServing;
+      };
+      while (serving() && queue_.empty()) cv_work_.wait(lock.native());
+      if (queue_.empty()) return;  // drained: this generation is done
+      if (serving() && config_.max_latency.count() > 0 &&
           static_cast<std::int64_t>(queue_.size()) < config_.max_batch) {
         // Coalescing window: hold the batch open until it fills or the
         // oldest request has spent max_latency in the queue.
         const auto deadline = queue_.front().enqueued + config_.max_latency;
-        while (!stopping_ &&
+        while (serving() &&
                static_cast<std::int64_t>(queue_.size()) < config_.max_batch) {
           if (cv_work_.wait_until(lock.native(), deadline) ==
               std::cv_status::timeout)
             break;
         }
       }
-      if (queue_.empty()) continue;
+      if (queue_.empty()) continue;  // another worker took the work
       const auto take = std::min<std::int64_t>(
           static_cast<std::int64_t>(queue_.size()), config_.max_batch);
       for (std::int64_t i = 0; i < take; ++i) {
@@ -290,14 +282,22 @@ void BatchingServer::worker_loop() {
         queue_.pop_front();
       }
       each_metrics([take](Metrics& m) { m.queue_depth.add(-take); });
+      // Record the batch before fulfilling any promise: a client whose
+      // future.get() returned must observe its own batch in stats().
+      ++stats_.batches;
+      stats_.max_batch_seen = std::max(stats_.max_batch_seen, take);
+      if (take > 1) stats_.coalesced += take;
+      model = model_.get();
+      image_shape = image_shape_;
     }
-    cv_space_.notify_all();
-    run_batch(std::move(batch), state);
+    run_batch(batch, *model, image_shape, buffers);
   }
 }
 
-void BatchingServer::run_batch(std::deque<Request>&& batch,
-                               WorkerState& state) {
+void BatchingServer::run_batch(std::deque<Request>& batch,
+                               const Predictor& model,
+                               const Shape& image_shape,
+                               WorkerState& buffers) {
   const auto b = static_cast<std::int64_t>(batch.size());
   // How long the oldest member waited for the batch to ship: the cost of
   // the coalescing window, bounded by config_.max_latency plus scheduling.
@@ -307,30 +307,22 @@ void BatchingServer::run_batch(std::deque<Request>&& batch,
     m.batch_size.record(static_cast<std::uint64_t>(b));
     m.coalesce_wait_ns.record(wait_ns);
   });
-  const Shape& s = batch.front().image.shape();
+  const Shape& s = image_shape;
   const Shape batch_shape{b, s[0], s[1], s[2]};
   // Reuse the worker's coalescing buffer; it only reallocates when the
   // batch size changes (steady traffic at a fixed size is allocation-free).
-  if (state.input.shape() != batch_shape) state.input = Tensor(batch_shape);
+  if (buffers.input.shape() != batch_shape) buffers.input = Tensor(batch_shape);
   const std::int64_t stride = s.numel();
   for (std::int64_t i = 0; i < b; ++i)
-    std::memcpy(state.input.data() + i * stride,
+    std::memcpy(buffers.input.data() + i * stride,
                 batch[static_cast<std::size_t>(i)].image.data(),
                 static_cast<std::size_t>(stride) * sizeof(float));
-  {
-    // Record the batch before fulfilling any promise: a client whose
-    // future.get() returned must observe its own batch in stats().
-    MutexLock lock(mutex_);
-    ++stats_.batches;
-    stats_.max_batch_seen = std::max(stats_.max_batch_seen, b);
-    if (b > 1) stats_.coalesced += b;
-  }
   try {
-    predictor_.classify_batch(state.input, state.ws, state.logits,
-                              state.results);
+    model.classify_batch(buffers.input, buffers.ws, buffers.logits,
+                         buffers.results);
     for (std::int64_t i = 0; i < b; ++i) {
       Request& request = batch[static_cast<std::size_t>(i)];
-      request.promise.set_value(state.results[static_cast<std::size_t>(i)]);
+      request.promise.set_value(buffers.results[static_cast<std::size_t>(i)]);
       const std::uint64_t e2e_ns = ns_since(request.enqueued);
       each_metrics([e2e_ns](Metrics& m) { m.e2e_latency_ns.record(e2e_ns); });
     }

@@ -1,5 +1,6 @@
 // Request-coalescing inference server: the software analogue of the
-// paper's streaming accelerator pipeline.
+// paper's streaming accelerator pipeline, and the fleet member a
+// serve::Router replicates.
 //
 // The FINN-style FPGA design reaches its ~6400 FPS (n-CNV, Table II) by
 // keeping every stage of the pipeline busy on a stream of frames; the CPU
@@ -7,14 +8,29 @@
 // over many images amortizes packing, dispatch and weight traffic. This
 // module turns independent single-image requests into such batches:
 //
-//   submit() --> bounded request queue --> worker pool --> classify_batch
+//   try_submit() --> bounded request queue --> worker pool --> classify_batch
 //
 // Workers take up to `max_batch` queued requests at once; when fewer are
 // waiting, they hold the batch open until the oldest request has waited
 // `max_latency`, trading a bounded latency increase for throughput (the
-// knob documented in docs/serving.md). The queue is bounded: submit()
-// blocks when `queue_capacity` requests are pending, providing
-// back-pressure instead of unbounded memory growth under overload.
+// knob documented in docs/serving.md). The queue is bounded: try_submit()
+// never blocks -- at `queue_capacity` (or the caller's tighter watermark)
+// it sheds, so overload costs a rejection instead of unbounded memory.
+//
+// Each server serves its own Predictor::replicate() clone (fresh plan
+// cache) and has a lifecycle that makes a model hot-swap zero-downtime
+// for the fleet around it:
+//
+//   kServing --> kDraining --> kStopped
+//      ^                          |
+//      +------- swap_model -------+
+//
+// drain() flips kServing -> kDraining under the queue mutex, so a request
+// either enqueued before the flip (and is answered) or is turned away as
+// kUnavailable; the workers then empty the queue and exit. swap_model()
+// is drain() plus a fresh clone and a restart of the worker tasks on the
+// same pool. The worker join and the clone run outside the queue mutex,
+// so admission and depth probes never wait on a swap.
 //
 // Concurrency is built strictly from parallel::ThreadPool (repo rule R2:
 // no raw threads outside src/parallel/): each worker is one
@@ -29,6 +45,7 @@
 // aggregate view.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -36,7 +53,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -50,14 +66,14 @@ namespace bcop::serve {
 struct BatcherConfig {
   /// Largest coalesced batch handed to classify_batch.
   std::int64_t max_batch = 16;
-  /// Bounded queue depth; submit() blocks while this many requests wait.
+  /// Bounded queue depth; try_submit() sheds while this many requests wait.
   std::int64_t queue_capacity = 64;
   /// How long a worker may hold an underfull batch open waiting for more
   /// requests, measured from the oldest member's enqueue time. 0 disables
   /// coalescing waits (every batch ships as soon as a worker is free).
   std::chrono::microseconds max_latency{2000};
-  /// Worker tasks. 0 = synchronous mode: submit() classifies inline and
-  /// returns a ready future (single-core hosts, tests).
+  /// Worker tasks. 0 = synchronous mode: try_submit() classifies inline
+  /// and returns a ready future (single-core hosts, tests).
   unsigned workers = 2;
   /// CPUs the worker tasks pin themselves to (parallel::pin_current_thread
   /// at loop entry; empty = unpinned). serve::Router hands each replica a
@@ -80,57 +96,77 @@ struct ServerStats {
   std::int64_t max_batch_seen = 0;
 };
 
+enum class ServerState : int {
+  kServing = 0,   // admitting requests
+  kDraining = 1,  // no new admissions; accepted queue emptying
+  kStopped = 2,   // drained and joined; swap_model() restarts
+};
+
+/// Lower-case state name for /healthz and logs ("serving", "draining", ...).
+const char* to_string(ServerState state);
+
 class BatchingServer {
  public:
-  /// The predictor must outlive the server; classification is const and
-  /// safe to share across workers.
-  BatchingServer(const core::Predictor& predictor, BatcherConfig config);
-  /// Drains the queue (pending requests are still answered), then joins.
+  /// How one admission attempt ended.
+  enum class Admission {
+    kAccepted,     // future returned; bcop_serve*_submitted_total counted
+    kShed,         // over watermark/capacity; bcop_serve*_rejected_total
+                   // counted once -- terminal for the caller
+    kUnavailable,  // not serving (draining/stopped); nothing counted and
+                   // the image is intact, so a Router can place it elsewhere
+  };
+
+  struct Admitted {
+    Admission admission = Admission::kUnavailable;
+    std::future<core::Predictor::Result> future;  // valid() iff kAccepted
+  };
+
+  /// Clone `prototype` (Predictor::replicate: fresh plan cache) and start
+  /// serving it. The prototype is only read during the call.
+  BatchingServer(const core::Predictor& prototype, BatcherConfig config);
+  /// Drains (every accepted future resolves), then joins.
   ~BatchingServer();
 
   BatchingServer(const BatchingServer&) = delete;
   BatchingServer& operator=(const BatchingServer&) = delete;
 
-  /// Begin shutdown and wait for the workers: every already-accepted
-  /// request is still answered (the queue drains), then the worker tasks
-  /// exit. Idempotent; the destructor calls it. After shutdown, submit()
-  /// returns rejected futures and try_submit() returns std::nullopt --
-  /// serve::Replica uses this as the graceful-drain primitive.
-  void shutdown() BCOP_EXCLUDES(mutex_);
-
-  /// Enqueue one [S, S, 3] image (or [1, S, S, 3]); blocks while the queue
-  /// is full. The future resolves once a worker ships the batch containing
-  /// this request. After shutdown began the call never throws: it counts a
-  /// rejection and returns a *rejected future* (std::runtime_error surfaces
-  /// at get()), matching the no-throw admission discipline of try_submit.
-  std::future<core::Predictor::Result> submit(tensor::Tensor image)
+  /// Non-blocking admission of one [S, S, C] image (or [1, S, S, C]): a
+  /// caller that must never park (an HTTP worker holding hundreds of
+  /// connections) gets a future, a shed or "not serving", never a wait.
+  /// Sheds when the queue already holds min(queue_capacity, max_depth)
+  /// requests (max_depth < 0 means "queue_capacity alone"; 0 sheds
+  /// everything); synchronous servers (workers == 0) never shed. The image
+  /// is moved from only on kAccepted. A mis-shaped image is a caller bug
+  /// and fails a BCOP_CHECK -- the same contract classify_batch enforces.
+  Admitted try_submit(tensor::Tensor& image, std::int64_t max_depth = -1)
       BCOP_EXCLUDES(mutex_);
 
-  /// Non-blocking admission-controlled submit for network front-ends: a
-  /// caller that must never park (an HTTP worker holding hundreds of
-  /// connections) gets either a future or an immediate rejection, never a
-  /// wait. Returns std::nullopt -- and counts bcop_serve_rejected_total --
-  /// when the queue already holds min(queue_capacity, max_depth) requests
-  /// (max_depth < 0 means "queue_capacity alone"; max_depth == 0 sheds
-  /// everything) or when shutdown began. Shape validation still throws
-  /// std::invalid_argument, exactly like submit(): a malformed image is a
-  /// caller bug, not load.
-  std::optional<std::future<core::Predictor::Result>> try_submit(
-      tensor::Tensor image, std::int64_t max_depth = -1) BCOP_EXCLUDES(mutex_);
+  /// Stop admitting, let the workers answer every accepted request, join
+  /// them: kServing -> kDraining -> kStopped. Blocks until drained.
+  /// Idempotent; the destructor calls it. Concurrent drain/swap calls
+  /// serialize.
+  void drain() BCOP_EXCLUDES(admin_mutex_, mutex_);
 
+  /// Zero-downtime model replacement: drain(), serve a fresh clone of
+  /// `prototype`, restart the workers and bump generation(). Throws
+  /// std::invalid_argument -- before draining, so the current generation
+  /// keeps serving -- when `prototype` expects a different input shape.
+  void swap_model(const core::Predictor& prototype)
+      BCOP_EXCLUDES(admin_mutex_, mutex_);
+
+  ServerState state() const { return state_.load(std::memory_order_acquire); }
+  /// Models served so far: 1 after construction, +1 per swap_model.
+  std::int64_t generation() const BCOP_EXCLUDES(mutex_);
   /// Requests currently waiting in the queue (excludes in-flight batches).
-  /// The shedding watermark in net::HttpServer and /healthz read this.
+  /// The Router's placement scan and /healthz read this.
   std::int64_t queue_depth() const BCOP_EXCLUDES(mutex_);
-
+  /// Totals since construction; they span every generation.
   ServerStats stats() const BCOP_EXCLUDES(mutex_);
   const BatcherConfig& config() const { return config_; }
-  /// The served model (outlives the server per the constructor contract);
-  /// front-ends read its expected input shape to size request payloads.
-  const core::Predictor& predictor() const { return predictor_; }
 
  private:
   struct Request {
-    tensor::Tensor image;  // [S, S, 3]
+    tensor::Tensor image;  // [S, S, C] or [1, S, S, C]
     std::promise<core::Predictor::Result> promise;
     std::chrono::steady_clock::time_point enqueued;
   };
@@ -151,45 +187,49 @@ class BatchingServer {
   /// Defined in batcher.cpp; recording is lock-free either way.
   struct Metrics;
 
+  void start_workers();
+  void drain_admin() BCOP_REQUIRES(admin_mutex_) BCOP_EXCLUDES(mutex_);
   void worker_loop() BCOP_EXCLUDES(mutex_);
-  void run_batch(std::deque<Request>&& batch, WorkerState& state)
+  void run_batch(std::deque<Request>& batch, const core::Predictor& model,
+                 const tensor::Shape& image_shape, WorkerState& buffers)
       BCOP_EXCLUDES(mutex_);
+  /// Synchronous (workers == 0) path: classify on the calling thread,
+  /// under the lock so a concurrent swap cannot free the model mid-call.
+  std::future<core::Predictor::Result> classify_inline(
+      const tensor::Tensor& image) BCOP_REQUIRES(mutex_);
 
   /// Apply `fn` to the global metrics family and, when this server is a
   /// replica, to its per-replica family too (defined in batcher.cpp).
   template <typename Fn>
   void each_metrics(Fn&& fn) const;
 
-  /// Flatten [1, S, S, C] to [S, S, C]; throws std::invalid_argument
-  /// (counting the rejection) on any other rank.
-  tensor::Tensor normalize_rank(tensor::Tensor image) const;
-  /// Queue one admitted request and update stats/gauge; caller unlocks,
-  /// bumps the submitted counter and notifies a worker.
-  std::future<core::Predictor::Result> enqueue_locked(tensor::Tensor image)
-      BCOP_REQUIRES(mutex_);
-  /// Synchronous (workers == 0) path: classify on the calling thread.
-  std::future<core::Predictor::Result> classify_inline(tensor::Tensor image)
-      BCOP_EXCLUDES(mutex_);
-
-  const core::Predictor& predictor_;
   const BatcherConfig config_;
   /// Per-replica metric family (bcop_serve_replica<N>_*); null unless
   /// config_.replica_id >= 0. The pointees are registry-owned and
   /// reference-stable; recording is relaxed atomics only.
   std::unique_ptr<Metrics> replica_metrics_;
 
+  /// Serializes lifecycle operations (drain/swap_model/destruction) so
+  /// two administrators cannot interleave a teardown with a restart.
+  /// Ordering: admin_mutex_ is taken before mutex_, never the reverse.
+  util::Mutex admin_mutex_ BCOP_ACQUIRED_BEFORE(mutex_);  // bcop-lint: allow(R8): serializes the drain/swap lifecycle region, guards no data member
   mutable util::Mutex mutex_;
-  std::condition_variable cv_work_;   // queue became non-empty / stopping
-  std::condition_variable cv_space_;  // queue has room again
+  std::condition_variable cv_work_;  // queue became non-empty / draining
+  /// Written only under mutex_ (so the serving -> draining flip orders
+  /// against admission); read lock-free by the Router's placement scan.
+  std::atomic<ServerState> state_{ServerState::kServing};
   std::deque<Request> queue_ BCOP_GUARDED_BY(mutex_);
-  bool stopping_ BCOP_GUARDED_BY(mutex_) = false;
   ServerStats stats_ BCOP_GUARDED_BY(mutex_);
+  /// The served clone. Workers read it when they dequeue a batch; a swap
+  /// reseats it only after the workers of the old generation have joined.
+  std::unique_ptr<const core::Predictor> model_ BCOP_GUARDED_BY(mutex_);
+  std::int64_t generation_ BCOP_GUARDED_BY(mutex_) = 1;
   /// Locked-in [S, S, C] request shape: the folded network's expected
   /// input when inferable, otherwise the first submitted image's shape.
   tensor::Shape image_shape_ BCOP_GUARDED_BY(mutex_);
 
-  // Declared last: destroyed first would deadlock, so ~BatchingServer sets
-  // stopping_ and waits for the workers before members go away.
+  // Declared last: destroyed first would deadlock, so ~BatchingServer
+  // drains and waits for the workers before members go away.
   parallel::ThreadPool pool_;
 };
 

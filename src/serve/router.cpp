@@ -46,8 +46,8 @@ Router::Router(const Predictor& prototype, RouterConfig config)
     bc.pin_cpus = config_.pin_workers
                       ? parallel::partition_cpus(i, n)
                       : std::vector<int>{};
-    replicas_.push_back(
-        std::make_unique<Replica>(prototype_, bc, static_cast<int>(i)));
+    bc.replica_id = static_cast<int>(i);
+    replicas_.push_back(std::make_unique<BatchingServer>(prototype_, bc));
   }
 }
 
@@ -68,7 +68,7 @@ std::optional<std::future<Predictor::Result>> Router::try_submit(
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = (origin + k) % n;
       if (tried & (std::uint64_t{1} << i)) continue;
-      if (replicas_[i]->state() != ReplicaState::kServing) continue;
+      if (replicas_[i]->state() != ServerState::kServing) continue;
       const std::int64_t depth = replicas_[i]->queue_depth();
       if (depth < best_depth) {
         best = i;
@@ -76,16 +76,17 @@ std::optional<std::future<Predictor::Result>> Router::try_submit(
       }
     }
     if (best == n) break;  // every replica is mid-swap, draining or tried
-    Replica::Admitted result = replicas_[best]->try_submit(image, max_depth);
+    BatchingServer::Admitted result =
+        replicas_[best]->try_submit(image, max_depth);
     switch (result.admission) {
-      case Replica::Admission::kAccepted:
+      case BatchingServer::Admission::kAccepted:
         metrics.routed.add(1);
         return std::move(result.future);
-      case Replica::Admission::kShed:
-        // Terminal by design (rule 3 in the header comment): the replica's
-        // server already counted the rejection.
+      case BatchingServer::Admission::kShed:
+        // Terminal by design (rule 3 in the header comment): the replica
+        // already counted the rejection.
         return std::nullopt;
-      case Replica::Admission::kUnavailable:
+      case BatchingServer::Admission::kUnavailable:
         tried |= std::uint64_t{1} << best;
         metrics.retries.add(1);
         continue;

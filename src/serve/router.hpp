@@ -2,11 +2,11 @@
 //
 // The FINN line of work scales throughput by replicating compute engines
 // and load-balancing streams across them; this is the CPU serving
-// analogue. A Router owns N serve::Replica instances -- each a clone of
-// one prototype model with its own plan cache, bounded queue and worker
-// pool, optionally pinned to a disjoint core set (parallel::
-// partition_cpus) -- and places each request on the *least-loaded
-// serving* replica:
+// analogue. A Router owns N serve::BatchingServer replicas -- each
+// serving its own clone of one prototype model with its own plan cache,
+// bounded queue and worker pool, optionally pinned to a disjoint core set
+// (parallel::partition_cpus) -- and places each request on the
+// *least-loaded serving* replica:
 //
 //   try_submit --> scan serving replicas (queue_depth) --> best.try_submit
 //                      ^                                        |
@@ -19,13 +19,14 @@
 //      round-robin (the scan origin rotates per request) so an idle
 //      fleet spreads instead of hammering replica 0.
 //   3. kShed is terminal: the chosen replica was over the watermark and
-//      its server already counted bcop_serve_rejected_total -- the fleet
-//      sheds, it does not hunt for a luckier queue (that would break the
-//      503 <-> rejected ledger and hide overload).
-//   4. kUnavailable costs nothing (nothing counted, the image is
-//      untouched) and moves to the next-best replica; only when every
-//      serving replica is unavailable does the Router itself count one
-//      rejection (keeping the ledger intact) and report nullopt.
+//      already counted bcop_serve_rejected_total -- the fleet sheds, it
+//      does not hunt for a luckier queue (that would break the 503 <->
+//      rejected ledger and hide overload).
+//   4. kUnavailable (the replica began draining after the scan) costs
+//      nothing -- nothing counted, the image is untouched -- and moves to
+//      the next-best replica; only when no replica is serving does the
+//      Router itself count one rejection (keeping the ledger intact) and
+//      report nullopt.
 //
 // The Router itself is lock-free: the replica vector is immutable after
 // construction, placement state is one atomic round-robin counter, and
@@ -43,14 +44,13 @@
 
 #include "core/predictor.hpp"
 #include "serve/batcher.hpp"
-#include "serve/replica.hpp"
 #include "tensor/tensor.hpp"
 
 namespace bcop::serve {
 
 struct RouterConfig {
   /// Replica count, 1..64 (the placement scan tracks visited replicas in
-  /// a 64-bit mask). Each replica gets its own BatchingServer built from
+  /// a 64-bit mask). Each replica is a BatchingServer built from
   /// `batcher` with replica_id forced to its index.
   int replicas = 2;
   /// Per-replica server template. queue_capacity/max_batch/max_latency/
@@ -84,8 +84,10 @@ class Router {
       tensor::Tensor image, std::int64_t max_depth = -1);
 
   int size() const { return static_cast<int>(replicas_.size()); }
-  Replica& replica(int i) { return *replicas_[static_cast<std::size_t>(i)]; }
-  const Replica& replica(int i) const {
+  BatchingServer& replica(int i) {
+    return *replicas_[static_cast<std::size_t>(i)];
+  }
+  const BatchingServer& replica(int i) const {
     return *replicas_[static_cast<std::size_t>(i)];
   }
 
@@ -93,7 +95,9 @@ class Router {
   /// flowing through the rest of the fleet.
   void drain(int i) { replica(i).drain(); }
   /// Hot-swap replica `i` onto (a fresh clone of) `prototype` with zero
-  /// fleet downtime: drain, re-clone, resume serving.
+  /// fleet downtime: drain, re-clone, resume serving. Throws
+  /// std::invalid_argument, leaving the replica serving its current
+  /// model, when `prototype` expects a different input shape.
   void swap_model(int i, const core::Predictor& prototype) {
     replica(i).swap_model(prototype);
   }
@@ -114,7 +118,7 @@ class Router {
   const core::Predictor& prototype_;
   const RouterConfig config_;
   /// Immutable after construction -- placement reads it lock-free.
-  std::vector<std::unique_ptr<Replica>> replicas_;
+  std::vector<std::unique_ptr<BatchingServer>> replicas_;
   /// Rotating scan origin: breaks queue-depth ties round-robin.
   std::atomic<std::uint64_t> scan_origin_{0};
 };

@@ -74,9 +74,6 @@
   BCOP_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 /// Function returns a reference to the named capability.
 #define BCOP_RETURN_CAPABILITY(x) BCOP_THREAD_ANNOTATION(lock_returned(x))
-/// Escape hatch; every use must carry a written justification.
-#define BCOP_NO_THREAD_SAFETY_ANALYSIS \
-  BCOP_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace bcop::util {
 

@@ -6,13 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/architecture.hpp"
 #include "core/predictor.hpp"
 #include "net/client.hpp"
 #include "net/http_server.hpp"
 #include "net/socket.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/binary_conv2d.hpp"
+#include "nn/binary_dense.hpp"
+#include "nn/flatten.hpp"
+#include "nn/sign_activation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
 #include "serve/router.hpp"
@@ -380,6 +387,30 @@ TEST(NetHttp, HotSwapUnderTrafficNeverDropsService) {
   }
   EXPECT_GE(s.router.replica(0).generation(), 2);
   EXPECT_GE(s.router.replica(1).generation(), 2);
+}
+
+// A hot-swap onto a model with another input shape is refused before the
+// drain, so the replica keeps serving its current generation and the
+// front-end keeps answering -- the next well-formed request must not find a
+// model it cannot feed.
+TEST(NetHttp, SwapToDifferentInputShapeIsRefusedAndServingContinues) {
+  LiveServer s(124);
+  util::Rng rng(125);
+  nn::Sequential tiny;
+  tiny.emplace<nn::BinaryConv2d>(3, 3, 8, rng);
+  tiny.emplace<nn::BatchNorm>(8);
+  tiny.emplace<nn::SignActivation>();
+  tiny.emplace<nn::Flatten>();
+  tiny.emplace<nn::BinaryDense>(14 * 14 * 8, 4, rng);
+  const core::Predictor small(std::move(tiny));
+  ASSERT_EQ(small.network().expected_input_shape(), (Shape{16, 16, 3}));
+
+  EXPECT_THROW(s.router.swap_model(0, small), std::invalid_argument);
+  EXPECT_EQ(s.router.replica(0).generation(), 1);
+  auto c = s.client();
+  net::HttpResponse resp;
+  ASSERT_TRUE(c.request("POST", "/v1/classify", u8_payload(126), resp));
+  EXPECT_EQ(resp.status, 200);
 }
 
 TEST(NetHttp, MetricsEndpointExportsServeAndNetFamilies) {

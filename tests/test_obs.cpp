@@ -279,7 +279,8 @@ TEST(ObsStageProfiler, DisableStopsRecording) {
 }
 
 // Synchronous server mode (workers=0) makes the serve-side metrics
-// deterministic: every submit is one batch of one.
+// deterministic: every admission is one batch of one, and with no queue
+// there is nothing to shed.
 TEST(ObsServe, SynchronousServerCounts) {
   auto& reg = obs::Registry::global();
   obs::Counter& submitted = reg.counter("bcop_serve_submitted_total");
@@ -298,14 +299,14 @@ TEST(ObsServe, SynchronousServerCounts) {
   serve::BatcherConfig cfg;
   cfg.workers = 0;
   serve::BatchingServer server(p, cfg);
-  for (int i = 0; i < 5; ++i)
-    server.submit(tensor::Tensor(tensor::Shape{32, 32, 3})).get();
-  EXPECT_THROW(server.submit(tensor::Tensor(tensor::Shape{16, 16, 3})),
-               std::invalid_argument);
+  for (int i = 0; i < 5; ++i) {
+    tensor::Tensor image(tensor::Shape{32, 32, 3});
+    server.try_submit(image, /*max_depth=*/0).future.get();
+  }
 
   EXPECT_EQ(submitted.value(), submitted0 + 5);
   EXPECT_EQ(batches.value(), batches0 + 5);
-  EXPECT_EQ(rejected.value(), rejected0 + 1);
+  EXPECT_EQ(rejected.value(), rejected0);
   EXPECT_EQ(batch_size.count(), sizes0 + 5);
   EXPECT_EQ(e2e.count(), e2e0 + 5);
   EXPECT_EQ(reg.gauge("bcop_serve_queue_depth").value(), 0);

@@ -112,12 +112,14 @@ TEST(ObsStress, ServerTelemetryUnderLoad) {
   cfg.workers = 2;
   cfg.max_batch = 8;
   cfg.max_latency = std::chrono::microseconds(500);
+  cfg.queue_capacity = kRequests;  // the whole burst fits: nothing sheds
   std::int64_t server_batches = 0;
   {
     serve::BatchingServer server(predictor, cfg);
     std::vector<std::future<core::Predictor::Result>> futures;
     for (int i = 0; i < kRequests; ++i) {
-      futures.push_back(server.submit(tensor::Tensor(tensor::Shape{32, 32, 3})));
+      tensor::Tensor image(tensor::Shape{32, 32, 3});
+      futures.push_back(server.try_submit(image).future);
       if (i % 16 == 0) reg.snapshot();  // reader racing the recorders
     }
     for (auto& f : futures) f.get();

@@ -9,7 +9,8 @@
 //     stats sum to exactly the accepted count (the Router never placed a
 //     request onto a replica that did not record it),
 //   - the fleet keeps answering while any replica is serving (zero
-//     downtime across a rolling swap).
+//     downtime across a rolling swap), and contention alone never turns
+//     into a "no serving replica" rejection.
 //
 // Client concurrency comes from parallel::ThreadPool (repo rule R2).
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 
 #include "core/architecture.hpp"
 #include "core/predictor.hpp"
+#include "obs/metrics.hpp"
+#include "obs/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/router.hpp"
 #include "util/rng.hpp"
@@ -126,7 +129,7 @@ TEST(RouterStress, RollingHotSwapLosesNothing) {
   EXPECT_EQ(router.stats().requests,
             static_cast<std::int64_t>(accepted));
   for (int i = 0; i < router.size(); ++i)
-    EXPECT_EQ(router.replica(i).state(), serve::ReplicaState::kServing)
+    EXPECT_EQ(router.replica(i).state(), serve::ServerState::kServing)
         << "replica " << i << " must finish the rolling swap serving";
 }
 
@@ -178,7 +181,7 @@ TEST(RouterStress, DrainUnderFireResolvesAcceptedWork) {
   });
   pool.wait_idle();
 
-  EXPECT_EQ(router.replica(0).state(), serve::ReplicaState::kStopped);
+  EXPECT_EQ(router.replica(0).state(), serve::ServerState::kStopped);
   std::uint64_t attempts = 0, accepted = 0, shed = 0, resolved = 0,
                 failed = 0;
   for (const ClientTally& t : tallies) {
@@ -193,6 +196,76 @@ TEST(RouterStress, DrainUnderFireResolvesAcceptedWork) {
       << "drain must resolve every accepted future, never abandon one";
   EXPECT_EQ(failed, 0u);
   EXPECT_EQ(router.stats().requests, static_cast<std::int64_t>(accepted));
+}
+
+// Contention is not an outage: one serving replica with a queue roomier
+// than the client count, three closed-loop clients and a task polling
+// the fleet depth. Every lock the admission path takes is contended, yet
+// every attempt must be accepted -- neither the "no serving replica"
+// counter nor the rejection ledger may move.
+TEST(RouterStress, ContentionIsNotAnOutage) {
+  const core::Predictor p(
+      core::build_bnn(core::ArchitectureId::kMicroCnv, 53));
+  serve::RouterConfig cfg;
+  cfg.replicas = 1;
+  cfg.batcher.workers = 1;
+  cfg.batcher.max_batch = 4;
+  cfg.batcher.queue_capacity = 64;
+  cfg.batcher.max_latency = std::chrono::microseconds(200);
+  serve::Router router(p, cfg);
+
+  obs::Counter& unrouted =
+      obs::Registry::global().counter("bcop_serve_router_unrouted_total");
+  obs::Counter& rejected =
+      obs::Registry::global().counter("bcop_serve_rejected_total");
+  const std::uint64_t unrouted0 = unrouted.value();
+  const std::uint64_t rejected0 = rejected.value();
+
+  const int kClients = 3;
+  const int kPerClient = 150;
+  std::vector<ClientTally> tallies(static_cast<std::size_t>(kClients));
+  std::atomic<int> running{kClients};
+  std::atomic<std::uint64_t> probes{0};
+
+  parallel::ThreadPool pool(kClients + 1);
+  pool.submit([&] {
+    while (running.load(std::memory_order_acquire) > 0) {
+      (void)router.queue_depth();
+      probes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (int c = 0; c < kClients; ++c) {
+    ClientTally* tally = &tallies[static_cast<std::size_t>(c)];
+    pool.submit([&, tally, c] {
+      util::Rng rng(static_cast<std::uint64_t>(500 + c));
+      const Tensor image = random_image(rng);
+      for (int i = 0; i < kPerClient; ++i) {
+        ++tally->attempts;
+        auto future = router.try_submit(image);
+        if (!future.has_value()) {
+          ++tally->shed;
+          continue;
+        }
+        ++tally->accepted;
+        future->get();
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  pool.wait_idle();
+
+  std::uint64_t attempts = 0, accepted = 0, shed = 0;
+  for (const ClientTally& t : tallies) {
+    attempts += t.attempts;
+    accepted += t.accepted;
+    shed += t.shed;
+  }
+  EXPECT_GT(probes.load(), 0u);
+  EXPECT_EQ(attempts, static_cast<std::uint64_t>(kClients * kPerClient));
+  EXPECT_EQ(shed, 0u) << "a busy replica is not a missing replica";
+  EXPECT_EQ(accepted, attempts);
+  EXPECT_EQ(unrouted.value() - unrouted0, 0u);
+  EXPECT_EQ(rejected.value() - rejected0, 0u);
 }
 
 }  // namespace

@@ -43,6 +43,15 @@ Tensor nth_image(const Tensor& batch, std::int64_t n) {
   return image;
 }
 
+/// Admit `image` and return its future; the tests below size their queues
+/// so nothing sheds.
+std::future<core::Predictor::Result> submit(serve::BatchingServer& server,
+                                            Tensor image) {
+  serve::BatchingServer::Admitted a = server.try_submit(image);
+  EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kAccepted);
+  return std::move(a.future);
+}
+
 void expect_same_result(const core::Predictor::Result& a,
                         const core::Predictor::Result& b,
                         std::int64_t image) {
@@ -112,7 +121,7 @@ TEST(Serve, ServerMatchesDirectClassification) {
   serve::BatchingServer server(p, cfg);
   std::vector<std::future<core::Predictor::Result>> futures;
   for (std::int64_t i = 0; i < kRequests; ++i)
-    futures.push_back(server.submit(nth_image(batch, i)));
+    futures.push_back(submit(server, nth_image(batch, i)));
   for (std::int64_t i = 0; i < kRequests; ++i)
     expect_same_result(futures[static_cast<std::size_t>(i)].get(),
                        direct[static_cast<std::size_t>(i)], i);
@@ -133,7 +142,7 @@ TEST(Serve, SynchronousModeClassifiesInline) {
   cfg.workers = 0;
   serve::BatchingServer server(p, cfg);
   for (std::int64_t i = 0; i < 3; ++i) {
-    auto future = server.submit(nth_image(batch, i));
+    auto future = submit(server, nth_image(batch, i));
     ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready)
         << "workers=0 must resolve synchronously";
@@ -153,26 +162,34 @@ TEST(Serve, SubmitAcceptsRank3AndSingletonRank4) {
   serve::BatcherConfig cfg;
   cfg.workers = 1;
   serve::BatchingServer server(p, cfg);
-  auto a = server.submit(batch);  // [1, 32, 32, 3]
-  auto b = server.submit(batch.reshaped(Shape{32, 32, 3}));
+  auto a = submit(server, batch);  // [1, 32, 32, 3]
+  auto b = submit(server, batch.reshaped(Shape{32, 32, 3}));
   expect_same_result(a.get(), b.get(), 0);
 }
 
+// A mis-shaped image fails the same contract check classify_batch
+// enforces, instead of becoming a fourth admission outcome every caller
+// must handle. The server is built inside each death statement so the
+// forked child owns its workers.
 TEST(Serve, SubmitRejectsMismatchedImages) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const core::Predictor p = make_predictor(12);
   serve::BatcherConfig cfg;
   cfg.workers = 1;
-  serve::BatchingServer server(p, cfg);
+  const auto admit = [&](Shape shape) {
+    serve::BatchingServer server(p, cfg);
+    Tensor image(shape);
+    server.try_submit(image);
+  };
   // Wrong spatial size for the served u-CNV (wants 32x32x3).
-  EXPECT_THROW(server.submit(Tensor(Shape{8, 8, 3})), std::invalid_argument);
+  EXPECT_DEATH(admit(Shape{8, 8, 3}), "does not match");
   // A real batch is not a request.
-  EXPECT_THROW(server.submit(Tensor(Shape{2, 32, 32, 3})),
-               std::invalid_argument);
-  EXPECT_THROW(server.submit(Tensor(Shape{32, 32})), std::invalid_argument);
+  EXPECT_DEATH(admit(Shape{2, 32, 32, 3}), "must be");
+  EXPECT_DEATH(admit(Shape{32, 32}), "must be");
 }
 
-// try_submit under capacity behaves exactly like submit: a future that
-// resolves to the same answer as direct classification.
+// try_submit under capacity: a future that resolves to the same answer as
+// direct classification.
 TEST(Serve, TrySubmitAdmitsUnderCapacity) {
   const core::Predictor p = make_predictor(30);
   util::Rng rng(31);
@@ -183,9 +200,12 @@ TEST(Serve, TrySubmitAdmitsUnderCapacity) {
   cfg.workers = 1;
   serve::BatchingServer server(p, cfg);
   for (std::int64_t i = 0; i < 3; ++i) {
-    auto maybe = server.try_submit(nth_image(batch, i));
-    ASSERT_TRUE(maybe.has_value()) << "image " << i;
-    expect_same_result(maybe->get(), direct[static_cast<std::size_t>(i)], i);
+    Tensor image = nth_image(batch, i);
+    serve::BatchingServer::Admitted a = server.try_submit(image);
+    ASSERT_EQ(a.admission, serve::BatchingServer::Admission::kAccepted)
+        << "image " << i;
+    EXPECT_TRUE(image.empty()) << "an accepted image is moved into the queue";
+    expect_same_result(a.future.get(), direct[static_cast<std::size_t>(i)], i);
   }
   EXPECT_EQ(server.stats().requests, 3);
 }
@@ -197,7 +217,7 @@ TEST(Serve, TrySubmitAdmitsUnderCapacity) {
 TEST(Serve, TrySubmitShedsAtWatermarkAndCountsRejections) {
   const core::Predictor p = make_predictor(32);
   util::Rng rng(33);
-  const Tensor image = nth_image(random_batch(1, rng), 0);
+  Tensor image = nth_image(random_batch(1, rng), 0);
 
   serve::BatcherConfig cfg;
   cfg.workers = 1;
@@ -205,43 +225,48 @@ TEST(Serve, TrySubmitShedsAtWatermarkAndCountsRejections) {
   obs::Counter& rejected =
       obs::Registry::global().counter("bcop_serve_rejected_total");
   const std::uint64_t before = rejected.value();
-  for (int i = 0; i < 5; ++i)
-    EXPECT_FALSE(server.try_submit(image, 0).has_value());
+  for (int i = 0; i < 5; ++i) {
+    serve::BatchingServer::Admitted a = server.try_submit(image, 0);
+    EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kShed);
+    EXPECT_FALSE(a.future.valid());
+  }
   EXPECT_EQ(rejected.value() - before, 5u);
   EXPECT_EQ(server.stats().requests, 0) << "shed requests never enqueue";
 
   // The watermark only gates admission; the next unconstrained try_submit
   // is served normally.
-  auto maybe = server.try_submit(image);
-  ASSERT_TRUE(maybe.has_value());
-  maybe->get();
+  submit(server, image).get();
 }
 
-// Shape validation is a caller bug, not load: try_submit throws exactly
-// like submit instead of reporting nullopt.
+// Shape validation is a caller bug, not load: even at a zero watermark,
+// where every well-formed image sheds, a mis-shaped one fails the contract
+// check instead of being reported as kShed.
 TEST(Serve, TrySubmitRejectsMismatchedImages) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const core::Predictor p = make_predictor(34);
   serve::BatcherConfig cfg;
   cfg.workers = 1;
-  serve::BatchingServer server(p, cfg);
-  EXPECT_THROW(server.try_submit(Tensor(Shape{8, 8, 3})),
-               std::invalid_argument);
-  EXPECT_THROW(server.try_submit(Tensor(Shape{2, 32, 32, 3})),
-               std::invalid_argument);
+  const auto admit = [&](Shape shape) {
+    serve::BatchingServer server(p, cfg);
+    Tensor image(shape);
+    server.try_submit(image, 0);
+  };
+  EXPECT_DEATH(admit(Shape{8, 8, 3}), "does not match");
+  EXPECT_DEATH(admit(Shape{2, 32, 32, 3}), "must be");
 }
 
-// Synchronous mode has no queue to shed from: try_submit classifies inline
-// and resolves immediately, mirroring submit.
+// Synchronous mode has no queue to shed from: even a zero watermark is
+// accepted, classified inline and resolved immediately.
 TEST(Serve, TrySubmitSynchronousModeResolvesInline) {
   const core::Predictor p = make_predictor(35);
   util::Rng rng(36);
-  const Tensor image = nth_image(random_batch(1, rng), 0);
+  Tensor image = nth_image(random_batch(1, rng), 0);
   serve::BatcherConfig cfg;
   cfg.workers = 0;
   serve::BatchingServer server(p, cfg);
-  auto maybe = server.try_submit(image);
-  ASSERT_TRUE(maybe.has_value());
-  EXPECT_EQ(maybe->wait_for(std::chrono::seconds(0)),
+  serve::BatchingServer::Admitted a = server.try_submit(image, 0);
+  ASSERT_EQ(a.admission, serve::BatchingServer::Admission::kAccepted);
+  EXPECT_EQ(a.future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
 }
 
@@ -255,51 +280,55 @@ TEST(Serve, QueueDepthReflectsPendingRequests) {
   // non-zero transient is timing-dependent, so only the fixed points are
   // asserted).
   util::Rng rng(38);
-  auto f = server.submit(nth_image(random_batch(1, rng), 0));
-  f.get();
+  submit(server, nth_image(random_batch(1, rng), 0)).get();
   for (int spin = 0; spin < 1000 && server.queue_depth() != 0; ++spin) {
   }
   EXPECT_EQ(server.queue_depth(), 0);
 }
 
-// Lifecycle is never an exception: after shutdown(), submit() returns a
-// future that carries the rejection (std::runtime_error at get()) instead
-// of unwinding the caller, and try_submit() reports nullopt. Both count
-// bcop_serve_rejected_total so drained traffic stays on the ledger.
+// Lifecycle is never an exception: after drain(), try_submit() neither
+// throws nor hands out a future. It reports kUnavailable with the image
+// intact and counts nothing, so a Router can place the request elsewhere
+// and books the 503 itself. Threaded and synchronous servers agree.
 TEST(Serve, SubmitAfterShutdownReturnsRejectedFuture) {
   const core::Predictor p = make_predictor(40);
   util::Rng rng(41);
-  const Tensor image = nth_image(random_batch(1, rng), 0);
-  serve::BatcherConfig cfg;
-  cfg.workers = 1;
-  serve::BatchingServer server(p, cfg);
-  server.shutdown();
-
   obs::Counter& rejected =
       obs::Registry::global().counter("bcop_serve_rejected_total");
-  const std::uint64_t before = rejected.value();
-  std::future<core::Predictor::Result> future;
-  EXPECT_NO_THROW(future = server.submit(image));
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready)
-      << "the rejection must already be in the future";
-  EXPECT_THROW(future.get(), std::runtime_error);
-  EXPECT_FALSE(server.try_submit(image).has_value());
-  EXPECT_EQ(rejected.value() - before, 2u);
+  for (unsigned workers : {1u, 0u}) {
+    serve::BatcherConfig cfg;
+    cfg.workers = workers;
+    serve::BatchingServer server(p, cfg);
+    server.drain();
+
+    Tensor image = nth_image(random_batch(1, rng), 0);
+    const float first = image[0];
+    const std::uint64_t before = rejected.value();
+    serve::BatchingServer::Admitted a;
+    EXPECT_NO_THROW(a = server.try_submit(image)) << "workers=" << workers;
+    EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kUnavailable)
+        << "workers=" << workers;
+    EXPECT_FALSE(a.future.valid()) << "workers=" << workers;
+    ASSERT_EQ(image.numel(), 32 * 32 * 3) << "image must not be moved-from";
+    EXPECT_EQ(image[0], first);
+    EXPECT_EQ(rejected.value(), before) << "workers=" << workers;
+    EXPECT_EQ(server.stats().requests, 0) << "workers=" << workers;
+  }
 }
 
-// shutdown() is idempotent and the destructor tolerates an explicit call
+// drain() is idempotent and the destructor tolerates an explicit call
 // having happened first.
 TEST(Serve, ShutdownIsIdempotent) {
   const core::Predictor p = make_predictor(42);
   serve::BatcherConfig cfg;
   cfg.workers = 2;
   serve::BatchingServer server(p, cfg);
-  server.shutdown();
-  server.shutdown();  // second call must be a no-op, not a hang or crash
+  server.drain();
+  server.drain();  // second call must be a no-op, not a hang or crash
+  EXPECT_EQ(server.state(), serve::ServerState::kStopped);
 }
 
-// Every future accepted before shutdown still resolves: shutdown drains.
+// Every future accepted before drain() still resolves: shutdown drains.
 TEST(Serve, ShutdownDrainsAcceptedRequests) {
   const core::Predictor p = make_predictor(43);
   util::Rng rng(44);
@@ -310,8 +339,8 @@ TEST(Serve, ShutdownDrainsAcceptedRequests) {
   serve::BatchingServer server(p, cfg);
   std::vector<std::future<core::Predictor::Result>> futures;
   for (std::int64_t i = 0; i < 6; ++i)
-    futures.push_back(server.submit(nth_image(batch, i)));
-  server.shutdown();
+    futures.push_back(submit(server, nth_image(batch, i)));
+  server.drain();
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
 }
 
@@ -348,8 +377,8 @@ TEST(Serve, ServerAgreesWithClassifyOnFaces) {
         facegen::render_face(
             facegen::sample_attributes(static_cast<facegen::MaskClass>(i), rng))
             .image);
-    futures.push_back(
-        server.submit(facegen::MaskedFaceDataset::image_to_tensor(faces.back())));
+    futures.push_back(submit(
+        server, facegen::MaskedFaceDataset::image_to_tensor(faces.back())));
   }
   for (int i = 0; i < 4; ++i)
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().label,

@@ -14,7 +14,6 @@
 #include "core/predictor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
-#include "serve/replica.hpp"
 #include "serve/router.hpp"
 #include "serve/tiered.hpp"
 #include "util/rng.hpp"
@@ -52,8 +51,8 @@ TEST(Router, ConstructsFleetWithAllReplicasServing) {
   serve::Router router(p, sync_config(3));
   ASSERT_EQ(router.size(), 3);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(router.replica(i).state(), serve::ReplicaState::kServing);
-    EXPECT_EQ(router.replica(i).id(), i);
+    EXPECT_EQ(router.replica(i).state(), serve::ServerState::kServing);
+    EXPECT_EQ(router.replica(i).config().replica_id, i);
     EXPECT_EQ(router.replica(i).generation(), 1);
   }
   EXPECT_EQ(router.queue_depth(), 0);
@@ -89,7 +88,7 @@ TEST(Router, NeverPlacesOntoDrainedReplica) {
   const core::Predictor p = make_predictor(5);
   serve::Router router(p, sync_config(2));
   router.drain(0);
-  EXPECT_EQ(router.replica(0).state(), serve::ReplicaState::kStopped);
+  EXPECT_EQ(router.replica(0).state(), serve::ServerState::kStopped);
   util::Rng rng(6);
   const Tensor image = random_image(rng);
   for (int i = 0; i < 4; ++i) {
@@ -147,7 +146,7 @@ TEST(Router, SwapModelBumpsGenerationAndKeepsAnswering) {
   ASSERT_TRUE(router.try_submit(image).has_value());
 
   router.swap_model(0, next);
-  EXPECT_EQ(router.replica(0).state(), serve::ReplicaState::kServing);
+  EXPECT_EQ(router.replica(0).state(), serve::ServerState::kServing);
   EXPECT_EQ(router.replica(0).generation(), 2);
   EXPECT_EQ(router.replica(1).generation(), 1);
 
@@ -202,22 +201,26 @@ TEST(Router, ShedIsTerminalAndCountedOnce) {
 }
 
 // Replica-level admission is tri-state: a non-serving replica answers
-// kUnavailable (not kShed) and leaves the image intact for the Router to
-// place elsewhere.
+// kUnavailable (not kShed), counts nothing and leaves the image intact for
+// the Router to place elsewhere.
 TEST(Router, ReplicaUnavailableLeavesImageIntact) {
   const core::Predictor p = make_predictor(16);
-  serve::BatcherConfig bcfg;
-  bcfg.workers = 0;
-  serve::Replica replica(p, bcfg, /*id=*/0);
-  replica.drain();
+  serve::Router router(p, sync_config(1));
+  router.drain(0);
+  obs::Counter& rejected =
+      obs::Registry::global().counter("bcop_serve_rejected_total");
+  const std::uint64_t before = rejected.value();
   util::Rng rng(17);
   Tensor image = random_image(rng);
   const float first = image[0];
-  serve::Replica::Admitted result = replica.try_submit(image, -1);
-  EXPECT_EQ(result.admission, serve::Replica::Admission::kUnavailable);
-  EXPECT_FALSE(result.future.has_value());
+  serve::BatchingServer::Admitted result =
+      router.replica(0).try_submit(image, -1);
+  EXPECT_EQ(result.admission, serve::BatchingServer::Admission::kUnavailable);
+  EXPECT_FALSE(result.future.valid());
   ASSERT_EQ(image.numel(), 32 * 32 * 3) << "image must not be moved-from";
   EXPECT_EQ(image[0], first);
+  EXPECT_EQ(rejected.value(), before)
+      << "an unavailable replica leaves the ledger to the Router";
 }
 
 // Per-replica metric families ride the same call sites as the global

@@ -11,6 +11,8 @@
 
 #include "core/architecture.hpp"
 #include "core/predictor.hpp"
+#include "obs/metrics.hpp"
+#include "obs/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/batcher.hpp"
 #include "util/rng.hpp"
@@ -26,6 +28,15 @@ Tensor random_image(util::Rng& rng) {
   for (std::int64_t i = 0; i < image.numel(); ++i)
     image[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   return image;
+}
+
+/// Admit `image` and return its future; the tests size their queues so a
+/// closed-loop client never sheds.
+std::future<core::Predictor::Result> submit(serve::BatchingServer& server,
+                                            Tensor image) {
+  serve::BatchingServer::Admitted a = server.try_submit(image);
+  EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kAccepted);
+  return std::move(a.future);
 }
 
 // Several client threads race submissions against a smaller worker pool.
@@ -65,7 +76,7 @@ TEST(ServeStress, ConcurrentClientsGetCorrectAnswers) {
       for (int i = 0; i < kPerClient; ++i) {
         const auto j =
             static_cast<std::size_t>(pick.uniform_int(0, kImages - 1));
-        auto result = server.submit(images[j]).get();
+        auto result = submit(server, images[j]).get();
         if (result.label != expected[j]) mismatches.fetch_add(1);
       }
     });
@@ -94,7 +105,8 @@ TEST(ServeStress, CoalescingWindowMergesBurst) {
   serve::BatchingServer server(predictor, cfg);
 
   std::vector<std::future<core::Predictor::Result>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(server.submit(random_image(rng)));
+  for (int i = 0; i < 4; ++i)
+    futures.push_back(submit(server, random_image(rng)));
   for (auto& f : futures) f.get();  // window closes early once the batch fills
 
   const serve::ServerStats stats = server.stats();
@@ -104,10 +116,11 @@ TEST(ServeStress, CoalescingWindowMergesBurst) {
   EXPECT_LE(stats.batches, 3);
 }
 
-// Tiny bounded queue, eager (zero-latency) worker: submit() back-pressure
-// must block rather than drop or deadlock, and shutdown must drain every
-// accepted request.
-TEST(ServeStress, BackpressureOnTinyQueue) {
+// Tiny bounded queue, eager (zero-latency) worker, more clients than
+// queue slots: try_submit must shed (never block or drop) when the queue
+// is full, each shed counts exactly one rejection, and every accepted
+// request is answered -- clients that retry until accepted all finish.
+TEST(ServeStress, TinyQueueShedsWithoutLoss) {
   const core::Predictor predictor(
       core::build_bnn(core::ArchitectureId::kMicroCnv, 45));
 
@@ -117,16 +130,29 @@ TEST(ServeStress, BackpressureOnTinyQueue) {
   cfg.queue_capacity = 2;
   cfg.max_latency = std::chrono::microseconds(0);
   serve::BatchingServer server(predictor, cfg);
+  obs::Counter& rejected =
+      obs::Registry::global().counter("bcop_serve_rejected_total");
+  const std::uint64_t rejected0 = rejected.value();
 
-  const int kClients = 2;
+  const int kClients = 4;
   const int kPerClient = 10;
   std::atomic<int> answered{0};
+  std::atomic<std::uint64_t> shed{0};
   parallel::ThreadPool clients(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.submit([&, c] {
       util::Rng rng(static_cast<std::uint64_t>(200 + c));
       for (int i = 0; i < kPerClient; ++i) {
-        server.submit(random_image(rng)).get();
+        Tensor image = random_image(rng);
+        for (;;) {
+          serve::BatchingServer::Admitted a = server.try_submit(image);
+          if (a.admission == serve::BatchingServer::Admission::kAccepted) {
+            a.future.get();
+            break;
+          }
+          EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kShed);
+          shed.fetch_add(1);
+        }
         answered.fetch_add(1);
       }
     });
@@ -134,6 +160,7 @@ TEST(ServeStress, BackpressureOnTinyQueue) {
   clients.wait_idle();
   EXPECT_EQ(answered.load(), kClients * kPerClient);
   EXPECT_EQ(server.stats().requests, kClients * kPerClient);
+  EXPECT_EQ(rejected.value() - rejected0, shed.load());
 }
 
 }  // namespace

@@ -3,8 +3,13 @@
 // this is the exactness the paper's hardware relies on (Sec. III-A).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
+#include <string>
 
 #include "nn/batchnorm.hpp"
 #include "tensor/tensor.hpp"
@@ -25,8 +30,17 @@ nn::BatchNorm make_bn(const std::vector<float>& gamma,
                       const std::vector<float>& mean,
                       const std::vector<float>& var) {
   // Running statistics have no public setter (they are training state), so
-  // build the layer through its serialized form.
-  util::BinaryWriter w("/tmp/bcop_test_bn.bin");
+  // build the layer through its serialized form. ctest runs each case as
+  // its own process in parallel, so the file is private to this process
+  // and test.
+  std::string test =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(test.begin(), test.end(), '/', '_');  // parameterized names
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bcop_test_bn_" + std::to_string(::getpid()) + "_" + test + ".bin"))
+          .string();
+  util::BinaryWriter w(path);
   w.write_tag("BNRM");
   w.write_u64(gamma.size());
   w.write_f32(1e-5f);
@@ -36,9 +50,12 @@ nn::BatchNorm make_bn(const std::vector<float>& gamma,
   w.write_f32_array(mean);
   w.write_f32_array(var);
   w.close();
-  util::BinaryReader r("/tmp/bcop_test_bn.bin");
   nn::BatchNorm out;
-  out.load(r);
+  {
+    util::BinaryReader r(path);
+    out.load(r);
+  }
+  std::filesystem::remove(path);
   return out;
 }
 
