@@ -49,8 +49,10 @@ inline void csa(__m256i& h, __m256i& l, __m256i a, __m256i b, __m256i c) {
   l = _mm256_xor_si256(u, c);
 }
 
-void gemm_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const GemmCtx& g = *static_cast<const GemmCtx*>(raw);
+/// GEMM rows [lo, hi) over P planes of A (GemmCtx). P = 1 without
+/// kScaled is the classic single-plane loop.
+template <int P, bool kScaled>
+void gemm_rows(const GemmCtx& g, std::int64_t lo, std::int64_t hi) {
   const std::int64_t N = g.n, K = g.a.cols;
   const std::int64_t words = g.a.wpr, pad = g.a.pad();
   const __m256i all_ones = _mm256_set1_epi64x(-1);
@@ -61,63 +63,111 @@ void gemm_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
     // Four output lanes share every activation word: one broadcast, four
     // XNOR+popcount columns of the word-major weight matrix.
     for (; j0 + 4 <= N; j0 += 4) {
-      // xnor(w) = ~(A[i,w] ^ Bt[w, j0..j0+3]), the matching-bit mask.
-      const auto xnor_words = [&](std::int64_t w) {
+      // xnor(m, w) = ~(A_m[i,w] ^ Bt[w, j0..j0+3]), plane m's matching-bit
+      // mask.
+      const auto xnor_words = [&](int m, std::int64_t w) {
         const __m256i bv = _mm256_loadu_si256(
             reinterpret_cast<const __m256i*>(g.bt + w * N + j0));
         return _mm256_xor_si256(
-            _mm256_xor_si256(_mm256_set1_epi64x(
-                                 static_cast<long long>(ai[w])),
+            _mm256_xor_si256(_mm256_set1_epi64x(static_cast<long long>(
+                                 ai[m * g.plane_stride + w])),
                              bv),
             all_ones);
       };
-      __m256i total = _mm256_setzero_si256();
-      __m256i ones = _mm256_setzero_si256(), twos = _mm256_setzero_si256();
-      __m256i fours = _mm256_setzero_si256(), eights = _mm256_setzero_si256();
-      std::int64_t w = 0;
-      for (; w + 16 <= words; w += 16) {
-        __m256i twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens;
-        csa(twosA, ones, ones, xnor_words(w + 0), xnor_words(w + 1));
-        csa(twosB, ones, ones, xnor_words(w + 2), xnor_words(w + 3));
-        csa(foursA, twos, twos, twosA, twosB);
-        csa(twosA, ones, ones, xnor_words(w + 4), xnor_words(w + 5));
-        csa(twosB, ones, ones, xnor_words(w + 6), xnor_words(w + 7));
-        csa(foursB, twos, twos, twosA, twosB);
-        csa(eightsA, fours, fours, foursA, foursB);
-        csa(twosA, ones, ones, xnor_words(w + 8), xnor_words(w + 9));
-        csa(twosB, ones, ones, xnor_words(w + 10), xnor_words(w + 11));
-        csa(foursA, twos, twos, twosA, twosB);
-        csa(twosA, ones, ones, xnor_words(w + 12), xnor_words(w + 13));
-        csa(twosB, ones, ones, xnor_words(w + 14), xnor_words(w + 15));
-        csa(foursB, twos, twos, twosA, twosB);
-        csa(eightsB, fours, fours, foursA, foursB);
-        csa(sixteens, eights, eights, eightsA, eightsB);
-        total = _mm256_add_epi64(total, popcount256(sixteens));
+      // Whole 16-word blocks go through the Harley-Seal tree one plane at
+      // a time: its carry-save state fills the register file, so planes
+      // take turns, and the 4-lane weight slice (32 bytes a word) stays
+      // in L1 between them.
+      __m256i total[P];
+      const std::int64_t blocked = words / 16 * 16;
+      for (int m = 0; m < P; ++m) {
+        __m256i t = _mm256_setzero_si256();
+        __m256i ones = _mm256_setzero_si256(), twos = _mm256_setzero_si256();
+        __m256i fours = _mm256_setzero_si256(),
+                eights = _mm256_setzero_si256();
+        for (std::int64_t w = 0; w < blocked; w += 16) {
+          __m256i twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens;
+          csa(twosA, ones, ones, xnor_words(m, w + 0), xnor_words(m, w + 1));
+          csa(twosB, ones, ones, xnor_words(m, w + 2), xnor_words(m, w + 3));
+          csa(foursA, twos, twos, twosA, twosB);
+          csa(twosA, ones, ones, xnor_words(m, w + 4), xnor_words(m, w + 5));
+          csa(twosB, ones, ones, xnor_words(m, w + 6), xnor_words(m, w + 7));
+          csa(foursB, twos, twos, twosA, twosB);
+          csa(eightsA, fours, fours, foursA, foursB);
+          csa(twosA, ones, ones, xnor_words(m, w + 8), xnor_words(m, w + 9));
+          csa(twosB, ones, ones, xnor_words(m, w + 10),
+              xnor_words(m, w + 11));
+          csa(foursA, twos, twos, twosA, twosB);
+          csa(twosA, ones, ones, xnor_words(m, w + 12),
+              xnor_words(m, w + 13));
+          csa(twosB, ones, ones, xnor_words(m, w + 14),
+              xnor_words(m, w + 15));
+          csa(foursB, twos, twos, twosA, twosB);
+          csa(eightsB, fours, fours, foursA, foursB);
+          csa(sixteens, eights, eights, eightsA, eightsB);
+          t = _mm256_add_epi64(t, popcount256(sixteens));
+        }
+        // t = 16*sixteens-count + carry-save residues.
+        t = _mm256_slli_epi64(t, 4);
+        t = _mm256_add_epi64(t, _mm256_slli_epi64(popcount256(eights), 3));
+        t = _mm256_add_epi64(t, _mm256_slli_epi64(popcount256(fours), 2));
+        t = _mm256_add_epi64(t, _mm256_slli_epi64(popcount256(twos), 1));
+        total[m] = _mm256_add_epi64(t, popcount256(ones));
       }
-      // total = 16*sixteens-count + carry-save residues + plain tail.
-      total = _mm256_slli_epi64(total, 4);
-      total = _mm256_add_epi64(
-          total, _mm256_slli_epi64(popcount256(eights), 3));
-      total = _mm256_add_epi64(
-          total, _mm256_slli_epi64(popcount256(fours), 2));
-      total = _mm256_add_epi64(
-          total, _mm256_slli_epi64(popcount256(twos), 1));
-      total = _mm256_add_epi64(total, popcount256(ones));
-      for (; w < words; ++w)
-        total = _mm256_add_epi64(total, popcount256(xnor_words(w)));
+      // Plain tail words: one weight load serves every plane.
+      for (std::int64_t w = blocked; w < words; ++w)
+        for (int m = 0; m < P; ++m)
+          total[m] =
+              _mm256_add_epi64(total[m], popcount256(xnor_words(m, w)));
       alignas(32) std::int64_t pop[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(pop), total);
-      for (int j = 0; j < 4; ++j)
-        ci[j0 + j] = static_cast<std::int32_t>(2 * (pop[j] - pad) - K);
+      if constexpr (kScaled) {
+        // sum_m g_m * (2 * (pop_m - pad) - K) in four 64-bit lanes; each
+        // dot and scale fits the signed 32-bit vpmuldq operands.
+        const __m256i bias = _mm256_set1_epi64x(2 * pad + K);
+        __m256i acc = _mm256_setzero_si256();
+        for (int m = 0; m < P; ++m) {
+          const __m256i dot =
+              _mm256_sub_epi64(_mm256_slli_epi64(total[m], 1), bias);
+          acc = _mm256_add_epi64(
+              acc, _mm256_mul_epi32(dot, _mm256_set1_epi64x(g.scale[m])));
+        }
+        _mm256_store_si256(reinterpret_cast<__m256i*>(pop), acc);
+        for (int j = 0; j < 4; ++j)
+          ci[j0 + j] = static_cast<std::int32_t>(pop[j]);
+      } else {
+        _mm256_store_si256(reinterpret_cast<__m256i*>(pop), total[0]);
+        for (int j = 0; j < 4; ++j)
+          ci[j0 + j] = static_cast<std::int32_t>(2 * (pop[j] - pad) - K);
+      }
     }
     // Lane tail (N % 4): plain scalar popcount.
     for (; j0 < N; ++j0) {
-      std::int64_t pop = 0;
-      for (std::int64_t w = 0; w < words; ++w)
-        pop += std::popcount(~(ai[w] ^ g.bt[w * N + j0]));
-      ci[j0] = static_cast<std::int32_t>(2 * (pop - pad) - K);
+      std::int64_t v = 0;
+      for (int m = 0; m < P; ++m) {
+        const std::uint64_t* am = ai + m * g.plane_stride;
+        std::int64_t pop = 0;
+        for (std::int64_t w = 0; w < words; ++w)
+          pop += std::popcount(~(am[w] ^ g.bt[w * N + j0]));
+        v += (kScaled ? g.scale[m] : 1) * (2 * (pop - pad) - K);
+      }
+      ci[j0] = static_cast<std::int32_t>(v);
     }
   }
+}
+
+void gemm_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
+  const GemmCtx& g = *static_cast<const GemmCtx*>(raw);
+  switch (g.planes) {
+    case 1:
+      if (g.scale[0] == 1) return gemm_rows<1, false>(g, lo, hi);
+      return gemm_rows<1, true>(g, lo, hi);
+    case 2:
+      return gemm_rows<2, true>(g, lo, hi);
+    case 3:
+      return gemm_rows<3, true>(g, lo, hi);
+  }
+  BCOP_CHECK(false, "gemm: %lld planes out of [1, %d]",
+             static_cast<long long>(g.planes), kMaxPlanes);
 }
 
 void thresh_chunk(void* raw, std::int64_t lo, std::int64_t hi) {

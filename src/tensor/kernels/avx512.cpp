@@ -26,8 +26,10 @@ namespace bcop::tensor::kernels {
 
 namespace {
 
-void gemm_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const GemmCtx& g = *static_cast<const GemmCtx*>(raw);
+/// GEMM rows [lo, hi) over P planes of A (GemmCtx). P = 1 without
+/// kScaled is the classic single-plane loop.
+template <int P, bool kScaled>
+void gemm_rows(const GemmCtx& g, std::int64_t lo, std::int64_t hi) {
   const std::int64_t N = g.n, K = g.a.cols;
   const std::int64_t words = g.a.wpr, pad = g.a.pad();
   const __m512i all_ones = _mm512_set1_epi64(-1);
@@ -36,30 +38,74 @@ void gemm_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
     std::int32_t* ci = g.c + i * N;
     std::int64_t j0 = 0;
     // Eight output lanes per sweep: broadcast the activation word, XNOR
-    // against eight word-major weight columns, vpopcntq, accumulate.
+    // against eight word-major weight columns, vpopcntq, accumulate. One
+    // weight load serves every plane.
     for (; j0 + 8 <= N; j0 += 8) {
-      __m512i total = _mm512_setzero_si512();
+      __m512i total[P];
+      for (int m = 0; m < P; ++m) total[m] = _mm512_setzero_si512();
       for (std::int64_t w = 0; w < words; ++w) {
         const __m512i bv = _mm512_loadu_si512(g.bt + w * N + j0);
-        const __m512i matches = _mm512_xor_si512(
-            _mm512_xor_si512(
-                _mm512_set1_epi64(static_cast<long long>(ai[w])), bv),
-            all_ones);
-        total = _mm512_add_epi64(total, _mm512_popcnt_epi64(matches));
+        for (int m = 0; m < P; ++m) {
+          const __m512i matches = _mm512_xor_si512(
+              _mm512_xor_si512(_mm512_set1_epi64(static_cast<long long>(
+                                   ai[m * g.plane_stride + w])),
+                               bv),
+              all_ones);
+          total[m] = _mm512_add_epi64(total[m], _mm512_popcnt_epi64(matches));
+        }
       }
-      alignas(64) std::int64_t pop[8];
-      _mm512_store_si512(pop, total);
-      for (int j = 0; j < 8; ++j)
-        ci[j0 + j] = static_cast<std::int32_t>(2 * (pop[j] - pad) - K);
+      if constexpr (kScaled) {
+        // sum_m g_m * (2 * (pop_m - pad) - K) in eight 64-bit lanes; each
+        // dot and scale fits the signed 32-bit vpmuldq operands, and the
+        // narrowing store truncates exactly like the scalar tier's cast.
+        // (All-ones maskz forms: GCC 12 flags the unmasked intrinsics'
+        // undefined pass-through operand with -Wmaybe-uninitialized.)
+        const __m512i bias = _mm512_set1_epi64(2 * pad + K);
+        __m512i acc = _mm512_setzero_si512();
+        for (int m = 0; m < P; ++m) {
+          const __m512i dot =
+              _mm512_sub_epi64(_mm512_add_epi64(total[m], total[m]), bias);
+          acc = _mm512_add_epi64(
+              acc, _mm512_maskz_mul_epi32(0xff, dot,
+                                          _mm512_set1_epi64(g.scale[m])));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(ci + j0),
+                            _mm512_maskz_cvtepi64_epi32(0xff, acc));
+      } else {
+        alignas(64) std::int64_t pop[8];
+        _mm512_store_si512(pop, total[0]);
+        for (int j = 0; j < 8; ++j)
+          ci[j0 + j] = static_cast<std::int32_t>(2 * (pop[j] - pad) - K);
+      }
     }
     // Lane tail (N % 8): plain scalar popcount.
     for (; j0 < N; ++j0) {
-      std::int64_t pop = 0;
-      for (std::int64_t w = 0; w < words; ++w)
-        pop += std::popcount(~(ai[w] ^ g.bt[w * N + j0]));
-      ci[j0] = static_cast<std::int32_t>(2 * (pop - pad) - K);
+      std::int64_t v = 0;
+      for (int m = 0; m < P; ++m) {
+        const std::uint64_t* am = ai + m * g.plane_stride;
+        std::int64_t pop = 0;
+        for (std::int64_t w = 0; w < words; ++w)
+          pop += std::popcount(~(am[w] ^ g.bt[w * N + j0]));
+        v += (kScaled ? g.scale[m] : 1) * (2 * (pop - pad) - K);
+      }
+      ci[j0] = static_cast<std::int32_t>(v);
     }
   }
+}
+
+void gemm_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
+  const GemmCtx& g = *static_cast<const GemmCtx*>(raw);
+  switch (g.planes) {
+    case 1:
+      if (g.scale[0] == 1) return gemm_rows<1, false>(g, lo, hi);
+      return gemm_rows<1, true>(g, lo, hi);
+    case 2:
+      return gemm_rows<2, true>(g, lo, hi);
+    case 3:
+      return gemm_rows<3, true>(g, lo, hi);
+  }
+  BCOP_CHECK(false, "gemm: %lld planes out of [1, %d]",
+             static_cast<long long>(g.planes), kMaxPlanes);
 }
 
 void thresh_chunk(void* raw, std::int64_t lo, std::int64_t hi) {

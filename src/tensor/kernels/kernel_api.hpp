@@ -42,15 +42,30 @@ inline constexpr int kKernelLevelCount = 3;
 /// tables plug into the pool without any trampoline.
 using KernelFn = void (*)(void* ctx, std::int64_t lo, std::int64_t hi);
 
+/// Most packed planes one GEMM call reads (ReBNet residual levels, M <= 3).
+inline constexpr int kMaxPlanes = 3;
+
 /// Context for the popcount GEMM chunk: C[M, n] (int32, plus-minus-one
 /// semantics) = A[M, K] x B[n, K]^T where `bt` is the word-major
 /// pre-transposed packed weight matrix (tensor::transpose_word_major).
 /// Chunks range over rows of A.
+///
+/// Residual form (docs/residual-binarization.md): A may carry `planes`
+/// P in [1, 3] packed planes of one geometry, plane m at word offset
+/// m * plane_stride from a.data, and then
+///   C[i, j] = sum_m scale[m] * (2 * (pop_m[i, j] - pad) - K),
+/// summed in registers with every weight word read once for all P planes.
+/// The defaults -- one plane at unit scale -- are the classic GEMM, so a
+/// four-field GemmCtx{a, bt, n, c} keeps its single-plane meaning and
+/// every tier runs its single-plane loop for it.
 struct GemmCtx {
   ConstBitSpan a;
   const std::uint64_t* bt;
   std::int64_t n;
   std::int32_t* c;
+  std::int64_t planes = 1;
+  std::int64_t plane_stride = 0;  // words between planes of A
+  std::int32_t scale[kMaxPlanes] = {1, 1, 1};
 };
 
 /// Context for packed threshold firing: int32 accumulators -> packed sign

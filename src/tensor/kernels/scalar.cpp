@@ -14,36 +14,68 @@ namespace bcop::tensor::kernels {
 
 namespace {
 
-void gemm_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const GemmCtx& g = *static_cast<const GemmCtx*>(raw);
+/// GEMM rows [lo, hi) over P planes of A (GemmCtx). P = 1 without
+/// kScaled is the classic single-plane loop.
+template <int P, bool kScaled>
+void gemm_rows(const GemmCtx& g, std::int64_t lo, std::int64_t hi) {
   const std::int64_t N = g.n, K = g.a.cols;
   const std::int64_t words = g.a.wpr, pad = g.a.pad();
   // Popcount accumulators live in a fixed stack tile: the weight-row
   // dimension is walked kTile lanes at a time, each sweep streaming every
   // activation word once. 256 lanes keep the tile inside L1 while leaving
   // the inner loop wide enough to vectorize (see binary_gemm for the
-  // word-major layout rationale).
+  // word-major layout rationale). Each weight word is loaded once and
+  // counted against all P planes.
   constexpr std::int64_t kTile = 256;
-  std::int64_t pop[kTile];
+  std::int64_t pop[P][kTile];
   for (std::int64_t i = lo; i < hi; ++i) {
     const std::uint64_t* ai = g.a.row(i);
     std::int32_t* ci = g.c + i * N;
     for (std::int64_t j0 = 0; j0 < N; j0 += kTile) {
       const std::int64_t jn = std::min(kTile, N - j0);
+      for (int m = 0; m < P; ++m) {
 #pragma omp simd
-      for (std::int64_t j = 0; j < jn; ++j) pop[j] = 0;
+        for (std::int64_t j = 0; j < jn; ++j) pop[m][j] = 0;
+      }
       for (std::int64_t w = 0; w < words; ++w) {
-        const std::uint64_t av = ai[w];
+        std::uint64_t av[P];
+        for (int m = 0; m < P; ++m) av[m] = ai[m * g.plane_stride + w];
         const std::uint64_t* btw = g.bt + w * N + j0;
 #pragma omp simd
         for (std::int64_t j = 0; j < jn; ++j)
-          pop[j] += std::popcount(~(av ^ btw[j]));
+          for (int m = 0; m < P; ++m)
+            pop[m][j] += std::popcount(~(av[m] ^ btw[j]));
       }
+      if constexpr (kScaled) {
 #pragma omp simd
-      for (std::int64_t j = 0; j < jn; ++j)
-        ci[j0 + j] = static_cast<std::int32_t>(2 * (pop[j] - pad) - K);
+        for (std::int64_t j = 0; j < jn; ++j) {
+          std::int64_t v = 0;
+          for (int m = 0; m < P; ++m)
+            v += g.scale[m] * (2 * (pop[m][j] - pad) - K);
+          ci[j0 + j] = static_cast<std::int32_t>(v);
+        }
+      } else {
+#pragma omp simd
+        for (std::int64_t j = 0; j < jn; ++j)
+          ci[j0 + j] = static_cast<std::int32_t>(2 * (pop[0][j] - pad) - K);
+      }
     }
   }
+}
+
+void gemm_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
+  const GemmCtx& g = *static_cast<const GemmCtx*>(raw);
+  switch (g.planes) {
+    case 1:
+      if (g.scale[0] == 1) return gemm_rows<1, false>(g, lo, hi);
+      return gemm_rows<1, true>(g, lo, hi);
+    case 2:
+      return gemm_rows<2, true>(g, lo, hi);
+    case 3:
+      return gemm_rows<3, true>(g, lo, hi);
+  }
+  BCOP_CHECK(false, "gemm: %lld planes out of [1, %d]",
+             static_cast<long long>(g.planes), kMaxPlanes);
 }
 
 void thresh_chunk(void* raw, std::int64_t lo, std::int64_t hi) {

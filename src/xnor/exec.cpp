@@ -60,6 +60,17 @@ void run_im2row(const PlanStep& st, ConstBitSpan pixels, BitSpan rows) {
   ThreadPool::global().for_chunks(0, rows.rows, st.im2row_fn, &ctx);
 }
 
+/// Threshold a residual GEMM step: one output plane fires bank 0 through
+/// the frozen kernel, more fire the pattern banks (exec_residual.cpp)
+/// into consecutive planes from dst.data.
+void fire_residual(const ExecutionPlan& plan, const PlanStep& st,
+                   const std::int32_t* acc, BitSpan dst) {
+  if (st.levels_out == 1)
+    fire_thresholds(st, acc, plan.prep(st.prep), dst);
+  else
+    residual_fire(plan, st, acc, dst.data);
+}
+
 // ---- Fused first conv: quantized pixels -> conv -> threshold -> bits. ----
 
 struct FirstConvCtx {
@@ -69,24 +80,47 @@ struct FirstConvCtx {
   const std::int32_t* inv;
   std::int64_t h, w, c, ho, wo;
   BitSpan out;
+  std::int32_t* acc;  // residual entry: int32 accumulators, [rows, co]
 };
 
-/// Row kernel for the fused first-conv: accumulate output pixels' `CO`
-/// channels with the accumulators held in fixed-size local arrays the
-/// compiler keeps in vector registers, then fire the folded thresholds and
-/// emit packed bits directly. All arithmetic is exact: pixel codes and
-/// +-1 weights are integers and |acc| <= K*255 << 2^24.
+/// Epilogue of one output pixel's CO accumulators: fire the folded
+/// thresholds into its packed word (classic entry), or store them as int32
+/// for the residual pattern banks (kStoreAcc). Thresholds arrive in
+/// PreparedThresholds form (thr/inv) so firing is a branch-free compare
+/// the vectorizer folds into a mask; a branchy per-channel `if` here costs
+/// more than the convolution itself.
+template <int CO, bool kStoreAcc>
+inline void first_conv_emit(const FirstConvCtx& t, const std::int32_t* thr,
+                            const std::int32_t* inv, std::int64_t r,
+                            const float* acc) {
+  if constexpr (kStoreAcc) {
+    std::int32_t* o = t.acc + r * CO;
+#pragma omp simd
+    for (int j = 0; j < CO; ++j) o[j] = static_cast<std::int32_t>(acc[j]);
+  } else {
+    std::uint64_t bits = 0;
+#pragma omp simd reduction(| : bits)
+    for (int j = 0; j < CO; ++j)
+      bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+                  (static_cast<std::int32_t>(acc[j]) >= thr[j]) ^ inv[j]))
+              << j;
+    t.out.row(r)[0] = bits;
+  }
+}
+
+/// Row kernel for the first conv: accumulate output pixels' `CO` channels
+/// with the accumulators held in fixed-size local arrays the compiler
+/// keeps in vector registers, then hand each pixel to the epilogue. All
+/// arithmetic is exact: pixel codes and +-1 weights are integers and
+/// |acc| <= K*255 << 2^24.
 ///
 /// Four horizontally adjacent output pixels are computed together: they
 /// share every weight load, and their input patches are the same span
 /// shifted by `c`, so one broadcast-FMA sweep feeds four accumulator
 /// vectors. The `omp simd` hints are required -- without them GCC leaves
 /// the channel loop scalar ("complicated access pattern") and the first
-/// conv dominates the whole batched forward. Thresholds arrive in
-/// PreparedThresholds form (thr/inv) so firing is a branch-free compare
-/// the vectorizer folds into a mask; a branchy per-channel `if` here costs
-/// more than the convolution itself.
-template <int CO>
+/// conv dominates the whole batched forward.
+template <int CO, bool kStoreAcc>
 void first_conv_rows_fixed(const FirstConvCtx& t, std::int64_t lo,
                            std::int64_t hi) {
   static_assert(CO <= 64, "fixed kernel emits one 64-bit word per pixel");
@@ -122,16 +156,8 @@ void first_conv_rows_fixed(const FirstConvCtx& t, std::int64_t lo,
           }
         }
       }
-      for (int m = 0; m < 4; ++m) {
-        std::uint64_t bits = 0;
-#pragma omp simd reduction(| : bits)
-        for (int j = 0; j < CO; ++j)
-          bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                      (static_cast<std::int32_t>(acc[m][j]) >= thr[j]) ^
-                      inv[j]))
-                  << j;
-        t.out.row(r + m)[0] = bits;
-      }
+      for (int m = 0; m < 4; ++m)
+        first_conv_emit<CO, kStoreAcc>(t, thr, inv, r + m, acc[m]);
       r += 4;
     } else {
       float acc[CO] = {};
@@ -145,13 +171,7 @@ void first_conv_rows_fixed(const FirstConvCtx& t, std::int64_t lo,
           for (int j = 0; j < CO; ++j) acc[j] += a * wr[j];
         }
       }
-      std::uint64_t bits = 0;
-#pragma omp simd reduction(| : bits)
-      for (int j = 0; j < CO; ++j)
-        bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                    (static_cast<std::int32_t>(acc[j]) >= thr[j]) ^ inv[j]))
-                << j;
-      t.out.row(r)[0] = bits;
+      first_conv_emit<CO, kStoreAcc>(t, thr, inv, r, acc);
       ++r;
     }
   }
@@ -162,6 +182,7 @@ void first_conv_rows_fixed(const FirstConvCtx& t, std::int64_t lo,
 /// input patch once per tile. Weight traffic is unchanged and the
 /// accumulators stay on the stack, keeping the kernel allocation-free for
 /// any channel count.
+template <bool kStoreAcc>
 void first_conv_rows_any(const FirstConvCtx& t, std::int64_t lo,
                          std::int64_t hi) {
   const float* q = t.q;
@@ -174,7 +195,6 @@ void first_conv_rows_any(const FirstConvCtx& t, std::int64_t lo,
     const std::int64_t img = r / (ho * wo);
     const std::int64_t rem = r - img * ho * wo;
     const std::int64_t y = rem / wo, x = rem - y * wo;
-    std::uint64_t* dst = t.out.row(r);
     for (std::int64_t c0 = 0; c0 < co; c0 += kTile) {
       const std::int64_t cn = std::min(kTile, co - c0);
 #pragma omp simd
@@ -189,36 +209,57 @@ void first_conv_rows_any(const FirstConvCtx& t, std::int64_t lo,
           for (std::int64_t j = 0; j < cn; ++j) acc[j] += a * wr[j];
         }
       }
-      for (std::int64_t word = 0; word * 64 < cn; ++word) {
-        const std::int64_t base = word * 64;
-        const std::int64_t nb = std::min<std::int64_t>(64, cn - base);
-        const float* ab = acc + base;
-        const std::int32_t* tp = t.thr + c0 + base;
-        const std::int32_t* ip = t.inv + c0 + base;
-        std::uint64_t bits = 0;
+      if constexpr (kStoreAcc) {
+        std::int32_t* o = t.acc + r * co + c0;
+#pragma omp simd
+        for (std::int64_t j = 0; j < cn; ++j)
+          o[j] = static_cast<std::int32_t>(acc[j]);
+      } else {
+        std::uint64_t* dst = t.out.row(r);
+        for (std::int64_t word = 0; word * 64 < cn; ++word) {
+          const std::int64_t base = word * 64;
+          const std::int64_t nb = std::min<std::int64_t>(64, cn - base);
+          const float* ab = acc + base;
+          const std::int32_t* tp = t.thr + c0 + base;
+          const std::int32_t* ip = t.inv + c0 + base;
+          std::uint64_t bits = 0;
 #pragma omp simd reduction(| : bits)
-        for (std::int64_t i = 0; i < nb; ++i)
-          bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                      (static_cast<std::int32_t>(ab[i]) >= tp[i]) ^ ip[i]))
-                  << i;
-        dst[(c0 >> 6) + word] = bits;
+          for (std::int64_t i = 0; i < nb; ++i)
+            bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+                        (static_cast<std::int32_t>(ab[i]) >= tp[i]) ^ ip[i]))
+                    << i;
+          dst[(c0 >> 6) + word] = bits;
+        }
       }
     }
   }
 }
 
+template <bool kStoreAcc>
 void first_conv_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   const FirstConvCtx& t = *static_cast<const FirstConvCtx*>(raw);
   switch (t.st->co) {
     case 16:
-      first_conv_rows_fixed<16>(t, lo, hi);
+      first_conv_rows_fixed<16, kStoreAcc>(t, lo, hi);
       break;
     case 64:
-      first_conv_rows_fixed<64>(t, lo, hi);
+      first_conv_rows_fixed<64, kStoreAcc>(t, lo, hi);
       break;
     default:
-      first_conv_rows_any(t, lo, hi);
+      first_conv_rows_any<kStoreAcc>(t, lo, hi);
   }
+}
+
+/// First conv of a residual entry stage: the same kernels with the int32
+/// store epilogue instead of firing -- M > 1 firing needs every output
+/// channel of a pixel at once, so residual_fire runs the pattern banks
+/// over the stored accumulators (acc[r * co + j]).
+void residual_first_conv(const PlanStep& st, const FirstConvStage& fc,
+                         const float* q, std::int32_t* acc) {
+  FirstConvCtx ctx{q,     &fc,   nullptr, nullptr,   st.h, st.w,
+                   st.c,  st.ho, st.wo,   BitSpan{}, acc};
+  ThreadPool::global().for_chunks(0, st.out_rows, &first_conv_chunk<true>,
+                                  &ctx);
 }
 
 }  // namespace
@@ -236,8 +277,6 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
   std::uint64_t* patch =
       reinterpret_cast<std::uint64_t*>(base + plan.patch_offset());
   std::int32_t* acc = reinterpret_cast<std::int32_t*>(base + plan.acc_offset());
-  std::int32_t* acc2 =
-      reinterpret_cast<std::int32_t*>(base + plan.acc2_offset());
   float* fscratch = reinterpret_cast<float*>(base + plan.float_offset());
 
 #if BCOP_OBS
@@ -283,9 +322,9 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
           const PreparedThresholds& prep = plan.prep(st.prep);
           FirstConvCtx ctx{fscratch, &fc,   prep.thr.data(), prep.inv.data(),
                            st.h,     st.w,  st.c,            st.ho,
-                           st.wo,    dst};
-          ThreadPool::global().for_chunks(0, st.out_rows, &first_conv_chunk,
-                                          &ctx);
+                           st.wo,    dst,   nullptr};
+          ThreadPool::global().for_chunks(0, st.out_rows,
+                                          &first_conv_chunk<false>, &ctx);
         } else {
           // Residual entry: materialize the integer accumulators, then
           // fire the pattern banks (exec_residual.cpp).
@@ -299,14 +338,25 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
         break;
       case StepKind::kBinConv: {
         if (st.levels_in > 1 || st.in_scaled || st.levels_out > 1) {
-          // Residual stream on either side: multi-pass scaled GEMM and/or
+          // Residual stream on either side: plane-fused gather + GEMM and
           // pattern-bank firing (exec_residual.cpp). The classic path
           // below stays untouched for single-plane unscaled streams.
-          residual_gemm(plan, st, half[st.src_half], patch, acc, acc2);
-          if (st.levels_out == 1)
-            fire_thresholds(st, acc, plan.prep(st.prep), dst);
-          else
-            residual_fire(plan, st, acc, half[st.dst_half]);
+#if BCOP_OBS
+          // The gather runs inside the GEMM chunks, so a residual step
+          // splits into binary_gemm and thresholds only.
+          const std::uint64_t ta = profile ? obs::now_ns() : 0;
+          residual_gemm(plan, st, half[st.src_half], patch, acc);
+          const std::uint64_t tb = profile ? obs::now_ns() : 0;
+          fire_residual(plan, st, acc, dst);
+          if (profile) {
+            const std::uint64_t tc = obs::now_ns();
+            slots->slot_ns[kObsSlotGemm]->record(tb - ta);
+            slots->slot_ns[kObsSlotThresholds]->record(tc - tb);
+          }
+#else
+          residual_gemm(plan, st, half[st.src_half], patch, acc);
+          fire_residual(plan, st, acc, dst);
+#endif
           break;
         }
         const BitSpan rows{patch, st.patch_rows, st.patch_cols, st.patch_wpr};
@@ -351,11 +401,8 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
         break;
       case StepKind::kBinDense:
         if (st.levels_in > 1 || st.in_scaled || st.levels_out > 1) {
-          residual_gemm(plan, st, half[st.src_half], nullptr, acc, acc2);
-          if (st.levels_out == 1)
-            fire_thresholds(st, acc, plan.prep(st.prep), dst);
-          else
-            residual_fire(plan, st, acc, half[st.dst_half]);
+          residual_gemm(plan, st, half[st.src_half], nullptr, acc);
+          fire_residual(plan, st, acc, dst);
           break;
         }
         run_gemm(st, src, plan.wmat(st.wmat), acc);
@@ -365,7 +412,7 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
         if (st.levels_in > 1 || st.in_scaled) {
           // A = 256 * y for scaled inputs; out_scale (1/256) undoes it
           // exactly -- every logit is a multiple of 2^-8 far below 2^24.
-          residual_gemm(plan, st, half[st.src_half], nullptr, acc, acc2);
+          residual_gemm(plan, st, half[st.src_half], nullptr, acc);
           for (std::int64_t j = 0; j < st.acc_len; ++j)
             out[j] = static_cast<float>(acc[j]) * st.out_scale;
           break;

@@ -22,27 +22,38 @@ using tensor::ConstBitSpan;
 
 namespace {
 
-// ---- Scaled accumulate: acc (+)= g * acc2, chunked over the int32
-// accumulator length. `first` overwrites so the arena needs no zeroing. ----
+// ---- Plane-fused GEMM: every input plane of a residual step goes
+// through one GEMM call per row range (GemmCtx planes + scales), so each
+// packed weight word is read once for all levels. A conv chunk gathers
+// its patch rows of every plane first, one block at a time, so the GEMM
+// reads them while they are still in L1. ----
 
-struct ScaleAccCtx {
-  std::int32_t* acc;
-  const std::int32_t* acc2;
-  std::int32_t g;
-  std::int32_t first;
+struct ResidualConvCtx {
+  tensor::kernels::Im2RowCtx im2row;  // plane 0: pixels -> patch rows
+  tensor::kernels::GemmCtx gemm;      // every plane of the patch rows
+  std::int64_t pixel_plane;           // words between input planes
+  tensor::kernels::KernelFn im2row_fn, gemm_fn;
 };
 
-void scale_acc_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const ScaleAccCtx& t = *static_cast<const ScaleAccCtx*>(raw);
-  std::int32_t* acc = t.acc;
-  const std::int32_t* acc2 = t.acc2;
-  const std::int32_t g = t.g;
-  if (t.first) {
-#pragma omp simd
-    for (std::int64_t i = lo; i < hi; ++i) acc[i] = g * acc2[i];
-  } else {
-#pragma omp simd
-    for (std::int64_t i = lo; i < hi; ++i) acc[i] += g * acc2[i];
+// Patch words one block gathers across all planes (16 KiB): large enough
+// to amortize the kernel calls, small enough to stay in L1 for the GEMM.
+constexpr std::int64_t kGatherBlockWords = 2048;
+
+void residual_conv_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
+  const ResidualConvCtx& t = *static_cast<const ResidualConvCtx*>(raw);
+  tensor::kernels::GemmCtx gemm = t.gemm;
+  const std::int64_t planes = gemm.planes;
+  const std::int64_t block = std::max<std::int64_t>(
+      1, kGatherBlockWords / (planes * t.im2row.rows.wpr));
+  for (std::int64_t r0 = lo; r0 < hi; r0 += block) {
+    const std::int64_t r1 = std::min(hi, r0 + block);
+    for (std::int64_t m = 0; m < planes; ++m) {
+      tensor::kernels::Im2RowCtx plane = t.im2row;
+      plane.pixels.data += m * t.pixel_plane;
+      plane.rows.data += m * gemm.plane_stride;
+      t.im2row_fn(&plane, r0, r1);
+    }
+    t.gemm_fn(&gemm, r0, r1);
   }
 }
 
@@ -54,79 +65,65 @@ struct ResidualFireCtx {
   const std::int32_t* thr[7];  // bank b = (1 << m) - 1 + pattern
   const std::int32_t* inv[7];
   std::uint64_t* dst;  // plane-0 base
-  std::int64_t cols, wpr, plane_words, levels;
+  std::int64_t cols, wpr, plane_words;
 };
 
+/// L-level firing. Level m's threshold and flip flag come from its 2^m
+/// pattern banks by selects on the bits levels 0..m-1 already fired, so
+/// each level costs one compare, with no per-channel branch and no
+/// indexed gather, and the channel loop vectorizes like the classic
+/// threshold kernel.
+template <int L>
 void residual_fire_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   const ResidualFireCtx& t = *static_cast<const ResidualFireCtx*>(raw);
-  const std::int64_t cols = t.cols, wpr = t.wpr, levels = t.levels;
+  constexpr int kBanks = (1 << L) - 1;
+  const std::int64_t cols = t.cols, wpr = t.wpr;
   for (std::int64_t r = lo; r < hi; ++r) {
     const std::int32_t* arow = t.acc + r * cols;
     for (std::int64_t wd = 0; wd < wpr; ++wd) {
-      const std::int64_t nb = std::min<std::int64_t>(64, cols - wd * 64);
-      std::uint64_t bits[3] = {0, 0, 0};
+      const std::int64_t base = wd * 64;
+      const std::int64_t nb = std::min<std::int64_t>(64, cols - base);
+      const std::int32_t* a = arow + base;
+      const std::int32_t* thr[kBanks];
+      const std::int32_t* inv[kBanks];
+      for (int b = 0; b < kBanks; ++b) {
+        thr[b] = t.thr[b] + base;
+        inv[b] = t.inv[b] + base;
+      }
+      std::uint64_t w0 = 0, w1 = 0, w2 = 0;
+#pragma omp simd reduction(| : w0, w1, w2)
       for (std::int64_t i = 0; i < nb; ++i) {
-        const std::int64_t ch = wd * 64 + i;
-        const std::int32_t a = arow[ch];
-        std::uint32_t pat = 0;
-        for (std::int64_t m = 0; m < levels; ++m) {
-          const std::int64_t bank = (std::int64_t{1} << m) - 1 + pat;
-          const std::uint32_t b =
-              static_cast<std::uint32_t>(a >= t.thr[bank][ch]) ^
-              static_cast<std::uint32_t>(t.inv[bank][ch]);
-          bits[m] |= static_cast<std::uint64_t>(b) << i;
-          pat |= b << m;
+        std::int32_t tv[kBanks], iv[kBanks];
+        for (int b = 0; b < kBanks; ++b) {
+          tv[b] = thr[b][i];
+          iv[b] = inv[b][i];
+        }
+        const std::int32_t x = a[i];
+        // b_m = (x >= thr) ^ inv under bank (1 << m) - 1 + pattern.
+        const std::int32_t b0 = (x >= tv[0]) ^ iv[0];
+        w0 |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(b0)) << i;
+        if constexpr (L >= 2) {
+          const std::int32_t b1 =
+              (x >= (b0 ? tv[2] : tv[1])) ^ (b0 ? iv[2] : iv[1]);
+          w1 |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(b1))
+                << i;
+          if constexpr (L >= 3) {
+            const std::int32_t t2 =
+                b1 ? (b0 ? tv[6] : tv[5]) : (b0 ? tv[4] : tv[3]);
+            const std::int32_t i2 =
+                b1 ? (b0 ? iv[6] : iv[5]) : (b0 ? iv[4] : iv[3]);
+            const std::int32_t b2 = (x >= t2) ^ i2;
+            w2 |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(b2))
+                  << i;
+          }
         }
       }
       // Full-word stores: slack bits beyond `cols` come out zero, keeping
       // the trailing-bits invariant on reused arena rows.
-      for (std::int64_t m = 0; m < levels; ++m)
-        t.dst[m * t.plane_words + r * wpr + wd] = bits[m];
-    }
-  }
-}
-
-// ---- First-conv integer accumulation (generic channel width). Mirrors
-// exec.cpp's first_conv_rows_any 256-lane tiling, but stores the int32
-// accumulators instead of firing -- residual firing needs them all. ----
-
-struct FirstConvAccCtx {
-  const float* q;    // quantized pixel codes, NHWC
-  const float* wts;  // {-1,+1} weights, [K*K*Ci, Co]
-  std::int64_t h, w, c, k, co, ho, wo;
-  std::int32_t* acc;
-};
-
-void first_conv_acc_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const FirstConvAccCtx& t = *static_cast<const FirstConvAccCtx*>(raw);
-  const float* q = t.q;
-  const float* wts = t.wts;
-  const std::int64_t h = t.h, w = t.w, c = t.c, ho = t.ho, wo = t.wo;
-  const std::int64_t k = t.k, co = t.co, kc = k * c;
-  constexpr std::int64_t kTile = 256;
-  float acc[kTile];
-  for (std::int64_t r = lo; r < hi; ++r) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t y = rem / wo, x = rem - y * wo;
-    std::int32_t* out = t.acc + r * co;
-    for (std::int64_t c0 = 0; c0 < co; c0 += kTile) {
-      const std::int64_t cn = std::min(kTile, co - c0);
-#pragma omp simd
-      for (std::int64_t j = 0; j < cn; ++j) acc[j] = 0.f;
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const float* p = q + (((img * h) + y + ky) * w + x) * c;
-        const float* wrow = wts + ky * kc * co + c0;
-        for (std::int64_t i = 0; i < kc; ++i) {
-          const float a = p[i];
-          const float* wr = wrow + i * co;
-#pragma omp simd
-          for (std::int64_t j = 0; j < cn; ++j) acc[j] += a * wr[j];
-        }
-      }
-#pragma omp simd
-      for (std::int64_t j = 0; j < cn; ++j)
-        out[c0 + j] = static_cast<std::int32_t>(acc[j]);
+      std::uint64_t* d = t.dst + r * wpr + wd;
+      d[0] = w0;
+      if constexpr (L >= 2) d[t.plane_words] = w1;
+      if constexpr (L >= 3) d[2 * t.plane_words] = w2;
     }
   }
 }
@@ -185,28 +182,32 @@ void residual_pool_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
 
 void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
                    const std::uint64_t* src, std::uint64_t* patch,
-                   std::int32_t* acc, std::int32_t* acc2) {
-  const bool conv = st.kind == StepKind::kBinConv;
-  const std::uint64_t* bt = plan.wmat(st.wmat);
-  const std::int64_t plane_words = st.in_rows * st.in_wpr;
-  const std::int64_t passes = st.in_scaled ? st.levels_in : 1;
-  std::int32_t* target = st.in_scaled ? acc2 : acc;
-  for (std::int64_t m = 0; m < passes; ++m) {
-    ConstBitSpan a{src + m * plane_words, st.in_rows, st.in_cols, st.in_wpr};
-    if (conv) {
-      BitSpan rows{patch, st.patch_rows, st.patch_cols, st.patch_wpr};
-      tensor::kernels::Im2RowCtx ictx{a,    rows, st.h,  st.w,
-                                      st.c, st.k, st.ho, st.wo};
-      ThreadPool::global().for_chunks(0, rows.rows, st.im2row_fn, &ictx);
-      a = ConstBitSpan{patch, st.patch_rows, st.patch_cols, st.patch_wpr};
-    }
-    tensor::kernels::GemmCtx gctx{a, bt, st.co, target};
-    ThreadPool::global().for_chunks(0, a.rows, st.gemm_fn, &gctx);
-    if (st.in_scaled) {
-      ScaleAccCtx sctx{acc, acc2, st.in_scale_bits[m], m == 0 ? 1 : 0};
-      ThreadPool::global().for_chunks(0, st.acc_len, &scale_acc_chunk, &sctx);
-    }
+                   std::int32_t* acc) {
+  const ConstBitSpan in{src, st.in_rows, st.in_cols, st.in_wpr};
+  const std::int64_t in_plane = st.in_rows * st.in_wpr;
+  // An unscaled input (a classic stream feeding a residual stage) is one
+  // plane at unit scale: the classic GEMM, through the same fan-out.
+  tensor::kernels::GemmCtx gemm{in, plan.wmat(st.wmat), st.co, acc};
+  if (st.in_scaled) {
+    gemm.planes = st.levels_in;
+    for (std::int64_t m = 0; m < st.levels_in; ++m)
+      gemm.scale[m] = st.in_scale_bits[m];
   }
+  if (st.kind != StepKind::kBinConv) {
+    gemm.plane_stride = in_plane;
+    ThreadPool::global().for_chunks(0, st.in_rows, st.gemm_fn, &gemm);
+    return;
+  }
+  // Conv: the GEMM reads the patch region, plane m at row m * patch_rows
+  // (compile() sized it for levels_in planes).
+  const BitSpan rows{patch, st.patch_rows, st.patch_cols, st.patch_wpr};
+  gemm.a = rows;
+  gemm.plane_stride = st.patch_rows * st.patch_wpr;
+  ResidualConvCtx ctx{
+      {in, rows, st.h, st.w, st.c, st.k, st.ho, st.wo},
+      gemm, in_plane, st.im2row_fn, st.gemm_fn};
+  ThreadPool::global().for_chunks(0, st.patch_rows, &residual_conv_chunk,
+                                  &ctx);
 }
 
 void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
@@ -227,15 +228,10 @@ void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
   ctx.cols = st.out_cols;
   ctx.wpr = st.out_wpr;
   ctx.plane_words = st.out_rows * st.out_wpr;
-  ctx.levels = st.levels_out;
-  ThreadPool::global().for_chunks(0, st.out_rows, &residual_fire_chunk, &ctx);
-}
-
-void residual_first_conv(const PlanStep& st, const FirstConvStage& fc,
-                         const float* q, std::int32_t* acc) {
-  FirstConvAccCtx ctx{q,    fc.weights.data(), st.h,  st.w, st.c,
-                      st.k, fc.co,             st.ho, st.wo, acc};
-  ThreadPool::global().for_chunks(0, st.out_rows, &first_conv_acc_chunk,
+  constexpr ThreadPool::ChunkFn kFire[3] = {&residual_fire_chunk<1>,
+                                            &residual_fire_chunk<2>,
+                                            &residual_fire_chunk<3>};
+  ThreadPool::global().for_chunks(0, st.out_rows, kFire[st.levels_out - 1],
                                   &ctx);
 }
 

@@ -1,9 +1,10 @@
 // Residual-binarization steps of the plan interpreter (ReBNet M > 1).
 //
 // exec.cpp dispatches here whenever a step's input or output activation
-// carries more than one packed plane (docs/residual-binarization.md); the
-// classic single-plane steps never enter this TU, so the M = 1 path stays
-// byte-identical to the pre-residual interpreter. Same contract as
+// is a residual one -- scaled, or more than one packed plane
+// (docs/residual-binarization.md); the classic single-plane steps never
+// enter this TU, so the M = 1 path stays byte-identical to the
+// pre-residual interpreter. Same contract as
 // exec.cpp: ALLOCATION-FREE ZONE -- every buffer is a Workspace arena
 // slice at a plan-frozen offset, scratch lives in fixed-size stack tiles,
 // and parallel fan-out uses ThreadPool::for_chunks. Enforced by lint rule
@@ -18,37 +19,33 @@
 
 namespace bcop::xnor::detail {
 
-/// Multi-pass XNOR GEMM for a kBinConv / kBinDense / kLogits step fed by a
-/// residual activation: one (im2row +) GEMM pass per input plane m into
-/// the acc2 scratch, scale-accumulated into `acc` as
-///   acc = sum_m in_scale_bits[m] * acc2_m,
-/// so acc is 256x the real-valued dot product -- exact, since every
-/// partial sum is an integer far below 2^25 (PreparedThresholds::
-/// kAccBound). An unscaled single-plane input (classic stream feeding a
-/// residual stage) degenerates to one direct pass into `acc`; acc2 is
-/// untouched then. `src` is the plane-0 base of the step's source arena
-/// half; `patch` is the shared im2row scratch (conv steps only).
+/// Plane-fused XNOR GEMM for a kBinConv / kBinDense / kLogits step fed by
+/// a residual activation: one fan-out whose GEMM chunks (GemmCtx with
+/// planes = levels_in and the in_scale_bits as scales) read each packed
+/// weight word once for every input plane and accumulate
+///   acc = sum_m in_scale_bits[m] * (XNOR-popcount dot of plane m)
+/// in registers, so acc is 256x the real-valued dot product -- exact,
+/// since every partial sum is an integer far below 2^25
+/// (PreparedThresholds::kAccBound). Conv chunks first gather their patch
+/// rows of every plane with the frozen im2row kernel into `patch` (sized
+/// by compile() for levels_in planes), a block of rows at a time. An
+/// unscaled single-plane input (classic stream feeding a residual stage)
+/// is one plane at unit scale. `src` is the plane-0 base of the step's
+/// source arena half.
 void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
                    const std::uint64_t* src, std::uint64_t* patch,
-                   std::int32_t* acc, std::int32_t* acc2);
+                   std::int32_t* acc);
 
 /// Fire the (1 << levels_out) - 1 pattern threshold banks of a residual
 /// step over integer accumulators, emitting levels_out packed planes at
 /// `dst` (plane m at word offset m * out_rows * out_wpr). Per channel the
-/// level-m bank is selected by the sign pattern levels 0..m-1 produced:
-/// bank (1 << m) - 1 + pattern, consecutive from st.prep. Full-word
-/// stores keep the trailing-bits-zero invariant on reused arena rows.
+/// level-m bank is the one the sign pattern of levels 0..m-1 names:
+/// bank (1 << m) - 1 + pattern, consecutive from st.prep. The bank is
+/// picked by selects on the bits already fired, so the channel loop is
+/// branch-free and vectorizes. Full-word stores keep the
+/// trailing-bits-zero invariant on reused arena rows.
 void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
                    const std::int32_t* acc, std::uint64_t* dst);
-
-/// First-conv accumulation for a residual entry stage: quantized pixel
-/// codes x binary weights into int32 accumulators (acc[r * co + j]),
-/// WITHOUT firing -- residual_fire then runs the pattern banks over them.
-/// The classic entry keeps its fused conv+threshold kernel; this split
-/// exists only because M > 1 firing needs all co accumulators of a pixel
-/// at once. Arithmetic is exact: codes <= 255, |acc| <= K*255 << 2^24.
-void residual_first_conv(const PlanStep& st, const FirstConvStage& fc,
-                         const float* q, std::int32_t* acc);
 
 /// 2x2 stride-2 max pool over a residual activation. On a residual
 /// encoding the max of four candidates is the lexicographic max of their

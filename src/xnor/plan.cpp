@@ -50,7 +50,7 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
          std::to_string(levels));
 
   std::size_t half_bytes[2] = {0, 0};
-  std::size_t patch_bytes = 0, acc_bytes = 0, acc2_bytes = 0, float_bytes = 0;
+  std::size_t patch_bytes = 0, acc_bytes = 0, float_bytes = 0;
   const std::int64_t n = input[0];
   std::int64_t h = 0, w = 0, c = 0;
   bool flat = false;      // post-flatten rank-2 semantics
@@ -131,15 +131,9 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
           half_bytes[st.dst_half],
           bits_bytes(st.out_rows, st.out_cols) *
               static_cast<std::size_t>(st.levels_out));
-    if (st.acc_len > 0) {
+    if (st.acc_len > 0)
       acc_bytes = std::max(
           acc_bytes, static_cast<std::size_t>(st.acc_len) * sizeof(std::int32_t));
-      // Scaled inputs run one GEMM pass per plane into acc2 before the
-      // scaled accumulate into acc.
-      if (st.in_scaled)
-        acc2_bytes = std::max(acc2_bytes, static_cast<std::size_t>(st.acc_len) *
-                                              sizeof(std::int32_t));
-    }
     plan.steps_.push_back(st);
   };
   // Bit-domain Flatten: one flat row per image (per plane). Emitted for
@@ -286,8 +280,11 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       st.acc_len = st.out_rows * cv->co;
       st.src_half = cur;
       st.dst_half = 1 - cur;
+      // One plane of patch rows per input level: the fused residual GEMM
+      // gathers every plane before it multiplies.
       patch_bytes = std::max(patch_bytes,
-                             bits_bytes(st.patch_rows, st.patch_cols));
+                             bits_bytes(st.patch_rows, st.patch_cols) *
+                                 static_cast<std::size_t>(st.levels_in));
       emit(st);
       set_stream(cv->residual, st.levels_out);
       cur = 1 - cur;
@@ -393,10 +390,8 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     plan.output_ = flat ? Shape{n, c} : Shape{n, h, w, c};
   }
 
-  // --- Freeze the arena layout: [half A | half B | patch | acc | acc2 |
-  // floats], each region 64-byte aligned so rows start on cache lines.
-  // Classic plans have acc2_bytes == 0, leaving their layout (and
-  // arena_bytes) byte-identical to the pre-residual engine. ---
+  // --- Freeze the arena layout: [half A | half B | patch | acc | floats],
+  // each region 64-byte aligned so rows start on cache lines. ---
   std::size_t off = 0;
   plan.off_half_[0] = off;
   off += align64(half_bytes[0]);
@@ -406,8 +401,6 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
   off += align64(patch_bytes);
   plan.off_acc_ = off;
   off += align64(acc_bytes);
-  plan.off_acc2_ = off;
-  off += align64(acc2_bytes);
   plan.off_floats_ = off;
   off += align64(float_bytes);
   plan.arena_bytes_ = off;

@@ -68,9 +68,10 @@ struct PlanStep {
   int src_half = -1, dst_half = -1;
   // Residual binarization (docs/residual-binarization.md). Plane m of a
   // multi-level activation lives at word offset m * rows * wpr inside its
-  // arena half. A scaled input stream (in_scaled) makes the GEMM steps
-  // accumulate A = sum_m in_scale_bits[m] * acc_m via the acc2 scratch
-  // region; levels_out > 1 fires the (1 << levels_out) - 1 consecutive
+  // arena half (and, for a conv step, at m * patch_rows * patch_wpr in the
+  // patch region). A scaled input stream (in_scaled) makes the GEMM steps
+  // accumulate A = sum_m in_scale_bits[m] * acc_m in one plane-fused GEMM
+  // pass; levels_out > 1 fires the (1 << levels_out) - 1 consecutive
   // threshold banks starting at `prep` (bank 0 = level 0; level m bank
   // under sign pattern p at prep + (1 << m) - 1 + p). All defaults
   // reproduce the classic single-level path byte for byte.
@@ -130,17 +131,15 @@ class ExecutionPlan {
   }
 
   /// Total arena bytes a Workspace must provide, and the byte offsets of
-  /// the two ping-pong halves, the im2row patch region, the int32
-  /// accumulator regions and the float scratch region within it. acc2 is
-  /// the per-level GEMM scratch of residual plans (zero-sized and aliased
-  /// to the float offset for classic plans, which never touch it).
+  /// the two ping-pong halves, the im2row patch region (levels_in planes
+  /// for residual conv steps), the int32 accumulator region and the float
+  /// scratch region within it.
   std::size_t arena_bytes() const { return arena_bytes_; }
   std::size_t half_offset(int half) const {
     return off_half_[static_cast<std::size_t>(half)];
   }
   std::size_t patch_offset() const { return off_patch_; }
   std::size_t acc_offset() const { return off_acc_; }
-  std::size_t acc2_offset() const { return off_acc2_; }
   std::size_t float_offset() const { return off_floats_; }
 
   /// The residual level cap this plan was compiled with (0 = all trained
@@ -164,7 +163,7 @@ class ExecutionPlan {
   std::vector<StageShape> stage_shapes_;
   std::size_t arena_bytes_ = 0;
   std::size_t off_half_[2] = {0, 0};
-  std::size_t off_patch_ = 0, off_acc_ = 0, off_acc2_ = 0, off_floats_ = 0;
+  std::size_t off_patch_ = 0, off_acc_ = 0, off_floats_ = 0;
   std::int64_t levels_ = 0;
   const obs::StageSlots* obs_slots_ = nullptr;
   tensor::kernels::KernelLevel kernel_level_ =

@@ -8,6 +8,7 @@
 // scalar and to the best tier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -171,6 +172,67 @@ TEST(KernelDifferential, GemmMatchesScalarOnOddShapesAndTailWords) {
   }
 }
 
+// The plane-fused residual GEMM (GemmCtx planes/scale): on the same odd
+// grid, every tier -- scalar included -- must equal sum_m g_m times the
+// scalar single-plane result for plane m. Scales come from the dyadic
+// chain of a trained ResidualSign; one plane at a non-unit scale is the
+// cap-1 path of a residual net. Planes sit in one dirty buffer with a
+// gap word between them, so the kernel must honour plane_stride and read
+// exactly `wpr` words per row of every plane.
+TEST(KernelDifferential, PlaneFusedGemmMatchesScaledScalarPlanes) {
+  util::Rng rng(37);
+  const std::vector<std::vector<std::int32_t>> scale_sets = {
+      {512}, {16}, {512, 256}, {16, 8}, {512, 256, 128}, {16, 8, 4}};
+  for (const std::int64_t K : {27, 64, 100, 320}) {
+    for (const std::int64_t N : {1, 7, 13, 40}) {
+      const std::int64_t M = 5, wpr = words_for_bits(K);
+      const std::int64_t stride = M * wpr + 1;
+      const BitMatrix b = random_bits(N, K, rng);
+      std::vector<std::uint64_t> bt(
+          static_cast<std::size_t>(b.rows() * b.words_per_row()));
+      transpose_word_major(span_of(b), bt.data());
+
+      std::vector<std::uint64_t> planes(
+          static_cast<std::size_t>(kn::kMaxPlanes * stride), ~0ull);
+      std::vector<std::vector<std::int32_t>> single;  // scalar, per plane
+      for (std::int64_t m = 0; m < kn::kMaxPlanes; ++m) {
+        const BitMatrix a = random_bits(M, K, rng);
+        std::copy(a.storage().begin(), a.storage().end(),
+                  planes.begin() + m * stride);
+        std::vector<std::int32_t> c(static_cast<std::size_t>(M * N));
+        kn::GemmCtx ctx{span_of(a), bt.data(), N, c.data()};
+        kn::scalar_table().gemm(&ctx, 0, M);
+        single.push_back(std::move(c));
+      }
+      const ConstBitSpan a0{planes.data(), M, K, wpr};
+
+      for (const auto& scales : scale_sets) {
+        const auto P = static_cast<std::int64_t>(scales.size());
+        std::vector<std::int32_t> want(static_cast<std::size_t>(M * N), 0);
+        for (std::int64_t m = 0; m < P; ++m)
+          for (std::size_t i = 0; i < want.size(); ++i)
+            want[i] += scales[static_cast<std::size_t>(m)] *
+                       single[static_cast<std::size_t>(m)][i];
+
+        for (const auto lvl : available_levels()) {
+          std::vector<std::int32_t> got(static_cast<std::size_t>(M * N),
+                                        INT32_MIN);
+          kn::GemmCtx gctx{a0, bt.data(), N, got.data()};
+          gctx.planes = P;
+          gctx.plane_stride = stride;
+          for (std::int64_t m = 0; m < P; ++m)
+            gctx.scale[m] = scales[static_cast<std::size_t>(m)];
+          kn::table_for(lvl).gemm(&gctx, 0, M);
+          for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_EQ(got[i], want[i])
+                << kn::kernel_level_name(lvl) << ": K=" << K << " N=" << N
+                << " planes=" << P << " g0=" << scales[0] << " flat=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelDifferential, ThresholdMatchesScalarIncludingEqualityEdge) {
   util::Rng rng(29);
   for (const std::int64_t C : {5, 64, 100, 130}) {
@@ -255,6 +317,36 @@ TEST(KernelDifferential, PrototypeLogitsIdenticalOnEveryTier) {
     for (std::int64_t i = 0; i < got.numel(); ++i)
       ASSERT_EQ(got[i], ref[i])
           << kn::kernel_level_name(lvl) << ": logit " << i;
+  }
+
+  // Residual levels: every prototype built at M = 3 and served at level
+  // caps 1/2/3 runs the plane-fused GEMM (one plane at a non-unit scale
+  // at cap 1), the pattern-bank firing and the int32-epilogue first conv
+  // at the widths the prototypes use (co 16 and 64).
+  for (const auto arch :
+       {core::ArchitectureId::kCnv, core::ArchitectureId::kNCnv,
+        core::ArchitectureId::kMicroCnv}) {
+    nn::Sequential residual = core::build_bnn(arch, 7, /*residual_levels=*/3);
+    const xnor::XnorNetwork rnet = xnor::XnorNetwork::fold(residual);
+    for (const std::int64_t batch : {1, 16}) {
+      Tensor xb(Shape{batch, 32, 32, 3});
+      for (std::int64_t i = 0; i < xb.numel(); ++i)
+        xb[i] = static_cast<float>(rng.uniform());
+      for (const std::int64_t cap : {1, 2, 3}) {
+        kn::set_level_override(kn::KernelLevel::kScalar);
+        const Tensor want = rnet.forward_batch(xb, cap);
+        for (const auto lvl : available_levels()) {
+          kn::set_level_override(lvl);
+          const Tensor got = rnet.forward_batch(xb, cap);
+          ASSERT_EQ(got.shape(), want.shape());
+          for (std::int64_t i = 0; i < got.numel(); ++i)
+            ASSERT_EQ(got[i], want[i])
+                << core::arch_name(arch) << " M=3 cap " << cap << " batch "
+                << batch << " " << kn::kernel_level_name(lvl) << ": logit "
+                << i;
+        }
+      }
+    }
   }
   kn::clear_level_override();
 }

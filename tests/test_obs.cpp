@@ -20,6 +20,8 @@
 #include "obs/stage_profiler.hpp"
 #include "serve/batcher.hpp"
 #include "util/rng.hpp"
+#include "xnor/engine.hpp"
+#include "xnor/plan.hpp"
 
 namespace {
 
@@ -259,6 +261,48 @@ TEST(ObsStageProfiler, ForwardBatchRecordsPerStageSeries) {
   EXPECT_EQ(replays.value(), replays0 + 1);
   EXPECT_EQ(first_conv.count(), conv0 + 1);
   EXPECT_GE(execute.sum(), first_conv.sum());  // whole replay >= one step
+}
+
+// A residual binary-conv step records the two sub-phases it has: the
+// plane-fused gather + GEMM fan-out (binary_gemm) and the pattern-bank
+// fire fan-out (thresholds). Its patch gather runs inside the GEMM chunks,
+// so the im2row series stays classic-only.
+TEST(ObsStageProfiler, ResidualConvRecordsGemmAndThresholdSubphases) {
+  obs::StageProfiler::global().set_enabled(true);
+  nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 5, 3);
+  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  util::Rng rng(7);
+  tensor::Tensor batch(tensor::Shape{5, 32, 32, 3});
+  for (std::int64_t i = 0; i < batch.numel(); ++i)
+    batch[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  const xnor::ExecutionPlan& plan = net.plan_for(batch.shape(), 2);
+  const auto convs = static_cast<std::uint64_t>(
+      std::count_if(plan.steps().begin(), plan.steps().end(),
+                    [](const xnor::PlanStep& st) {
+                      return st.kind == xnor::StepKind::kBinConv;
+                    }));
+  ASSERT_GT(convs, 0u);
+
+  auto& reg = obs::Registry::global();
+  const std::string key = "bcop_exec_b5_in32x32x3_l2_";
+  obs::LatencyHistogram& conv = reg.histogram(key + "binary_conv_ns");
+  obs::LatencyHistogram& gemm = reg.histogram(key + "binary_gemm_ns");
+  obs::LatencyHistogram& thr = reg.histogram(key + "thresholds_ns");
+  obs::LatencyHistogram& im2row = reg.histogram(key + "im2row_ns");
+  const std::uint64_t conv0 = conv.count(), gemm0 = gemm.count();
+  const std::uint64_t thr0 = thr.count(), im2row0 = im2row.count();
+  const std::uint64_t conv_ns0 = conv.sum(), gemm_ns0 = gemm.sum();
+  const std::uint64_t thr_ns0 = thr.sum();
+
+  net.forward_batch(batch, 2);
+
+  EXPECT_EQ(conv.count() - conv0, convs);
+  EXPECT_EQ(gemm.count() - gemm0, convs);
+  EXPECT_EQ(thr.count() - thr0, convs);
+  EXPECT_EQ(im2row.count(), im2row0);
+  // The sub-phases nest inside their step's timer.
+  EXPECT_GE(conv.sum() - conv_ns0,
+            (gemm.sum() - gemm_ns0) + (thr.sum() - thr_ns0));
 }
 
 TEST(ObsStageProfiler, DisableStopsRecording) {

@@ -3,6 +3,7 @@
 // partial-network (Unpack) path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -181,13 +182,46 @@ TEST(ExecutionPlanResidual, MultiLevelPlanLaysOutBanksPlanesAndScratch) {
   }
   EXPECT_GT(residual_steps, 0);
 
-  // The acc2 per-plane GEMM scratch is a real region (classic plans keep
-  // it zero-sized, aliased to the float offset).
-  EXPECT_GT(plan.float_offset(), plan.acc2_offset());
+  // The plane-fused GEMM gathers every input plane's patch rows before it
+  // multiplies: the patch region holds levels_in planes of each scaled
+  // conv step.
+  std::int64_t scaled_convs = 0;
+  for (const auto& st : plan.steps()) {
+    if (st.kind != StepKind::kBinConv || !st.in_scaled) continue;
+    const std::size_t one_plane = static_cast<std::size_t>(
+        st.patch_rows * st.patch_wpr * std::int64_t{8});
+    EXPECT_GE(plan.acc_offset() - plan.patch_offset(),
+              static_cast<std::size_t>(st.levels_in) * one_plane);
+    ++scaled_convs;
+  }
+  EXPECT_GT(scaled_convs, 0);
+
+  // A classic plan keeps exactly five regions [half A | half B | patch |
+  // acc | floats], each the 64-byte-aligned maximum over its steps: the
+  // arena the engine had before residual levels existed (189504 bytes
+  // for u-CNV at this shape).
   nn::Sequential classic = core::build_bnn(core::ArchitectureId::kMicroCnv, 7);
   const XnorNetwork cnet = XnorNetwork::fold(classic);
   const ExecutionPlan cplan = ExecutionPlan::compile(cnet, input);
-  EXPECT_EQ(cplan.float_offset(), cplan.acc2_offset());
+  auto align64 = [](std::size_t x) { return (x + 63) & ~std::size_t{63}; };
+  auto bytes = [](std::int64_t rows, std::int64_t wpr) {
+    return static_cast<std::size_t>(rows * wpr) * sizeof(std::uint64_t);
+  };
+  std::size_t half[2] = {0, 0}, patch = 0, acc = 0;
+  for (const auto& st : cplan.steps()) {
+    if (st.dst_half >= 0)
+      half[st.dst_half] =
+          std::max(half[st.dst_half], bytes(st.out_rows, st.out_wpr));
+    patch = std::max(patch, bytes(st.patch_rows, st.patch_wpr));
+    acc = std::max(acc, static_cast<std::size_t>(st.acc_len) *
+                            sizeof(std::int32_t));
+  }
+  const std::size_t floats =
+      static_cast<std::size_t>(input.numel()) * sizeof(float);
+  EXPECT_EQ(cplan.arena_bytes(), align64(half[0]) + align64(half[1]) +
+                                     align64(patch) + align64(acc) +
+                                     align64(floats));
+  EXPECT_EQ(cplan.arena_bytes(), 189504u);
 }
 
 TEST(ExecutionPlanResidual, LevelCapTruncatesBanksAndKeysTheCache) {
