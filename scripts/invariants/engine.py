@@ -170,7 +170,8 @@ def forbidden_tokens_in_files(rule_id: str, title: str, rationale: str,
 
 def include_hygiene(rule_id: str, title: str, rationale: str,
                     banned: dict[str, tuple[str, ...]]) -> Rule:
-    """Forbid direct `#include <hdr>` of named headers per file (R9)."""
+    """Forbid direct `#include <hdr>` / `#include "hdr"` of named headers
+    per file (R9)."""
 
     def check(tree: SourceTree) -> list[Violation]:
         out = []
@@ -181,7 +182,8 @@ def include_hygiene(rule_id: str, title: str, rationale: str,
                                      "include-hygiene file is missing"))
                 continue
             pattern = re.compile(
-                r"#\s*include\s*<(" + "|".join(map(re.escape, headers)) + r")>")
+                r"#\s*include\s*[<\"](" + "|".join(map(re.escape, headers))
+                + r")[>\"]")
             for lineno, line in enumerate(text.splitlines(), 1):
                 if pattern.search(strip_comment(line)):
                     out.append(Violation(rule_id, rel, lineno, line.strip()))

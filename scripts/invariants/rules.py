@@ -84,8 +84,20 @@ OBS_HOT_HEADER = "src/obs/metrics.hpp"
 # header, so the two rules cannot drift apart.
 HOT_BANNED_HEADERS = ("mutex", "iostream", "functional", "sys/socket.h",
                       "poll.h")
-HOT_INCLUDE_TABLE = {rel: HOT_BANNED_HEADERS
-                     for rel in (*ALLOC_FREE_FILES, OBS_HOT_HEADER)}
+# detail::execute in exec.cpp is the one pool fan-out of inference (over a
+# batch's images); the residual replay steps and the kernel tiers run
+# serially over one image's rows, so a per-step for_chunks must not grow
+# back in them.
+SERIAL_FILES = (
+    "src/xnor/exec_residual.cpp",
+    "src/tensor/kernels/scalar.cpp",
+    "src/tensor/kernels/avx2.cpp",
+    "src/tensor/kernels/avx512.cpp",
+)
+HOT_INCLUDE_TABLE = {
+    rel: HOT_BANNED_HEADERS + (("parallel/thread_pool.hpp",)
+                               if rel in SERIAL_FILES else ())
+    for rel in (*ALLOC_FREE_FILES, OBS_HOT_HEADER)}
 
 # ---- R8 patterns -----------------------------------------------------------
 
@@ -210,7 +222,9 @@ RULES: list[Rule] = [
         "R9", "hot-TU include hygiene",
         "the interpreter TU and the recording header must not pull in "
         "locking, stream or type-erasure machinery even transitively "
-        "inlined -- the binary audit backs this up at the symbol level",
+        "inlined -- the binary audit backs this up at the symbol level; "
+        "the serial replay and kernel-tier TUs must not reach the thread "
+        "pool, which only exec.cpp's per-image fan-out calls",
         HOT_INCLUDE_TABLE),
     engine.token_confinement(
         "R10", "raw sockets and readiness syscalls confined to src/net/",

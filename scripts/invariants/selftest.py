@@ -6,8 +6,10 @@ For each rule R in rules.RULES there is a fixture pair
     tests/lint/<R>/fail/   the same tree with a seeded violation
 
 Running only that rule over the pair must yield zero violations on pass/
-and at least one on fail/ -- a rule with no fixtures, a rule that flags
-clean code, or a rule that misses its seeded bug all fail the self-test.
+and at least one on fail/, and every fail/ file marked "seeded violation"
+must be among the flagged ones -- a rule with no fixtures, a rule that
+flags clean code, or a rule that misses any of its seeded bugs all fail
+the self-test.
 A tenth pair, tests/lint/WAIVER/, exercises the waiver machinery itself:
 pass/ carries a reasoned `bcop-lint: allow(R8): ...` (must suppress),
 fail/ a reasonless one (must be reported).
@@ -23,6 +25,15 @@ from .rules import RULES
 def _run(root: Path, only: str) -> tuple[int, int]:
     kept, waived = run_rules(SourceTree(root), RULES, only=only)
     return len(kept), waived
+
+
+def _missed_seeds(root: Path, only: str) -> list[str]:
+    """fail/ files marked as seeded violations that the rule did not flag."""
+    kept, _ = run_rules(SourceTree(root), RULES, only=only)
+    flagged = {v.path for v in kept}
+    return [p.relative_to(root).as_posix() for p in sorted(root.rglob("*"))
+            if p.is_file() and "seeded violation" in p.read_text()
+            and p.relative_to(root).as_posix() not in flagged]
 
 
 def run_self_test(fixtures: Path) -> int:
@@ -41,7 +52,10 @@ def run_self_test(fixtures: Path) -> int:
                             f"({ok_kept} violation(s))")
         if not bad_kept:
             failures.append(f"{rule.id}: missed the seeded bug in fail/")
-        if not ok_kept and bad_kept:
+        missed = _missed_seeds(pair / "fail", rule.id)
+        for rel in missed:
+            failures.append(f"{rule.id}: missed the seeded bug in fail/{rel}")
+        if not ok_kept and bad_kept and not missed:
             checked += 1
             print(f"self-test {rule.id}: OK "
                   f"(fail/ flagged {bad_kept} violation(s))")

@@ -53,13 +53,16 @@ class ThreadPool {
   /// body arrives as a raw function pointer + context, and workers claim
   /// contiguous chunks off a shared cursor, so the hot serving path posts
   /// no std::function objects and no queue nodes (measured by the
-  /// steady-state allocation tests). The calling thread participates.
-  /// Regions serialize per pool (one loop in flight at a time); each
-  /// region still fans out over every worker, so concurrent callers lose
-  /// only interleaving, not parallelism. Exceptions from the body
-  /// propagate to the caller (first one wins). Must not be called from
-  /// inside a chunk body of the same pool (statically enforced by the
-  /// BCOP_EXCLUDES below under Clang thread-safety builds).
+  /// steady-state allocation tests). The calling thread participates, and
+  /// a range that makes a single chunk runs inline without touching the
+  /// pool. Regions serialize per pool (one loop in flight at a time) and
+  /// each fans out over every worker, so a region should be a whole unit
+  /// of work: the plan interpreter makes one region per call (a whole
+  /// batch replay), and concurrent callers then wait for each other's
+  /// whole region. Exceptions from the body propagate to the caller
+  /// (first one wins). Must not be called from inside a chunk body of the
+  /// same pool (statically enforced by the BCOP_EXCLUDES below under
+  /// Clang thread-safety builds).
   void for_chunks(std::int64_t begin, std::int64_t end, ChunkFn fn, void* ctx)
       BCOP_EXCLUDES(bulk_mutex_, mutex_);
 

@@ -35,7 +35,7 @@
 // Concurrency is built strictly from parallel::ThreadPool (repo rule R2:
 // no raw threads outside src/parallel/): each worker is one
 // long-running task on a dedicated pool, and the batched network forward
-// itself fans out over ThreadPool::global().
+// itself fans out over ThreadPool::global() once per call, over images.
 //
 // The server exports telemetry into the process-wide obs::Registry
 // (docs/observability.md): bcop_serve_{submitted,rejected,batches}_total

@@ -8,9 +8,11 @@
 // The GEMM / threshold / im2row kernel *bodies* live in
 // src/tensor/kernels/ (scalar reference + SIMD tiers); the wrappers here
 // resolve the active dispatch table per call, which keeps every legacy
-// caller (engine fold paths, tests, benches) on the best tier. The plan
-// interpreter bypasses these wrappers entirely -- it replays the function
-// pointers its plan froze at compile time.
+// caller (engine fold paths, tests, benches) on the best tier, and fan
+// out over the global pool. The plan interpreter bypasses these wrappers
+// entirely -- it replays the function pointers its plan froze at compile
+// time. pool2_bits and flatten_pixels run serially: the interpreter calls
+// them on one image's rows from inside its single per-image fan-out.
 #include "tensor/bit_span.hpp"
 
 #include <algorithm>
@@ -100,60 +102,6 @@ void bit_im2row(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
                                   kernels::active_table().im2row, &ctx);
 }
 
-namespace {
-
-struct Pool2Ctx {
-  ConstBitSpan pixels;
-  BitSpan out;
-  std::int64_t h, w, ho, wo;
-};
-
-void pool2_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const Pool2Ctx& t = *static_cast<const Pool2Ctx*>(raw);
-  const std::int64_t w = t.w, ho = t.ho, wo = t.wo;
-  const std::int64_t wpp = t.pixels.wpr;
-  for (std::int64_t r = lo; r < hi; ++r) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t yy = rem / wo, xx = rem - yy * wo;
-    const std::int64_t base = (img * t.h + 2 * yy) * w + 2 * xx;
-    const std::uint64_t* r0 = t.pixels.row(base);
-    const std::uint64_t* r1 = t.pixels.row(base + 1);
-    const std::uint64_t* r2 = t.pixels.row(base + w);
-    const std::uint64_t* r3 = t.pixels.row(base + w + 1);
-    std::uint64_t* dst = t.out.row(r);
-    for (std::int64_t i = 0; i < wpp; ++i)
-      dst[i] = (r0[i] | r1[i]) | (r2[i] | r3[i]);
-  }
-}
-
-struct FlattenCtx {
-  ConstBitSpan pixels;
-  BitSpan out;
-  std::int64_t ppi, c;
-};
-
-void flatten_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const FlattenCtx& t = *static_cast<const FlattenCtx*>(raw);
-  const std::int64_t ppi = t.ppi, c = t.c;
-  const std::int64_t wpp = t.pixels.wpr;
-  if (c % 64 == 0) {
-    for (std::int64_t i = lo; i < hi; ++i)
-      std::memcpy(t.out.row(i), t.pixels.row(i * ppi),
-                  static_cast<std::size_t>(ppi * wpp) * sizeof(std::uint64_t));
-  } else {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      std::uint64_t* dst = t.out.row(i);
-      std::memset(dst, 0,
-                  static_cast<std::size_t>(t.out.wpr) * sizeof(std::uint64_t));
-      for (std::int64_t p = 0; p < ppi; ++p)
-        append_bits(dst, p * c, t.pixels.row(i * ppi + p), c);
-    }
-  }
-}
-
-}  // namespace
-
 void pool2_bits(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
                 std::int64_t w, BitSpan out) {
   const std::int64_t ho = h / 2, wo = w / 2;
@@ -162,12 +110,20 @@ void pool2_bits(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
              static_cast<long long>(out.rows), static_cast<long long>(out.cols),
              static_cast<long long>(n * ho * wo),
              static_cast<long long>(pixels.cols));
-  // Fans out like every other pixel-row stage: at large batch the pooled
-  // rows are numerous enough (n*ho*wo) that a serial loop showed up in
-  // the per-stage histograms between two parallel stages.
-  Pool2Ctx ctx{pixels, out, h, w, ho, wo};
-  parallel::ThreadPool::global().for_chunks(0, n * ho * wo, &pool2_chunk,
-                                            &ctx);
+  const std::int64_t wpp = pixels.wpr;
+  for (std::int64_t r = 0; r < n * ho * wo; ++r) {
+    const std::int64_t img = r / (ho * wo);
+    const std::int64_t rem = r - img * ho * wo;
+    const std::int64_t yy = rem / wo, xx = rem - yy * wo;
+    const std::int64_t base = (img * h + 2 * yy) * w + 2 * xx;
+    const std::uint64_t* r0 = pixels.row(base);
+    const std::uint64_t* r1 = pixels.row(base + 1);
+    const std::uint64_t* r2 = pixels.row(base + w);
+    const std::uint64_t* r3 = pixels.row(base + w + 1);
+    std::uint64_t* dst = out.row(r);
+    for (std::int64_t i = 0; i < wpp; ++i)
+      dst[i] = (r0[i] | r1[i]) | (r2[i] | r3[i]);
+  }
 }
 
 void flatten_pixels(ConstBitSpan pixels, std::int64_t n, std::int64_t ppi,
@@ -176,10 +132,20 @@ void flatten_pixels(ConstBitSpan pixels, std::int64_t n, std::int64_t ppi,
              "flatten_pixels: out span [%lld, %lld] != [%lld, %lld]",
              static_cast<long long>(out.rows), static_cast<long long>(out.cols),
              static_cast<long long>(n), static_cast<long long>(ppi * c));
-  // Chunked over images: one flat destination row per image, so chunks
-  // never share a cache line of the destination.
-  FlattenCtx ctx{pixels, out, ppi, c};
-  parallel::ThreadPool::global().for_chunks(0, n, &flatten_chunk, &ctx);
+  const std::int64_t wpp = pixels.wpr;
+  if (c % 64 == 0) {
+    for (std::int64_t i = 0; i < n; ++i)
+      std::memcpy(out.row(i), pixels.row(i * ppi),
+                  static_cast<std::size_t>(ppi * wpp) * sizeof(std::uint64_t));
+    return;
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::uint64_t* dst = out.row(i);
+    std::memset(dst, 0,
+                static_cast<std::size_t>(out.wpr) * sizeof(std::uint64_t));
+    for (std::int64_t p = 0; p < ppi; ++p)
+      append_bits(dst, p * c, pixels.row(i * ppi + p), c);
+  }
 }
 
 }  // namespace bcop::tensor

@@ -4,8 +4,10 @@
 // so the kernels here mirror the BitMatrix operations in bit_tensor.hpp /
 // im2row.hpp but read and write through spans instead of constructing
 // matrices. Every function in this header is allocation-free by contract:
-// scratch lives in fixed-size stack tiles and parallel fan-out goes through
-// ThreadPool::for_chunks (function pointer + context, no std::function).
+// scratch lives in fixed-size stack tiles, and the GEMM and im2row
+// wrappers fan out through ThreadPool::for_chunks (function pointer +
+// context, no std::function); pool2_bits and flatten_pixels run serially,
+// since the interpreter calls them per image from inside its own fan-out.
 // The steady-state zero-allocation test (tests/test_zero_alloc.cpp) holds
 // this layer to that contract.
 //
@@ -91,13 +93,14 @@ void bit_im2row(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
                 std::int64_t w, std::int64_t c, std::int64_t k, BitSpan rows);
 
 /// 2x2 stride-2 max pool in the bit domain (word-wise OR of four pixel
-/// bit-fields) into a span. Full-word stores.
+/// bit-fields) into a span, on the calling thread. Full-word stores.
 void pool2_bits(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
                 std::int64_t w, BitSpan out);
 
 /// Concatenate the per-pixel bit-fields of each image into one flat row
-/// [N, ppi*C] (bit-domain Flatten) into a span. Zeroes destination rows
-/// before the OR-based path when C is not word-aligned.
+/// [N, ppi*C] (bit-domain Flatten) into a span, on the calling thread.
+/// Zeroes destination rows before the OR-based path when C is not
+/// word-aligned.
 void flatten_pixels(ConstBitSpan pixels, std::int64_t n, std::int64_t ppi,
                     std::int64_t c, BitSpan out);
 

@@ -12,9 +12,12 @@
 // Every chunk function in every tier is allocation-free, lock-free and
 // throw-free by contract -- the tiers are audited at the object level by
 // scripts/audit_hot_path.py exactly like the interpreter TU, and rules
-// R6/R9 lint the sources. Chunk functions share the ThreadPool::ChunkFn
-// shape (void* context + [lo, hi) range) so ThreadPool::for_chunks can fan
-// them out with no adapter.
+// R6/R9 lint the sources (R9 also keeps the thread pool out of the tier
+// TUs: a kernel never fans out itself). Chunk functions share the
+// ThreadPool::ChunkFn shape (void* context + [lo, hi) range): the plan
+// interpreter calls them directly over one image's rows, and the
+// tensor::binary_gemm_pre / bit_im2row wrappers fan them out through
+// ThreadPool::for_chunks with no adapter.
 //
 // All tiers compute bit-identical results: the arithmetic is integral
 // (popcounts, compares, shifts), so the differential suite
@@ -37,7 +40,7 @@ enum class KernelLevel : std::uint8_t {
 };
 inline constexpr int kKernelLevelCount = 3;
 
-/// Chunk function: body of a ThreadPool::for_chunks fan-out. Matches
+/// Chunk function over rows [lo, hi) of its context. Matches
 /// parallel::ThreadPool::ChunkFn (static_asserted where the two meet) so
 /// tables plug into the pool without any trampoline.
 using KernelFn = void (*)(void* ctx, std::int64_t lo, std::int64_t hi);

@@ -127,12 +127,13 @@ class XnorNetwork {
   tensor::Tensor forward(const tensor::Tensor& input) const;
 
   /// Batched serving path: activations stay bit-packed (pixel-major
-  /// [N*H*W, C] rows) from the first stage to the classifier logits, so
-  /// pooling is a word-wise OR and im2row is bit-field concatenation.
-  /// Layer work is split over parallel::ThreadPool::global() along the
-  /// combined N*Ho*Wo row dimension. This convenience overload runs
-  /// against a thread-local Workspace; steady-state calls with a repeated
-  /// input shape allocate only the returned tensor.
+  /// [H*W, C] rows per image) from the first stage to the classifier
+  /// logits, so pooling is a word-wise OR and im2row is bit-field
+  /// concatenation. Images are split over parallel::ThreadPool::global()
+  /// once per call; each replays every layer on its own arena slice, and
+  /// a batch of one runs on the calling thread. This convenience overload
+  /// runs against a thread-local Workspace; steady-state calls with a
+  /// repeated input shape allocate only the returned tensor.
   tensor::Tensor forward_batch(const tensor::Tensor& input,
                                std::int64_t levels = 0) const;
 

@@ -1,14 +1,14 @@
 // Plan interpreter. ALLOCATION-FREE ZONE: this file must not construct
 // Tensor/BitMatrix/std::vector or call new/malloc -- every buffer is a
 // Workspace arena slice at a plan-frozen offset, scratch lives in
-// fixed-size stack tiles, and parallel fan-out uses ThreadPool::for_chunks
-// (function pointer + context). Enforced by lint rule R6 and measured by
-// tests/test_zero_alloc.cpp.
+// fixed-size stack tiles, and the one parallel fan-out per call uses
+// ThreadPool::for_chunks (function pointer + context). Enforced by lint
+// rule R6 and measured by tests/test_zero_alloc.cpp.
 #include "xnor/exec.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 
 #include "parallel/thread_pool.hpp"
@@ -33,174 +33,118 @@ using tensor::ConstBitSpan;
 
 namespace {
 
-// ---- Plan-frozen kernel replay (GEMM / thresholds / im2row). ----
-//
-// The kernel bodies live in src/tensor/kernels/ (scalar + SIMD tiers);
-// compile() froze one tier's chunk pointers into every step. Replay is a
-// ctx fill plus a pool fan-out -- no tier branch, no dispatch lookup.
-
-void run_gemm(const PlanStep& st, ConstBitSpan a, const std::uint64_t* bt,
-              std::int32_t* acc) {
-  tensor::kernels::GemmCtx ctx{a, bt, st.co, acc};
-  ThreadPool::global().for_chunks(0, a.rows, st.gemm_fn, &ctx);
-}
-
-void fire_thresholds(const PlanStep& st, const std::int32_t* acc,
-                     const PreparedThresholds& prep, BitSpan out) {
-  tensor::kernels::ThreshCtx ctx{acc, prep.thr.data(), prep.inv.data(), out};
-  ThreadPool::global().for_chunks(0, out.rows, st.thresh_fn, &ctx);
-}
-
-void run_im2row(const PlanStep& st, ConstBitSpan pixels, BitSpan rows) {
-  // Geometry was validated when the plan was compiled, so the frozen chunk
-  // function is driven directly (the tensor::bit_im2row wrapper would
-  // re-check and re-resolve the dispatch tier on every replay).
-  tensor::kernels::Im2RowCtx ctx{pixels, rows, st.h,  st.w,
-                                 st.c,   st.k, st.ho, st.wo};
-  ThreadPool::global().for_chunks(0, rows.rows, st.im2row_fn, &ctx);
-}
-
-/// Threshold a residual GEMM step: one output plane fires bank 0 through
-/// the frozen kernel, more fire the pattern banks (exec_residual.cpp)
-/// into consecutive planes from dst.data.
-void fire_residual(const ExecutionPlan& plan, const PlanStep& st,
-                   const std::int32_t* acc, BitSpan dst) {
-  if (st.levels_out == 1)
-    fire_thresholds(st, acc, plan.prep(st.prep), dst);
-  else
-    residual_fire(plan, st, acc, dst.data);
-}
-
-// ---- Fused first conv: quantized pixels -> conv -> threshold -> bits. ----
+// ---- First conv: quantized pixels -> int32 accumulators. ----
 
 struct FirstConvCtx {
-  const float* q;  // quantized pixel codes, NHWC
+  const float* q;  // one image's quantized pixel codes, HWC
   const FirstConvStage* st;
-  const std::int32_t* thr;
-  const std::int32_t* inv;
-  std::int64_t h, w, c, ho, wo;
-  BitSpan out;
-  std::int32_t* acc;  // residual entry: int32 accumulators, [rows, co]
+  std::int64_t w, c, wo;
 };
 
-/// Epilogue of one output pixel's CO accumulators: fire the folded
-/// thresholds into its packed word (classic entry), or store them as int32
-/// for the residual pattern banks (kStoreAcc). Thresholds arrive in
-/// PreparedThresholds form (thr/inv) so firing is a branch-free compare
-/// the vectorizer folds into a mask; a branchy per-channel `if` here costs
-/// more than the convolution itself.
-template <int CO, bool kStoreAcc>
-inline void first_conv_emit(const FirstConvCtx& t, const std::int32_t* thr,
-                            const std::int32_t* inv, std::int64_t r,
-                            const float* acc) {
-  if constexpr (kStoreAcc) {
-    std::int32_t* o = t.acc + r * CO;
-#pragma omp simd
-    for (int j = 0; j < CO; ++j) o[j] = static_cast<std::int32_t>(acc[j]);
-  } else {
-    std::uint64_t bits = 0;
-#pragma omp simd reduction(| : bits)
-    for (int j = 0; j < CO; ++j)
-      bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                  (static_cast<std::int32_t>(acc[j]) >= thr[j]) ^ inv[j]))
-              << j;
-    t.out.row(r)[0] = bits;
-  }
+// Eight float / int32 lanes (GCC vector extension). The backend lowers
+// one to a single AVX register, or to two SSE ones. The helpers take
+// vectors by reference: passing one by value has a target-dependent ABI.
+using F8 = float __attribute__((vector_size(32)));
+using I8 = std::int32_t __attribute__((vector_size(32)));
+
+inline void load8(F8& v, const float* p) { std::memcpy(&v, p, sizeof v); }
+
+/// p[0..8) = int32(v); exact, since v holds integers.
+inline void store8(std::int32_t* p, const F8& v) {
+  const I8 i = __builtin_convertvector(v, I8);
+  std::memcpy(p, &i, sizeof i);
 }
 
-/// Row kernel for the first conv: accumulate output pixels' `CO` channels
-/// with the accumulators held in fixed-size local arrays the compiler
-/// keeps in vector registers, then hand each pixel to the epilogue. All
-/// arithmetic is exact: pixel codes and +-1 weights are integers and
-/// |acc| <= K*255 << 2^24.
+/// Accumulate output pixels [lo, hi) of one image, `CO` channels each,
+/// into int32 rows out[(r - lo) * CO + j]. All arithmetic is exact: pixel
+/// codes and +-1 weights are integers and |acc| <= K*255 << 2^24.
 ///
 /// Four horizontally adjacent output pixels are computed together: they
 /// share every weight load, and their input patches are the same span
-/// shifted by `c`, so one broadcast-FMA sweep feeds four accumulator
-/// vectors. The `omp simd` hints are required -- without them GCC leaves
-/// the channel loop scalar ("complicated access pattern") and the first
-/// conv dominates the whole batched forward.
-template <int CO, bool kStoreAcc>
+/// shifted by `c`, so one broadcast-FMA sweep feeds four pixels. Channels
+/// go 16 at a time, so the 4 x 16 accumulators are eight named vectors
+/// that stay in registers across the whole K*K*Ci sweep; accumulator
+/// arrays indexed inside an `omp simd` loop would round-trip through the
+/// stack on every multiply-add instead.
+template <int CO>
 void first_conv_rows_fixed(const FirstConvCtx& t, std::int64_t lo,
-                           std::int64_t hi) {
-  static_assert(CO <= 64, "fixed kernel emits one 64-bit word per pixel");
-  const float* q = t.q;
-  const std::int32_t* thr = t.thr;
-  const std::int32_t* inv = t.inv;
+                           std::int64_t hi, std::int32_t* out) {
+  static_assert(CO % 16 == 0, "channels are walked 16 at a time");
   const float* wts = t.st->weights.data();
-  const std::int64_t h = t.h, w = t.w, c = t.c, ho = t.ho, wo = t.wo;
+  const std::int64_t w = t.w, c = t.c, wo = t.wo;
   const std::int64_t k = t.st->k, kc = k * c;
   std::int64_t r = lo;
   while (r < hi) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t y = rem / wo, x = rem - y * wo;
-    const float* base = q + (((img * h) + y) * w + x) * c;
-    if (x + 4 <= wo && r + 4 <= hi) {
-      float acc[4][CO] = {};
+    const std::int64_t y = r / wo, x = r - y * wo;
+    const float* base = t.q + (y * w + x) * c;
+    std::int32_t* o = out + (r - lo) * CO;
+    const int px = x + 4 <= wo && r + 4 <= hi ? 4 : 1;
+    for (int j = 0; j < CO; j += 16) {
+      F8 a0l{}, a0h{}, a1l{}, a1h{}, a2l{}, a2h{}, a3l{}, a3h{};
       for (std::int64_t ky = 0; ky < k; ++ky) {
         // For a fixed ky the (kx, c) patch span is contiguous in both the
         // quantized input and the [K*K*Ci, Co] weight matrix.
         const float* p = base + ky * w * c;
-        const float* wrow = wts + ky * kc * CO;
-        for (std::int64_t i = 0; i < kc; ++i) {
-          const float* wr = wrow + i * CO;
-          const float a0 = p[i], a1 = p[i + c];
-          const float a2 = p[i + 2 * c], a3 = p[i + 3 * c];
-#pragma omp simd
-          for (int j = 0; j < CO; ++j) {
-            acc[0][j] += a0 * wr[j];
-            acc[1][j] += a1 * wr[j];
-            acc[2][j] += a2 * wr[j];
-            acc[3][j] += a3 * wr[j];
+        const float* wr = wts + ky * kc * CO + j;
+        if (px == 4) {
+          for (std::int64_t i = 0; i < kc; ++i) {
+            F8 wl, wh;
+            load8(wl, wr + i * CO);
+            load8(wh, wr + i * CO + 8);
+            const float v0 = p[i], v1 = p[i + c];
+            const float v2 = p[i + 2 * c], v3 = p[i + 3 * c];
+            a0l += v0 * wl;
+            a0h += v0 * wh;
+            a1l += v1 * wl;
+            a1h += v1 * wh;
+            a2l += v2 * wl;
+            a2h += v2 * wh;
+            a3l += v3 * wl;
+            a3h += v3 * wh;
+          }
+        } else {
+          for (std::int64_t i = 0; i < kc; ++i) {
+            F8 wl, wh;
+            load8(wl, wr + i * CO);
+            load8(wh, wr + i * CO + 8);
+            a0l += p[i] * wl;
+            a0h += p[i] * wh;
           }
         }
       }
-      for (int m = 0; m < 4; ++m)
-        first_conv_emit<CO, kStoreAcc>(t, thr, inv, r + m, acc[m]);
-      r += 4;
-    } else {
-      float acc[CO] = {};
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const float* p = base + ky * w * c;
-        const float* wrow = wts + ky * kc * CO;
-        for (std::int64_t i = 0; i < kc; ++i) {
-          const float a = p[i];
-          const float* wr = wrow + i * CO;
-#pragma omp simd
-          for (int j = 0; j < CO; ++j) acc[j] += a * wr[j];
-        }
+      store8(o + j, a0l);
+      store8(o + j + 8, a0h);
+      if (px == 4) {
+        store8(o + CO + j, a1l);
+        store8(o + CO + j + 8, a1h);
+        store8(o + 2 * CO + j, a2l);
+        store8(o + 2 * CO + j + 8, a2h);
+        store8(o + 3 * CO + j, a3l);
+        store8(o + 3 * CO + j + 8, a3h);
       }
-      first_conv_emit<CO, kStoreAcc>(t, thr, inv, r, acc);
-      ++r;
     }
+    r += px;
   }
 }
 
-/// Generic-width variant: channels are walked in 256-lane stack tiles
-/// (word-aligned, so each tile fires whole output words), re-reading the
-/// input patch once per tile. Weight traffic is unchanged and the
-/// accumulators stay on the stack, keeping the kernel allocation-free for
-/// any channel count.
-template <bool kStoreAcc>
+/// Generic-width variant: channels are walked in 256-lane stack tiles,
+/// re-reading the input patch once per tile. Weight traffic is unchanged
+/// and the accumulators stay on the stack for any channel count.
 void first_conv_rows_any(const FirstConvCtx& t, std::int64_t lo,
-                         std::int64_t hi) {
-  const float* q = t.q;
+                         std::int64_t hi, std::int32_t* out) {
   const float* wts = t.st->weights.data();
-  const std::int64_t h = t.h, w = t.w, c = t.c, ho = t.ho, wo = t.wo;
+  const std::int64_t w = t.w, c = t.c, wo = t.wo;
   const std::int64_t k = t.st->k, co = t.st->co, kc = k * c;
   constexpr std::int64_t kTile = 256;
   float acc[kTile];
   for (std::int64_t r = lo; r < hi; ++r) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t y = rem / wo, x = rem - y * wo;
+    const std::int64_t y = r / wo, x = r - y * wo;
     for (std::int64_t c0 = 0; c0 < co; c0 += kTile) {
       const std::int64_t cn = std::min(kTile, co - c0);
 #pragma omp simd
       for (std::int64_t j = 0; j < cn; ++j) acc[j] = 0.f;
       for (std::int64_t ky = 0; ky < k; ++ky) {
-        const float* p = q + (((img * h) + y + ky) * w + x) * c;
+        const float* p = t.q + ((y + ky) * w + x) * c;
         const float* wrow = wts + ky * kc * co + c0;
         for (std::int64_t i = 0; i < kc; ++i) {
           const float a = p[i];
@@ -209,57 +153,305 @@ void first_conv_rows_any(const FirstConvCtx& t, std::int64_t lo,
           for (std::int64_t j = 0; j < cn; ++j) acc[j] += a * wr[j];
         }
       }
-      if constexpr (kStoreAcc) {
-        std::int32_t* o = t.acc + r * co + c0;
+      std::int32_t* o = out + (r - lo) * co + c0;
 #pragma omp simd
-        for (std::int64_t j = 0; j < cn; ++j)
-          o[j] = static_cast<std::int32_t>(acc[j]);
-      } else {
-        std::uint64_t* dst = t.out.row(r);
-        for (std::int64_t word = 0; word * 64 < cn; ++word) {
-          const std::int64_t base = word * 64;
-          const std::int64_t nb = std::min<std::int64_t>(64, cn - base);
-          const float* ab = acc + base;
-          const std::int32_t* tp = t.thr + c0 + base;
-          const std::int32_t* ip = t.inv + c0 + base;
-          std::uint64_t bits = 0;
-#pragma omp simd reduction(| : bits)
-          for (std::int64_t i = 0; i < nb; ++i)
-            bits |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                        (static_cast<std::int32_t>(ab[i]) >= tp[i]) ^ ip[i]))
-                    << i;
-          dst[(c0 >> 6) + word] = bits;
-        }
-      }
+      for (std::int64_t j = 0; j < cn; ++j)
+        o[j] = static_cast<std::int32_t>(acc[j]);
     }
   }
 }
 
-template <bool kStoreAcc>
-void first_conv_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const FirstConvCtx& t = *static_cast<const FirstConvCtx*>(raw);
+void first_conv_rows(const FirstConvCtx& t, std::int64_t lo, std::int64_t hi,
+                     std::int32_t* out) {
   switch (t.st->co) {
     case 16:
-      first_conv_rows_fixed<16, kStoreAcc>(t, lo, hi);
+      first_conv_rows_fixed<16>(t, lo, hi, out);
       break;
     case 64:
-      first_conv_rows_fixed<64, kStoreAcc>(t, lo, hi);
+      first_conv_rows_fixed<64>(t, lo, hi, out);
       break;
     default:
-      first_conv_rows_any<kStoreAcc>(t, lo, hi);
+      first_conv_rows_any(t, lo, hi, out);
   }
 }
 
-/// First conv of a residual entry stage: the same kernels with the int32
-/// store epilogue instead of firing -- M > 1 firing needs every output
-/// channel of a pixel at once, so residual_fire runs the pattern banks
-/// over the stored accumulators (acc[r * co + j]).
-void residual_first_conv(const PlanStep& st, const FirstConvStage& fc,
-                         const float* q, std::int32_t* acc) {
-  FirstConvCtx ctx{q,     &fc,   nullptr, nullptr,   st.h, st.w,
-                   st.c,  st.ho, st.wo,   BitSpan{}, acc};
-  ThreadPool::global().for_chunks(0, st.out_rows, &first_conv_chunk<true>,
-                                  &ctx);
+// ---- Telemetry: one histogram slot per step, sub-phase and call. ----
+
+#if BCOP_OBS
+using Slots = obs::StageSlots;
+#else
+struct Slots {};
+#endif
+
+/// Records the time from construction to destruction into one slot of
+/// `slots`; a null `slots` (not recording) costs one branch.
+class SlotTimer {
+ public:
+#if BCOP_OBS
+  SlotTimer(const Slots* slots, int slot)
+      : slots_(slots),
+        slot_(slot),
+        t0_(slots != nullptr ? obs::now_ns() : 0) {}
+  ~SlotTimer() {
+    if (slots_ != nullptr)
+      slots_->slot_ns[slot_]->record(obs::now_ns() - t0_);
+  }
+
+ private:
+  const Slots* slots_;
+  int slot_;
+  std::uint64_t t0_;
+#else
+  SlotTimer(const Slots*, int) {}
+#endif
+};
+
+// ---- One image's arena slice and the chunk that replays images. ----
+
+/// The arena regions and caller buffers of one image.
+struct Slice {
+  std::uint64_t* half[2];
+  std::uint64_t* patch;
+  std::int32_t* acc;
+  float* floats;
+  const float* in;
+  float* out;
+};
+
+/// Everything a replay chunk reads: the plan, the caller's buffers, and
+/// the telemetry decision made once per call.
+struct Replay {
+  const ExecutionPlan* plan;
+  const std::vector<Stage>* stages;
+  const float* input;
+  float* out;
+  std::byte* arena;
+  const Slots* slots = nullptr;  // null unless this call records
+
+  Slice slice(std::int64_t img) const {
+    std::byte* b = arena + static_cast<std::size_t>(img) * plan->slice_bytes();
+    return {{reinterpret_cast<std::uint64_t*>(b + plan->half_offset(0)),
+             reinterpret_cast<std::uint64_t*>(b + plan->half_offset(1))},
+            reinterpret_cast<std::uint64_t*>(b + plan->patch_offset()),
+            reinterpret_cast<std::int32_t*>(b + plan->acc_offset()),
+            reinterpret_cast<float*>(b + plan->float_offset()),
+            input + img * plan->image_inputs(),
+            out + img * plan->image_outputs()};
+  }
+};
+
+ConstBitSpan src_of(const PlanStep& st, const Slice& s) {
+  return {s.half[st.src_half], st.in_rows, st.in_cols, st.in_wpr};
+}
+
+BitSpan dst_of(const PlanStep& st, const Slice& s) {
+  return {s.half[st.dst_half], st.out_rows, st.out_cols, st.out_wpr};
+}
+
+bool residual(const PlanStep& st) {
+  return st.levels_in > 1 || st.in_scaled || st.levels_out > 1;
+}
+
+// ---- Plan-frozen kernel replay (GEMM / thresholds / im2row) over one
+// image's rows. The kernel bodies live in src/tensor/kernels/ (scalar +
+// SIMD tiers); compile() froze one tier's pointers into every step, so
+// replay is a ctx fill and a direct call -- no tier branch, no dispatch
+// lookup, no fan-out. ----
+
+void gemm(const PlanStep& st, ConstBitSpan a, const std::uint64_t* bt,
+          std::int32_t* acc) {
+  tensor::kernels::GemmCtx ctx{a, bt, st.co, acc};
+  st.gemm_fn(&ctx, 0, a.rows);
+}
+
+void fire(const PlanStep& st, const std::int32_t* acc,
+          const PreparedThresholds& prep, BitSpan out) {
+  tensor::kernels::ThreshCtx ctx{acc, prep.thr.data(), prep.inv.data(), out};
+  st.thresh_fn(&ctx, 0, out.rows);
+}
+
+/// Threshold a residual GEMM step: one output plane fires bank 0 through
+/// the frozen kernel, more fire the pattern banks (exec_residual.cpp)
+/// into consecutive planes from dst.data.
+void fire_residual(const ExecutionPlan& plan, const PlanStep& st,
+                   const std::int32_t* acc, BitSpan dst) {
+  if (st.levels_out == 1)
+    fire(st, acc, plan.prep(st.prep), dst);
+  else
+    residual_fire(plan, st, acc, dst.data);
+}
+
+/// Entry step of one image: quantize its pixels, then accumulate the
+/// first conv. The classic entry accumulates up to one output row at a
+/// time into a stack tile and fires it through the frozen threshold
+/// kernel; a residual entry stores every accumulator to the arena for
+/// the pattern banks (M > 1 firing needs every channel of a pixel).
+void first_conv(const ExecutionPlan& plan, const PlanStep& st,
+                const FirstConvStage& fc, const Slice& s) {
+  // Recover the integer pixel codes (pixels are odd k'/255, see
+  // facegen::MaskedFaceDataset::quantize_pixel).
+  const std::int64_t numel = st.h * st.w * st.c;
+  for (std::int64_t j = 0; j < numel; ++j)
+    s.floats[j] = std::nearbyint(s.in[j] * 255.f);
+  const FirstConvCtx t{s.floats, &fc, st.w, st.c, st.wo};
+  if (st.levels_out > 1) {
+    first_conv_rows(t, 0, st.out_rows, s.acc);
+    residual_fire(plan, st, s.acc, s.half[st.dst_half]);
+    return;
+  }
+  const PreparedThresholds& prep = plan.prep(st.prep);
+  const BitSpan dst = dst_of(st, s);
+  std::int32_t tile[kFirstConvTile];
+  const std::int64_t px = std::min(st.wo, kFirstConvTile / st.co);
+  for (std::int64_t y = 0; y < st.ho; ++y)
+    for (std::int64_t x = 0; x < st.wo; x += px) {
+      const std::int64_t r = y * st.wo + x;
+      const std::int64_t nr = std::min(px, st.wo - x);
+      first_conv_rows(t, r, r + nr, tile);
+      fire(st, tile, prep, BitSpan{dst.row(r), nr, dst.cols, dst.wpr});
+    }
+}
+
+/// Every step but kBinConv, on one image.
+void run_step(const ExecutionPlan& plan, const std::vector<Stage>& stages,
+              const PlanStep& st, const Slice& s) {
+  switch (st.kind) {
+    case StepKind::kFirstConv: {
+      // get_if, not get: the throwing std::get drags
+      // __cxa_throw/__cxa_allocate_exception/operator delete references
+      // into this TU (visible to scripts/audit_hot_path.py), and a kind
+      // mismatch here is a plan-compiler bug, not a recoverable error.
+      const auto* fc =
+          std::get_if<FirstConvStage>(&stages[static_cast<std::size_t>(st.stage)]);
+      BCOP_CHECK(fc != nullptr, "plan step %lld: stage is not a FirstConvStage",
+                 static_cast<long long>(st.stage));
+      first_conv(plan, st, *fc, s);
+      break;
+    }
+    case StepKind::kPackInput:
+      tensor::pack_rows(s.in, st.out_rows, st.out_cols, dst_of(st, s));
+      break;
+    case StepKind::kBinConv:  // replayed phase by phase in replay_chunk
+      break;
+    case StepKind::kPool:
+      if (st.levels_in == 1)
+        tensor::pool2_bits(src_of(st, s), 1, st.h, st.w, dst_of(st, s));
+      else
+        residual_pool(st, s.half[st.src_half], s.half[st.dst_half]);
+      break;
+    case StepKind::kFlatten:
+      // Flatten is a per-plane bit permutation, so the residual case is
+      // the classic kernel replayed once per plane at shifted bases.
+      for (std::int64_t m = 0; m < st.levels_in; ++m) {
+        const ConstBitSpan src{s.half[st.src_half] + m * st.in_rows * st.in_wpr,
+                               st.in_rows, st.in_cols, st.in_wpr};
+        const BitSpan dst{s.half[st.dst_half] + m * st.out_rows * st.out_wpr,
+                          st.out_rows, st.out_cols, st.out_wpr};
+        tensor::flatten_pixels(src, 1, st.h * st.w, st.c, dst);
+      }
+      break;
+    case StepKind::kBinDense:
+      if (residual(st)) {
+        residual_gemm(plan, st, s.half[st.src_half], nullptr, s.acc);
+        fire_residual(plan, st, s.acc, dst_of(st, s));
+        break;
+      }
+      gemm(st, src_of(st, s), plan.wmat(st.wmat), s.acc);
+      fire(st, s.acc, plan.prep(st.prep), dst_of(st, s));
+      break;
+    case StepKind::kLogits:
+      if (st.levels_in > 1 || st.in_scaled) {
+        // A = 256 * y for scaled inputs; out_scale (1/256) undoes it
+        // exactly -- every logit is a multiple of 2^-8 far below 2^24.
+        residual_gemm(plan, st, s.half[st.src_half], nullptr, s.acc);
+        for (std::int64_t j = 0; j < st.acc_len; ++j)
+          s.out[j] = static_cast<float>(s.acc[j]) * st.out_scale;
+        break;
+      }
+      gemm(st, src_of(st, s), plan.wmat(st.wmat), s.acc);
+      for (std::int64_t j = 0; j < st.acc_len; ++j)
+        s.out[j] = static_cast<float>(s.acc[j]);
+      break;
+    case StepKind::kUnpack:
+      if (st.levels_in == 1 && !st.in_scaled) {
+        const ConstBitSpan src = src_of(st, s);
+        for (std::int64_t r = 0; r < st.in_rows; ++r) {
+          const std::uint64_t* row = src.row(r);
+          float* o = s.out + r * st.in_cols;
+          for (std::int64_t j = 0; j < st.in_cols; ++j)
+            o[j] = ((row[j >> 6] >> (j & 63)) & 1ull) ? 1.f : -1.f;
+        }
+      } else {
+        // Residual reconstruction: sum of signed per-plane values
+        // g_m/256 (exact dyadic floats, any summation order).
+        for (std::int64_t r = 0; r < st.in_rows; ++r) {
+          float* o = s.out + r * st.in_cols;
+          for (std::int64_t j = 0; j < st.in_cols; ++j) o[j] = 0.f;
+          for (std::int64_t m = 0; m < st.levels_in; ++m) {
+            const std::uint64_t* row = s.half[st.src_half] +
+                                       m * st.in_rows * st.in_wpr +
+                                       r * st.in_wpr;
+            const float q =
+                static_cast<float>(st.in_scale_bits[m]) * (1.f / 256.f);
+            for (std::int64_t j = 0; j < st.in_cols; ++j)
+              o[j] += ((row[j >> 6] >> (j & 63)) & 1ull) ? q : -q;
+          }
+        }
+      }
+      break;
+  }
+}
+
+/// Chunk body of the single fan-out: replay every plan step over images
+/// [lo, hi), steps outer and images inner. Images own disjoint arena
+/// slices, so no barrier separates the steps. A binary conv runs as
+/// phases (im2row, GEMM, thresholds; residual: gather + GEMM,
+/// thresholds), each over every image of the chunk, so one timer covers
+/// a phase. Only the chunk holding image 0 records: one sample per step
+/// and sub-phase per call, timed over that chunk's images.
+void replay_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
+  const Replay& rp = *static_cast<const Replay*>(raw);
+  const ExecutionPlan& plan = *rp.plan;
+  const Slots* slots = lo == 0 ? rp.slots : nullptr;
+  // Run `body` on every image of the chunk, timed into `slot`.
+  auto phase = [&](int slot, auto&& body) {
+    const SlotTimer timer(slots, slot);
+    for (std::int64_t i = lo; i < hi; ++i) body(rp.slice(i));
+  };
+  for (const PlanStep& st : plan.steps()) {
+    if (st.kind != StepKind::kBinConv) {
+      phase(static_cast<int>(st.kind), [&](const Slice& s) {
+        run_step(plan, *rp.stages, st, s);
+      });
+      continue;
+    }
+    const SlotTimer step(slots, static_cast<int>(st.kind));
+    if (residual(st)) {
+      // The gather runs inside the plane-fused GEMM, so a residual conv
+      // splits into binary_gemm and thresholds only.
+      phase(kObsSlotGemm, [&](const Slice& s) {
+        residual_gemm(plan, st, s.half[st.src_half], s.patch, s.acc);
+      });
+      phase(kObsSlotThresholds, [&](const Slice& s) {
+        fire_residual(plan, st, s.acc, dst_of(st, s));
+      });
+    } else {
+      const auto rows = [&st](const Slice& s) {
+        return BitSpan{s.patch, st.patch_rows, st.patch_cols, st.patch_wpr};
+      };
+      phase(kObsSlotIm2row, [&](const Slice& s) {
+        tensor::kernels::Im2RowCtx ctx{src_of(st, s), rows(s), st.h,  st.w,
+                                       st.c,          st.k,    st.ho, st.wo};
+        st.im2row_fn(&ctx, 0, st.patch_rows);
+      });
+      phase(kObsSlotGemm, [&](const Slice& s) {
+        gemm(st, rows(s), plan.wmat(st.wmat), s.acc);
+      });
+      phase(kObsSlotThresholds, [&](const Slice& s) {
+        fire(st, s.acc, plan.prep(st.prep), dst_of(st, s));
+      });
+    }
+  }
 }
 
 }  // namespace
@@ -270,194 +462,20 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
              "workspace holds %zu bytes but the plan needs %zu -- call "
              "Workspace::prepare(plan) first",
              ws.capacity(), plan.arena_bytes());
-  std::byte* base = ws.base();
-  std::uint64_t* half[2] = {
-      reinterpret_cast<std::uint64_t*>(base + plan.half_offset(0)),
-      reinterpret_cast<std::uint64_t*>(base + plan.half_offset(1))};
-  std::uint64_t* patch =
-      reinterpret_cast<std::uint64_t*>(base + plan.patch_offset());
-  std::int32_t* acc = reinterpret_cast<std::int32_t*>(base + plan.acc_offset());
-  float* fscratch = reinterpret_cast<float*>(base + plan.float_offset());
-
+  Replay rp{&plan, &stages, input, out, ws.base()};
 #if BCOP_OBS
-  // One flag read per replay; when recording, each step adds two clock
+  // One flag read per call; when recording, each step adds two clock
   // reads and one relaxed fetch_add -- measured at < 1% of the replay
   // (docs/observability.md), far below the coarse step kernels it brackets.
-  const obs::StageSlots* slots = plan.obs_slots();
-  const bool profile = slots != nullptr && obs::StageProfiler::global().enabled();
-  const std::uint64_t t_exec = profile ? obs::now_ns() : 0;
-  if (profile) slots->replays->add(1);
-#endif
-
-  for (const PlanStep& st : plan.steps()) {
-    const ConstBitSpan src =
-        st.src_half >= 0
-            ? ConstBitSpan{half[st.src_half], st.in_rows, st.in_cols, st.in_wpr}
-            : ConstBitSpan{};
-    const BitSpan dst =
-        st.dst_half >= 0
-            ? BitSpan{half[st.dst_half], st.out_rows, st.out_cols, st.out_wpr}
-            : BitSpan{};
-#if BCOP_OBS
-    const std::uint64_t t_step = profile ? obs::now_ns() : 0;
-#endif
-    switch (st.kind) {
-      case StepKind::kFirstConv: {
-        // get_if, not get: the throwing std::get drags
-        // __cxa_throw/__cxa_allocate_exception/operator delete references
-        // into this TU (visible to scripts/audit_hot_path.py), and a kind
-        // mismatch here is a plan-compiler bug, not a recoverable error.
-        const auto* fcp =
-            std::get_if<FirstConvStage>(&stages[static_cast<std::size_t>(st.stage)]);
-        BCOP_CHECK(fcp != nullptr,
-                   "plan step %lld: stage is not a FirstConvStage",
-                   static_cast<long long>(st.stage));
-        const auto& fc = *fcp;
-        // Recover the integer pixel codes (pixels are odd k'/255, see
-        // facegen::MaskedFaceDataset::quantize_pixel).
-        const std::int64_t numel = st.n * st.h * st.w * st.c;
-        for (std::int64_t j = 0; j < numel; ++j)
-          fscratch[j] = std::nearbyint(input[j] * 255.f);
-        if (st.levels_out == 1) {
-          const PreparedThresholds& prep = plan.prep(st.prep);
-          FirstConvCtx ctx{fscratch, &fc,   prep.thr.data(), prep.inv.data(),
-                           st.h,     st.w,  st.c,            st.ho,
-                           st.wo,    dst,   nullptr};
-          ThreadPool::global().for_chunks(0, st.out_rows,
-                                          &first_conv_chunk<false>, &ctx);
-        } else {
-          // Residual entry: materialize the integer accumulators, then
-          // fire the pattern banks (exec_residual.cpp).
-          residual_first_conv(st, fc, fscratch, acc);
-          residual_fire(plan, st, acc, half[st.dst_half]);
-        }
-        break;
-      }
-      case StepKind::kPackInput:
-        tensor::pack_rows(input, st.out_rows, st.out_cols, dst);
-        break;
-      case StepKind::kBinConv: {
-        if (st.levels_in > 1 || st.in_scaled || st.levels_out > 1) {
-          // Residual stream on either side: plane-fused gather + GEMM and
-          // pattern-bank firing (exec_residual.cpp). The classic path
-          // below stays untouched for single-plane unscaled streams.
-#if BCOP_OBS
-          // The gather runs inside the GEMM chunks, so a residual step
-          // splits into binary_gemm and thresholds only.
-          const std::uint64_t ta = profile ? obs::now_ns() : 0;
-          residual_gemm(plan, st, half[st.src_half], patch, acc);
-          const std::uint64_t tb = profile ? obs::now_ns() : 0;
-          fire_residual(plan, st, acc, dst);
-          if (profile) {
-            const std::uint64_t tc = obs::now_ns();
-            slots->slot_ns[kObsSlotGemm]->record(tb - ta);
-            slots->slot_ns[kObsSlotThresholds]->record(tc - tb);
-          }
-#else
-          residual_gemm(plan, st, half[st.src_half], patch, acc);
-          fire_residual(plan, st, acc, dst);
-#endif
-          break;
-        }
-        const BitSpan rows{patch, st.patch_rows, st.patch_cols, st.patch_wpr};
-#if BCOP_OBS
-        // Sub-phase split of the conv step: where does a binary conv
-        // spend its time -- patch gather, XNOR GEMM, or threshold firing.
-        const std::uint64_t ta = profile ? obs::now_ns() : 0;
-        run_im2row(st, src, rows);
-        const std::uint64_t tb = profile ? obs::now_ns() : 0;
-        run_gemm(st, rows, plan.wmat(st.wmat), acc);
-        const std::uint64_t tc = profile ? obs::now_ns() : 0;
-        fire_thresholds(st, acc, plan.prep(st.prep), dst);
-        if (profile) {
-          const std::uint64_t td = obs::now_ns();
-          slots->slot_ns[kObsSlotIm2row]->record(tb - ta);
-          slots->slot_ns[kObsSlotGemm]->record(tc - tb);
-          slots->slot_ns[kObsSlotThresholds]->record(td - tc);
-        }
-#else
-        run_im2row(st, src, rows);
-        run_gemm(st, rows, plan.wmat(st.wmat), acc);
-        fire_thresholds(st, acc, plan.prep(st.prep), dst);
-#endif
-        break;
-      }
-      case StepKind::kPool:
-        if (st.levels_in == 1)
-          tensor::pool2_bits(src, st.n, st.h, st.w, dst);
-        else
-          residual_pool(st, half[st.src_half], half[st.dst_half]);
-        break;
-      case StepKind::kFlatten:
-        // Flatten is a per-plane bit permutation, so the residual case is
-        // the classic kernel replayed once per plane at shifted bases.
-        for (std::int64_t m = 0; m < st.levels_in; ++m) {
-          const ConstBitSpan s{half[st.src_half] + m * st.in_rows * st.in_wpr,
-                               st.in_rows, st.in_cols, st.in_wpr};
-          const BitSpan d{half[st.dst_half] + m * st.out_rows * st.out_wpr,
-                          st.out_rows, st.out_cols, st.out_wpr};
-          tensor::flatten_pixels(s, st.n, st.h * st.w, st.c, d);
-        }
-        break;
-      case StepKind::kBinDense:
-        if (st.levels_in > 1 || st.in_scaled || st.levels_out > 1) {
-          residual_gemm(plan, st, half[st.src_half], nullptr, acc);
-          fire_residual(plan, st, acc, dst);
-          break;
-        }
-        run_gemm(st, src, plan.wmat(st.wmat), acc);
-        fire_thresholds(st, acc, plan.prep(st.prep), dst);
-        break;
-      case StepKind::kLogits:
-        if (st.levels_in > 1 || st.in_scaled) {
-          // A = 256 * y for scaled inputs; out_scale (1/256) undoes it
-          // exactly -- every logit is a multiple of 2^-8 far below 2^24.
-          residual_gemm(plan, st, half[st.src_half], nullptr, acc);
-          for (std::int64_t j = 0; j < st.acc_len; ++j)
-            out[j] = static_cast<float>(acc[j]) * st.out_scale;
-          break;
-        }
-        run_gemm(st, src, plan.wmat(st.wmat), acc);
-        for (std::int64_t j = 0; j < st.acc_len; ++j)
-          out[j] = static_cast<float>(acc[j]);
-        break;
-      case StepKind::kUnpack:
-        if (st.levels_in == 1 && !st.in_scaled) {
-          for (std::int64_t r = 0; r < st.in_rows; ++r) {
-            const std::uint64_t* row = src.row(r);
-            float* o = out + r * st.in_cols;
-            for (std::int64_t j = 0; j < st.in_cols; ++j)
-              o[j] = ((row[j >> 6] >> (j & 63)) & 1ull) ? 1.f : -1.f;
-          }
-        } else {
-          // Residual reconstruction: sum of signed per-plane values
-          // g_m/256 (exact dyadic floats, any summation order).
-          for (std::int64_t r = 0; r < st.in_rows; ++r) {
-            float* o = out + r * st.in_cols;
-            for (std::int64_t j = 0; j < st.in_cols; ++j) o[j] = 0.f;
-            for (std::int64_t m = 0; m < st.levels_in; ++m) {
-              const std::uint64_t* row = half[st.src_half] +
-                                         m * st.in_rows * st.in_wpr +
-                                         r * st.in_wpr;
-              const float q =
-                  static_cast<float>(st.in_scale_bits[m]) * (1.f / 256.f);
-              for (std::int64_t j = 0; j < st.in_cols; ++j)
-                o[j] += ((row[j >> 6] >> (j & 63)) & 1ull) ? q : -q;
-            }
-          }
-        }
-        break;
-    }
-#if BCOP_OBS
-    if (profile)
-      slots->slot_ns[static_cast<int>(st.kind)]->record(obs::now_ns() -
-                                                        t_step);
-#endif
+  if (plan.obs_slots() != nullptr && obs::StageProfiler::global().enabled()) {
+    rp.slots = plan.obs_slots();
+    rp.slots->replays->add(1);
   }
-#if BCOP_OBS
-  if (profile)
-    slots->slot_ns[kObsSlotExecute]->record(obs::now_ns() - t_exec);
 #endif
+  const SlotTimer call(rp.slots, kObsSlotExecute);
+  // The only fan-out of the call. A one-image range runs inline on the
+  // caller (for_chunks never wakes the pool for a single chunk).
+  ThreadPool::global().for_chunks(0, plan.batch(), &replay_chunk, &rp);
 }
 
 }  // namespace bcop::xnor::detail

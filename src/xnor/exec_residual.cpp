@@ -1,64 +1,29 @@
 // Residual-binarization interpreter steps. ALLOCATION-FREE ZONE: same
 // contract as exec.cpp -- no Tensor/BitMatrix/std::vector construction, no
 // new/malloc; buffers are Workspace arena slices at plan-frozen offsets,
-// scratch is fixed-size stack tiles, fan-out is ThreadPool::for_chunks.
-// Enforced by lint rule R6 and scripts/audit_hot_path.py, measured by
+// scratch is fixed-size stack tiles. Every function here runs serially
+// over one image's rows: detail::execute's per-image fan-out is the only
+// parallelism, and lint rule R9 keeps the thread pool out of this TU.
+// Enforced by lint rules R6/R9 and scripts/audit_hot_path.py, measured by
 // tests/test_zero_alloc.cpp (M > 1 plans included).
 #include "xnor/exec_residual.hpp"
 
 #include <algorithm>
 #include <cstdint>
 
-#include "parallel/thread_pool.hpp"
 #include "tensor/bit_span.hpp"
 #include "tensor/kernels/kernel_api.hpp"
 #include "util/check.hpp"
 
 namespace bcop::xnor::detail {
 
-using parallel::ThreadPool;
 using tensor::BitSpan;
 using tensor::ConstBitSpan;
 
 namespace {
 
-// ---- Plane-fused GEMM: every input plane of a residual step goes
-// through one GEMM call per row range (GemmCtx planes + scales), so each
-// packed weight word is read once for all levels. A conv chunk gathers
-// its patch rows of every plane first, one block at a time, so the GEMM
-// reads them while they are still in L1. ----
-
-struct ResidualConvCtx {
-  tensor::kernels::Im2RowCtx im2row;  // plane 0: pixels -> patch rows
-  tensor::kernels::GemmCtx gemm;      // every plane of the patch rows
-  std::int64_t pixel_plane;           // words between input planes
-  tensor::kernels::KernelFn im2row_fn, gemm_fn;
-};
-
-// Patch words one block gathers across all planes (16 KiB): large enough
-// to amortize the kernel calls, small enough to stay in L1 for the GEMM.
-constexpr std::int64_t kGatherBlockWords = 2048;
-
-void residual_conv_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const ResidualConvCtx& t = *static_cast<const ResidualConvCtx*>(raw);
-  tensor::kernels::GemmCtx gemm = t.gemm;
-  const std::int64_t planes = gemm.planes;
-  const std::int64_t block = std::max<std::int64_t>(
-      1, kGatherBlockWords / (planes * t.im2row.rows.wpr));
-  for (std::int64_t r0 = lo; r0 < hi; r0 += block) {
-    const std::int64_t r1 = std::min(hi, r0 + block);
-    for (std::int64_t m = 0; m < planes; ++m) {
-      tensor::kernels::Im2RowCtx plane = t.im2row;
-      plane.pixels.data += m * t.pixel_plane;
-      plane.rows.data += m * gemm.plane_stride;
-      t.im2row_fn(&plane, r0, r1);
-    }
-    t.gemm_fn(&gemm, r0, r1);
-  }
-}
-
 // ---- Pattern-bank threshold firing: int32 accumulators -> levels_out
-// packed planes. Chunks range over output rows. ----
+// packed planes, row by row. ----
 
 struct ResidualFireCtx {
   const std::int32_t* acc;
@@ -74,11 +39,10 @@ struct ResidualFireCtx {
 /// indexed gather, and the channel loop vectorizes like the classic
 /// threshold kernel.
 template <int L>
-void residual_fire_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const ResidualFireCtx& t = *static_cast<const ResidualFireCtx*>(raw);
+void fire_rows(const ResidualFireCtx& t, std::int64_t rows) {
   constexpr int kBanks = (1 << L) - 1;
   const std::int64_t cols = t.cols, wpr = t.wpr;
-  for (std::int64_t r = lo; r < hi; ++r) {
+  for (std::int64_t r = 0; r < rows; ++r) {
     const std::int32_t* arow = t.acc + r * cols;
     for (std::int64_t wd = 0; wd < wpr; ++wd) {
       const std::int64_t base = wd * 64;
@@ -128,56 +92,6 @@ void residual_fire_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   }
 }
 
-// ---- Lexicographic masked-OR pool. Chunks range over output pixel rows
-// (same geometry as tensor::pool2_bits). ----
-
-struct ResidualPoolCtx {
-  const std::uint64_t* src;  // plane-0 base
-  std::uint64_t* dst;        // plane-0 base
-  std::int64_t h, w, ho, wo, wpr, in_plane, out_plane, levels;
-};
-
-void residual_pool_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const ResidualPoolCtx& t = *static_cast<const ResidualPoolCtx*>(raw);
-  const std::int64_t w = t.w, ho = t.ho, wo = t.wo, wpr = t.wpr;
-  for (std::int64_t r = lo; r < hi; ++r) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t yy = rem / wo, xx = rem - yy * wo;
-    const std::int64_t base = (((img * t.h) + 2 * yy) * w + 2 * xx) * wpr;
-    const std::uint64_t* pa = t.src + base;
-    const std::uint64_t* pb = pa + wpr;
-    const std::uint64_t* pc = pa + w * wpr;
-    const std::uint64_t* pd = pc + wpr;
-    std::uint64_t* out = t.dst + r * wpr;
-    for (std::int64_t wd = 0; wd < wpr; ++wd) {
-      // Plane 0: the max of {-1,+1} values is the boolean OR, exactly the
-      // classic pool. Deeper planes only matter where candidates tie.
-      const std::uint64_t a0 = pa[wd], b0 = pb[wd], c0 = pc[wd], d0 = pd[wd];
-      std::uint64_t o = a0 | b0 | c0 | d0;
-      out[wd] = o;
-      // A candidate stays "maximal so far" while its bit matches the
-      // output bit on every level seen; dominance of the dyadic scale
-      // grid (g_m > sum of deeper scales) makes lexicographic order the
-      // value order. Slack bits are zero in every candidate, so the
-      // output slack stays zero through every level.
-      std::uint64_t ma = ~(a0 ^ o), mb = ~(b0 ^ o);
-      std::uint64_t mc = ~(c0 ^ o), md = ~(d0 ^ o);
-      for (std::int64_t m = 1; m < t.levels; ++m) {
-        const std::int64_t off = m * t.in_plane + wd;
-        const std::uint64_t am = pa[off], bm = pb[off];
-        const std::uint64_t cm = pc[off], dm = pd[off];
-        o = (am & ma) | (bm & mb) | (cm & mc) | (dm & md);
-        t.dst[m * t.out_plane + r * wpr + wd] = o;
-        ma &= ~(am ^ o);
-        mb &= ~(bm ^ o);
-        mc &= ~(cm ^ o);
-        md &= ~(dm ^ o);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
@@ -186,7 +100,7 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
   const ConstBitSpan in{src, st.in_rows, st.in_cols, st.in_wpr};
   const std::int64_t in_plane = st.in_rows * st.in_wpr;
   // An unscaled input (a classic stream feeding a residual stage) is one
-  // plane at unit scale: the classic GEMM, through the same fan-out.
+  // plane at unit scale: the classic GEMM, through the same kernel call.
   tensor::kernels::GemmCtx gemm{in, plan.wmat(st.wmat), st.co, acc};
   if (st.in_scaled) {
     gemm.planes = st.levels_in;
@@ -195,19 +109,31 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
   }
   if (st.kind != StepKind::kBinConv) {
     gemm.plane_stride = in_plane;
-    ThreadPool::global().for_chunks(0, st.in_rows, st.gemm_fn, &gemm);
+    st.gemm_fn(&gemm, 0, st.in_rows);
     return;
   }
   // Conv: the GEMM reads the patch region, plane m at row m * patch_rows
-  // (compile() sized it for levels_in planes).
+  // (compile() sized it for levels_in planes). Patch rows of every plane
+  // are gathered a block at a time, so the GEMM reads them while they are
+  // still in L1; a block holds kGatherBlockWords patch words (16 KiB) --
+  // large enough to amortize the kernel calls.
+  constexpr std::int64_t kGatherBlockWords = 2048;
   const BitSpan rows{patch, st.patch_rows, st.patch_cols, st.patch_wpr};
   gemm.a = rows;
   gemm.plane_stride = st.patch_rows * st.patch_wpr;
-  ResidualConvCtx ctx{
-      {in, rows, st.h, st.w, st.c, st.k, st.ho, st.wo},
-      gemm, in_plane, st.im2row_fn, st.gemm_fn};
-  ThreadPool::global().for_chunks(0, st.patch_rows, &residual_conv_chunk,
-                                  &ctx);
+  const std::int64_t block = std::max<std::int64_t>(
+      1, kGatherBlockWords / (gemm.planes * st.patch_wpr));
+  for (std::int64_t r0 = 0; r0 < st.patch_rows; r0 += block) {
+    const std::int64_t r1 = std::min(st.patch_rows, r0 + block);
+    for (std::int64_t m = 0; m < gemm.planes; ++m) {
+      tensor::kernels::Im2RowCtx plane{
+          {in.data + m * in_plane, in.rows, in.cols, in.wpr},
+          {rows.data + m * gemm.plane_stride, rows.rows, rows.cols, rows.wpr},
+          st.h, st.w, st.c, st.k, st.ho, st.wo};
+      st.im2row_fn(&plane, r0, r1);
+    }
+    st.gemm_fn(&gemm, r0, r1);
+  }
 }
 
 void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
@@ -228,26 +154,57 @@ void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
   ctx.cols = st.out_cols;
   ctx.wpr = st.out_wpr;
   ctx.plane_words = st.out_rows * st.out_wpr;
-  constexpr ThreadPool::ChunkFn kFire[3] = {&residual_fire_chunk<1>,
-                                            &residual_fire_chunk<2>,
-                                            &residual_fire_chunk<3>};
-  ThreadPool::global().for_chunks(0, st.out_rows, kFire[st.levels_out - 1],
-                                  &ctx);
+  switch (st.levels_out) {
+    case 1:
+      fire_rows<1>(ctx, st.out_rows);
+      break;
+    case 2:
+      fire_rows<2>(ctx, st.out_rows);
+      break;
+    default:
+      fire_rows<3>(ctx, st.out_rows);
+  }
 }
 
 void residual_pool(const PlanStep& st, const std::uint64_t* src,
                    std::uint64_t* dst) {
-  ResidualPoolCtx ctx{src,
-                      dst,
-                      st.h,
-                      st.w,
-                      st.ho,
-                      st.wo,
-                      st.in_wpr,
-                      st.in_rows * st.in_wpr,
-                      st.out_rows * st.out_wpr,
-                      st.levels_in};
-  ThreadPool::global().for_chunks(0, st.out_rows, &residual_pool_chunk, &ctx);
+  // Output pixel rows in the geometry of tensor::pool2_bits.
+  const std::int64_t w = st.w, wo = st.wo, wpr = st.in_wpr;
+  const std::int64_t in_plane = st.in_rows * st.in_wpr;
+  const std::int64_t out_plane = st.out_rows * st.out_wpr;
+  for (std::int64_t r = 0; r < st.out_rows; ++r) {
+    const std::int64_t yy = r / wo, xx = r - yy * wo;
+    const std::uint64_t* pa = src + (2 * yy * w + 2 * xx) * wpr;
+    const std::uint64_t* pb = pa + wpr;
+    const std::uint64_t* pc = pa + w * wpr;
+    const std::uint64_t* pd = pc + wpr;
+    std::uint64_t* out = dst + r * wpr;
+    for (std::int64_t wd = 0; wd < wpr; ++wd) {
+      // Plane 0: the max of {-1,+1} values is the boolean OR, exactly the
+      // classic pool. Deeper planes only matter where candidates tie.
+      const std::uint64_t a0 = pa[wd], b0 = pb[wd], c0 = pc[wd], d0 = pd[wd];
+      std::uint64_t o = a0 | b0 | c0 | d0;
+      out[wd] = o;
+      // A candidate stays "maximal so far" while its bit matches the
+      // output bit on every level seen; dominance of the dyadic scale
+      // grid (g_m > sum of deeper scales) makes lexicographic order the
+      // value order. Slack bits are zero in every candidate, so the
+      // output slack stays zero through every level.
+      std::uint64_t ma = ~(a0 ^ o), mb = ~(b0 ^ o);
+      std::uint64_t mc = ~(c0 ^ o), md = ~(d0 ^ o);
+      for (std::int64_t m = 1; m < st.levels_in; ++m) {
+        const std::int64_t off = m * in_plane + wd;
+        const std::uint64_t am = pa[off], bm = pb[off];
+        const std::uint64_t cm = pc[off], dm = pd[off];
+        o = (am & ma) | (bm & mb) | (cm & mc) | (dm & md);
+        dst[m * out_plane + r * wpr + wd] = o;
+        ma &= ~(am ^ o);
+        mb &= ~(bm ^ o);
+        mc &= ~(cm ^ o);
+        md &= ~(dm ^ o);
+      }
+    }
+  }
 }
 
 }  // namespace bcop::xnor::detail

@@ -4,12 +4,13 @@
 // is a residual one -- scaled, or more than one packed plane
 // (docs/residual-binarization.md); the classic single-plane steps never
 // enter this TU, so the M = 1 path stays byte-identical to the
-// pre-residual interpreter. Same contract as
-// exec.cpp: ALLOCATION-FREE ZONE -- every buffer is a Workspace arena
-// slice at a plan-frozen offset, scratch lives in fixed-size stack tiles,
-// and parallel fan-out uses ThreadPool::for_chunks. Enforced by lint rule
-// R6, audited at the object level by scripts/audit_hot_path.py, and
-// measured end to end by tests/test_zero_alloc.cpp.
+// pre-residual interpreter. Every function runs serially over one image's
+// rows -- detail::execute fans out over images, never inside a step. Same
+// contract as exec.cpp: ALLOCATION-FREE ZONE -- every buffer is a
+// Workspace arena slice at a plan-frozen offset and scratch lives in
+// fixed-size stack tiles. Enforced by lint rules R6/R9, audited at the
+// object level by scripts/audit_hot_path.py, and measured end to end by
+// tests/test_zero_alloc.cpp.
 #pragma once
 
 #include <cstdint>
@@ -20,13 +21,13 @@
 namespace bcop::xnor::detail {
 
 /// Plane-fused XNOR GEMM for a kBinConv / kBinDense / kLogits step fed by
-/// a residual activation: one fan-out whose GEMM chunks (GemmCtx with
-/// planes = levels_in and the in_scale_bits as scales) read each packed
-/// weight word once for every input plane and accumulate
+/// a residual activation: GEMM calls (GemmCtx with planes = levels_in and
+/// the in_scale_bits as scales) that read each packed weight word once
+/// for every input plane and accumulate
 ///   acc = sum_m in_scale_bits[m] * (XNOR-popcount dot of plane m)
 /// in registers, so acc is 256x the real-valued dot product -- exact,
 /// since every partial sum is an integer far below 2^25
-/// (PreparedThresholds::kAccBound). Conv chunks first gather their patch
+/// (PreparedThresholds::kAccBound). A conv step first gathers its patch
 /// rows of every plane with the frozen im2row kernel into `patch` (sized
 /// by compile() for levels_in planes), a block of rows at a time. An
 /// unscaled single-plane input (classic stream feeding a residual stage)

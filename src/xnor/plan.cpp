@@ -49,9 +49,11 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     fail("residual level cap must be in [0, 3], got " +
          std::to_string(levels));
 
+  // Every size below is one image's: the arena holds `batch` slices of
+  // the layout frozen at the end, and each image replays on its own.
   std::size_t half_bytes[2] = {0, 0};
   std::size_t patch_bytes = 0, acc_bytes = 0, float_bytes = 0;
-  const std::int64_t n = input[0];
+  const std::int64_t batch = input[0];
   std::int64_t h = 0, w = 0, c = 0;
   bool flat = false;      // post-flatten rank-2 semantics
   bool terminal = false;  // a Logits step has been emitted
@@ -136,20 +138,19 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
           acc_bytes, static_cast<std::size_t>(st.acc_len) * sizeof(std::int32_t));
     plan.steps_.push_back(st);
   };
-  // Bit-domain Flatten: one flat row per image (per plane). Emitted for
-  // the explicit FlattenStage and implicitly before a dense layer fed by
-  // pixel rows (the float path's pack_matrix reshape).
+  // Bit-domain Flatten: the image's pixel rows become one flat row (per
+  // plane). Emitted for the explicit FlattenStage and implicitly before a
+  // dense layer fed by pixel rows (the float path's pack_matrix reshape).
   auto emit_flatten = [&]() {
     PlanStep st;
     st.kind = StepKind::kFlatten;
-    st.n = n;
     st.h = h;
     st.w = w;
     st.c = c;
-    st.in_rows = n * h * w;
+    st.in_rows = h * w;
     st.in_cols = c;
     st.in_wpr = words_for_bits(c);
-    st.out_rows = n;
+    st.out_rows = 1;
     st.out_cols = h * w * c;
     st.out_wpr = words_for_bits(st.out_cols);
     st.src_half = cur;
@@ -182,22 +183,27 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     st.stage = 0;
     st.prep = add_prep_banks(fc->thresholds, fc->residual, 0, st.levels_out);
     st.k = fc->k;
-    st.n = n;
     st.h = h;
     st.w = w;
     st.c = c;
     st.ho = ho;
     st.wo = wo;
     st.co = fc->co;
-    st.out_rows = n * ho * wo;
+    st.out_rows = ho * wo;
     st.out_cols = fc->co;
     st.out_wpr = words_for_bits(fc->co);
     st.dst_half = 0;
-    // The classic first conv fires thresholds inside its fused kernel; a
-    // residual one materializes integer accumulators first so the shared
-    // pattern-bank firing can run over them.
-    if (st.levels_out > 1) st.acc_len = st.out_rows * fc->co;
-    float_bytes = static_cast<std::size_t>(input.numel()) * sizeof(float);
+    // The classic first conv fires its stack tiles of accumulators as it
+    // goes, so a tile must hold one output pixel's channels; a residual
+    // one materializes every accumulator first so the shared pattern-bank
+    // firing can run over them.
+    if (st.levels_out > 1)
+      st.acc_len = st.out_rows * fc->co;
+    else if (fc->co > detail::kFirstConvTile)
+      fail("FirstConv has " + std::to_string(fc->co) +
+           " output channels, more than the " +
+           std::to_string(detail::kFirstConvTile) + " its firing tile holds");
+    float_bytes = static_cast<std::size_t>(h * w * c) * sizeof(float);
     emit(st);
     set_stream(fc->residual, st.levels_out);
     plan.stage_shapes_.push_back({h, w, c, ho, wo, fc->co});
@@ -214,20 +220,19 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       h = input[1];
       w = input[2];
       c = input[3];
-      st.out_rows = n * h * w;
+      st.out_rows = h * w;
       st.out_cols = c;
     } else if (std::get_if<BinDenseStage>(&stages[0])) {
       h = w = 1;
-      c = input.numel() / n;
+      c = input.numel() / batch;
       flat = true;
-      st.out_rows = n;
+      st.out_rows = 1;
       st.out_cols = c;
     } else {
       fail("leading " + stage_kind(stages[0]) +
            " stage is unsupported -- stage lists must start with a conv or "
            "dense layer");
     }
-    st.n = n;
     st.h = h;
     st.w = w;
     st.c = c;
@@ -261,20 +266,19 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       st.wmat = add_wmat(cv->weights);
       stamp_input(st);
       st.k = cv->k;
-      st.n = n;
       st.h = h;
       st.w = w;
       st.c = c;
       st.ho = ho;
       st.wo = wo;
       st.co = cv->co;
-      st.in_rows = n * h * w;
+      st.in_rows = h * w;
       st.in_cols = c;
       st.in_wpr = words_for_bits(c);
-      st.patch_rows = n * ho * wo;
+      st.patch_rows = ho * wo;
       st.patch_cols = cv->k * cv->k * c;
       st.patch_wpr = words_for_bits(st.patch_cols);
-      st.out_rows = n * ho * wo;
+      st.out_rows = ho * wo;
       st.out_cols = cv->co;
       st.out_wpr = words_for_bits(cv->co);
       st.acc_len = st.out_rows * cv->co;
@@ -295,17 +299,16 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       if (flat) fail("pool after flatten is unsupported");
       PlanStep st;
       st.kind = StepKind::kPool;
-      st.n = n;
       st.h = h;
       st.w = w;
       st.c = c;
       st.ho = h / 2;
       st.wo = w / 2;
       st.co = c;
-      st.in_rows = n * h * w;
+      st.in_rows = h * w;
       st.in_cols = c;
       st.in_wpr = words_for_bits(c);
-      st.out_rows = n * st.ho * st.wo;
+      st.out_rows = st.ho * st.wo;
       st.out_cols = c;
       st.out_wpr = words_for_bits(c);
       st.src_half = cur;
@@ -320,7 +323,7 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       if (h * w != 1) {
         emit_flatten();
       } else {
-        // Pixel rows [N*1*1, C] are already flat rows [N, C]: metadata only.
+        // A 1x1 image's pixel row is already its flat row: metadata only.
         c = h * w * c;
         h = w = 1;
         flat = true;
@@ -335,19 +338,18 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       st.kind = d->has_threshold ? StepKind::kBinDense : StepKind::kLogits;
       st.stage = static_cast<std::int64_t>(i);
       st.wmat = add_wmat(d->weights);
-      st.n = n;
       st.h = st.w = 1;
       st.c = c;
       st.co = d->out;
-      st.in_rows = n;
+      st.in_rows = 1;
       st.in_cols = d->in;
       st.in_wpr = words_for_bits(d->in);
-      st.acc_len = n * d->out;
+      st.acc_len = d->out;
       st.src_half = cur;
       stamp_input(st);
       if (d->has_threshold) {
         st.prep = add_prep_banks(d->thresholds, d->residual, i, st.levels_out);
-        st.out_rows = n;
+        st.out_rows = 1;
         st.out_cols = d->out;
         st.out_wpr = words_for_bits(d->out);
         st.dst_half = 1 - cur;
@@ -359,7 +361,7 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
         // the interpreter rescales (exactly: A is far below 2^24).
         if (st.in_scaled) st.out_scale = 1.f / 256.f;
         emit(st);  // dst_half = -1: logits land in the caller's output
-        plan.output_ = Shape{n, d->out};
+        plan.output_ = Shape{batch, d->out};
         terminal = true;
       }
       h = w = 1;
@@ -377,21 +379,26 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     // in the shape the stage list implies.
     PlanStep st;
     st.kind = StepKind::kUnpack;
-    st.n = n;
     st.h = h;
     st.w = w;
     st.c = c;
-    st.in_rows = flat ? n : n * h * w;
-    st.in_cols = flat ? c : c;
+    st.in_rows = flat ? 1 : h * w;
+    st.in_cols = c;
     st.in_wpr = words_for_bits(c);
     st.src_half = cur;
     stamp_input(st);
     emit(st);
-    plan.output_ = flat ? Shape{n, c} : Shape{n, h, w, c};
+    plan.output_ = flat ? Shape{batch, c} : Shape{batch, h, w, c};
   }
 
-  // --- Freeze the arena layout: [half A | half B | patch | acc | floats],
-  // each region 64-byte aligned so rows start on cache lines. ---
+  plan.batch_ = batch;
+  plan.image_inputs_ = input.numel() / batch;
+  plan.image_outputs_ = plan.output_.numel() / batch;
+
+  // --- Freeze one image's slice layout: [half A | half B | patch | acc |
+  // floats], each region 64-byte aligned so rows start on cache lines.
+  // The arena repeats the slice once per image, so images never share a
+  // byte and need no barrier between steps. ---
   std::size_t off = 0;
   plan.off_half_[0] = off;
   off += align64(half_bytes[0]);
@@ -403,13 +410,13 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
   off += align64(acc_bytes);
   plan.off_floats_ = off;
   off += align64(float_bytes);
-  plan.arena_bytes_ = off;
+  plan.slice_bytes_ = off;
 
 #if BCOP_OBS
   // Resolve the telemetry slots for this plan shape once, here on the
   // allocating compile path, so the interpreter only dereferences.
   {
-    std::string key = "b" + std::to_string(n) + "_in";
+    std::string key = "b" + std::to_string(batch) + "_in";
     for (int d = 1; d < input.rank(); ++d) {
       if (d > 1) key += "x";
       key += std::to_string(input[d]);

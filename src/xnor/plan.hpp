@@ -4,13 +4,16 @@
 // with statically sized inter-stage buffers; ExecutionPlan is the CPU
 // analogue. compile() walks the folded stage list once per (input shape)
 // and freezes everything the hot loop would otherwise recompute or
-// reallocate: per-step output geometry, packed-row layouts, accumulator
-// lengths, branch-free threshold banks (PreparedThresholds), word-major
-// pre-transposed weight matrices, and byte offsets into a single ping-pong
-// arena. Workspace owns that arena -- aligned, grow-only, reusable across
-// calls and across plans -- so steady-state inference performs zero heap
-// allocations (tests/test_zero_alloc.cpp measures this; lint rule R6 keeps
-// allocation out of the interpreter in src/xnor/exec.cpp).
+// reallocate: one image's per-step geometry, packed-row layouts,
+// accumulator lengths, branch-free threshold banks (PreparedThresholds),
+// word-major pre-transposed weight matrices, and byte offsets into one
+// image's ping-pong arena slice. The arena holds one such slice per image
+// of the batch, so images replay independently (in parallel, with no
+// barrier between steps). Workspace owns that arena -- aligned, grow-only,
+// reusable across calls and across plans -- so steady-state inference
+// performs zero heap allocations (tests/test_zero_alloc.cpp measures this;
+// lint rule R6 keeps allocation out of the interpreter in
+// src/xnor/exec.cpp).
 //
 // Lifetime: a plan borrows the network it was compiled from (weight
 // matrices of FirstConv stages are read through stage indices), so the
@@ -49,17 +52,19 @@ enum class StepKind : std::uint8_t {
   kUnpack,     // packed bits -> {-1,+1} floats (terminal, partial nets)
 };
 
-/// One interpreter step with its frozen geometry. `src_half`/`dst_half`
-/// name the ping-pong arena halves (-1 = the caller's float input/output);
-/// the byte offsets of the halves and scratch regions live on the plan.
+/// One interpreter step with its frozen geometry -- one image's: every
+/// image of a batch replays the same steps on its own arena slice.
+/// `src_half`/`dst_half` name the ping-pong arena halves (-1 = the
+/// caller's float input/output); the byte offsets of the halves and
+/// scratch regions within a slice live on the plan.
 struct PlanStep {
   StepKind kind;
   std::int64_t stage = -1;  // index into XnorNetwork::stages(), -1 if none
   std::int64_t prep = -1;   // index into plan-owned PreparedThresholds
   std::int64_t wmat = -1;   // index into plan-owned pre-transposed weights
   std::int64_t k = 0;       // conv kernel size
-  std::int64_t n = 0, h = 0, w = 0, c = 0;  // input pixel geometry
-  std::int64_t ho = 0, wo = 0, co = 0;      // output pixel geometry
+  std::int64_t h = 0, w = 0, c = 0;     // input pixel geometry
+  std::int64_t ho = 0, wo = 0, co = 0;  // output pixel geometry
   // Packed-row spans (rows x cols bits, wpr words per row):
   std::int64_t in_rows = 0, in_cols = 0, in_wpr = 0;
   std::int64_t out_rows = 0, out_cols = 0, out_wpr = 0;
@@ -119,7 +124,10 @@ class ExecutionPlan {
 
   const tensor::Shape& input_shape() const { return input_; }
   const tensor::Shape& output_shape() const { return output_; }
-  std::int64_t batch() const { return input_.rank() ? input_[0] : 0; }
+  std::int64_t batch() const { return batch_; }
+  /// Floats one image occupies in the caller's input / output buffers.
+  std::int64_t image_inputs() const { return image_inputs_; }
+  std::int64_t image_outputs() const { return image_outputs_; }
 
   const std::vector<PlanStep>& steps() const { return steps_; }
   const std::vector<StageShape>& stage_shapes() const { return stage_shapes_; }
@@ -130,11 +138,15 @@ class ExecutionPlan {
     return wmats_[static_cast<std::size_t>(i)].data();
   }
 
-  /// Total arena bytes a Workspace must provide, and the byte offsets of
-  /// the two ping-pong halves, the im2row patch region (levels_in planes
-  /// for residual conv steps), the int32 accumulator region and the float
-  /// scratch region within it.
-  std::size_t arena_bytes() const { return arena_bytes_; }
+  /// Total arena bytes a Workspace must provide: batch() slices of
+  /// slice_bytes() each, image i's at byte i * slice_bytes(). The offsets
+  /// below place, within one slice, the two ping-pong halves, the im2row
+  /// patch region (levels_in planes for residual conv steps), the int32
+  /// accumulator region and the float scratch region.
+  std::size_t arena_bytes() const {
+    return slice_bytes_ * static_cast<std::size_t>(batch());
+  }
+  std::size_t slice_bytes() const { return slice_bytes_; }
   std::size_t half_offset(int half) const {
     return off_half_[static_cast<std::size_t>(half)];
   }
@@ -161,7 +173,8 @@ class ExecutionPlan {
   std::vector<PreparedThresholds> preps_;
   std::vector<std::vector<std::uint64_t>> wmats_;
   std::vector<StageShape> stage_shapes_;
-  std::size_t arena_bytes_ = 0;
+  std::int64_t batch_ = 0, image_inputs_ = 0, image_outputs_ = 0;
+  std::size_t slice_bytes_ = 0;
   std::size_t off_half_[2] = {0, 0};
   std::size_t off_patch_ = 0, off_acc_ = 0, off_floats_ = 0;
   std::int64_t levels_ = 0;

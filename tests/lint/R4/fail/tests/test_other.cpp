@@ -1,3 +1,2 @@
-// Fixture: seeded violation -- no test file references the conv header,
-// so src/foo/conv.cpp counts as an untested module.
+// Fixture: the only test, and it does not reference the conv header.
 int unrelated = 0;

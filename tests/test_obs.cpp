@@ -21,6 +21,7 @@
 #include "serve/batcher.hpp"
 #include "util/rng.hpp"
 #include "xnor/engine.hpp"
+#include "xnor/exec.hpp"
 #include "xnor/plan.hpp"
 
 namespace {
@@ -303,6 +304,39 @@ TEST(ObsStageProfiler, ResidualConvRecordsGemmAndThresholdSubphases) {
   // The sub-phases nest inside their step's timer.
   EXPECT_GE(conv.sum() - conv_ns0,
             (gemm.sum() - gemm_ns0) + (thr.sum() - thr_ns0));
+}
+
+// A batch fans out once over its images, and only the chunk holding
+// image 0 records its steps (timed over that chunk's images), so no step
+// or sub-phase slot can outgrow the whole-call `execute` wall time.
+TEST(ObsStageProfiler, StepSlotsStayWithinExecuteAtBatch16) {
+  obs::StageProfiler::global().set_enabled(true);
+  nn::Sequential model = core::build_bnn(core::ArchitectureId::kNCnv, 9);
+  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  util::Rng rng(10);
+  tensor::Tensor batch(tensor::Shape{16, 32, 32, 3});
+  for (std::int64_t i = 0; i < batch.numel(); ++i)
+    batch[i] = static_cast<float>(rng.uniform());
+  net.forward_batch(batch);  // compile outside the measured calls
+
+  auto& reg = obs::Registry::global();
+  std::vector<obs::LatencyHistogram*> slots;
+  std::vector<std::uint64_t> sum0;
+  for (int s = 0; s < xnor::detail::kObsSlotCount; ++s) {
+    slots.push_back(&reg.histogram(std::string("bcop_exec_b16_in32x32x3_") +
+                                   xnor::detail::kObsSlotNames[s] + "_ns"));
+    sum0.push_back(slots.back()->sum());
+  }
+  for (int call = 0; call < 3; ++call) net.forward_batch(batch);
+
+  const auto delta = [&](int s) {
+    return slots[static_cast<std::size_t>(s)]->sum() -
+           sum0[static_cast<std::size_t>(s)];
+  };
+  const std::uint64_t execute = delta(xnor::detail::kObsSlotExecute);
+  EXPECT_GT(execute, 0u);
+  for (int s = 0; s < xnor::detail::kObsSlotExecute; ++s)
+    EXPECT_LE(delta(s), execute) << xnor::detail::kObsSlotNames[s];
 }
 
 TEST(ObsStageProfiler, DisableStopsRecording) {

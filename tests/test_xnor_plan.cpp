@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/architecture.hpp"
@@ -183,23 +184,24 @@ TEST(ExecutionPlanResidual, MultiLevelPlanLaysOutBanksPlanesAndScratch) {
   EXPECT_GT(residual_steps, 0);
 
   // The plane-fused GEMM gathers every input plane's patch rows before it
-  // multiplies: the patch region holds levels_in planes of each scaled
-  // conv step.
+  // multiplies: each image's slice holds a patch region of levels_in
+  // planes of one image's patch rows for every scaled conv step.
   std::int64_t scaled_convs = 0;
   for (const auto& st : plan.steps()) {
     if (st.kind != StepKind::kBinConv || !st.in_scaled) continue;
     const std::size_t one_plane = static_cast<std::size_t>(
         st.patch_rows * st.patch_wpr * std::int64_t{8});
+    EXPECT_EQ(st.patch_rows, st.ho * st.wo);  // one image's rows
     EXPECT_GE(plan.acc_offset() - plan.patch_offset(),
               static_cast<std::size_t>(st.levels_in) * one_plane);
     ++scaled_convs;
   }
   EXPECT_GT(scaled_convs, 0);
+  EXPECT_EQ(plan.arena_bytes(), 2 * plan.slice_bytes());
 
-  // A classic plan keeps exactly five regions [half A | half B | patch |
-  // acc | floats], each the 64-byte-aligned maximum over its steps: the
-  // arena the engine had before residual levels existed (189504 bytes
-  // for u-CNV at this shape).
+  // Every image replays on its own slice: the arena is `batch` copies of
+  // one image's five regions [half A | half B | patch | acc | floats],
+  // each the 64-byte-aligned maximum over its (one-image) steps.
   nn::Sequential classic = core::build_bnn(core::ArchitectureId::kMicroCnv, 7);
   const XnorNetwork cnet = XnorNetwork::fold(classic);
   const ExecutionPlan cplan = ExecutionPlan::compile(cnet, input);
@@ -217,11 +219,27 @@ TEST(ExecutionPlanResidual, MultiLevelPlanLaysOutBanksPlanesAndScratch) {
                             sizeof(std::int32_t));
   }
   const std::size_t floats =
-      static_cast<std::size_t>(input.numel()) * sizeof(float);
-  EXPECT_EQ(cplan.arena_bytes(), align64(half[0]) + align64(half[1]) +
-                                     align64(patch) + align64(acc) +
-                                     align64(floats));
-  EXPECT_EQ(cplan.arena_bytes(), 189504u);
+      static_cast<std::size_t>(input.numel() / input[0]) * sizeof(float);
+  const std::size_t slice = align64(half[0]) + align64(half[1]) +
+                            align64(patch) + align64(acc) + align64(floats);
+  EXPECT_EQ(cplan.slice_bytes(), slice);
+  EXPECT_EQ(cplan.arena_bytes(), 2 * slice);
+
+  // One image's slice is the whole arena a batch-1 plan had before images
+  // got slices of their own.
+  const Shape one{1, 32, 32, 3};
+  const std::pair<core::ArchitectureId, std::size_t> b1_arenas[] = {
+      {core::ArchitectureId::kMicroCnv, 94784u},
+      {core::ArchitectureId::kNCnv, 94784u},
+      {core::ArchitectureId::kCnv, 282944u}};
+  for (const auto& [id, want] : b1_arenas) {
+    nn::Sequential m = core::build_bnn(id, 7);
+    const XnorNetwork proto = XnorNetwork::fold(m);
+    EXPECT_EQ(ExecutionPlan::compile(proto, one).arena_bytes(), want)
+        << core::arch_name(id);
+    EXPECT_EQ(ExecutionPlan::compile(proto, input).arena_bytes(), 2 * want)
+        << core::arch_name(id);
+  }
 }
 
 TEST(ExecutionPlanResidual, LevelCapTruncatesBanksAndKeysTheCache) {
