@@ -11,8 +11,8 @@
 // caller (engine fold paths, tests, benches) on the best tier, and fan
 // out over the global pool. The plan interpreter bypasses these wrappers
 // entirely -- it replays the function pointers its plan froze at compile
-// time. pool2_bits and flatten_pixels run serially: the interpreter calls
-// them on one image's rows from inside its single per-image fan-out.
+// time. flatten_pixels runs serially: the interpreter calls it on one
+// image's rows from inside its single per-image fan-out.
 #include "tensor/bit_span.hpp"
 
 #include <algorithm>
@@ -100,30 +100,6 @@ void bit_im2row(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
   kernels::Im2RowCtx ctx{pixels, rows, h, w, c, k, ho, wo};
   ThreadPool::global().for_chunks(0, n * ho * wo,
                                   kernels::active_table().im2row, &ctx);
-}
-
-void pool2_bits(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
-                std::int64_t w, BitSpan out) {
-  const std::int64_t ho = h / 2, wo = w / 2;
-  BCOP_CHECK(out.rows == n * ho * wo && out.cols == pixels.cols,
-             "pool2_bits: out span [%lld, %lld] != [%lld, %lld]",
-             static_cast<long long>(out.rows), static_cast<long long>(out.cols),
-             static_cast<long long>(n * ho * wo),
-             static_cast<long long>(pixels.cols));
-  const std::int64_t wpp = pixels.wpr;
-  for (std::int64_t r = 0; r < n * ho * wo; ++r) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t yy = rem / wo, xx = rem - yy * wo;
-    const std::int64_t base = (img * h + 2 * yy) * w + 2 * xx;
-    const std::uint64_t* r0 = pixels.row(base);
-    const std::uint64_t* r1 = pixels.row(base + 1);
-    const std::uint64_t* r2 = pixels.row(base + w);
-    const std::uint64_t* r3 = pixels.row(base + w + 1);
-    std::uint64_t* dst = out.row(r);
-    for (std::int64_t i = 0; i < wpp; ++i)
-      dst[i] = (r0[i] | r1[i]) | (r2[i] | r3[i]);
-  }
 }
 
 void flatten_pixels(ConstBitSpan pixels, std::int64_t n, std::int64_t ppi,

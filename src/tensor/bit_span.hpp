@@ -6,8 +6,8 @@
 // matrices. Every function in this header is allocation-free by contract:
 // scratch lives in fixed-size stack tiles, and the GEMM and im2row
 // wrappers fan out through ThreadPool::for_chunks (function pointer +
-// context, no std::function); pool2_bits and flatten_pixels run serially,
-// since the interpreter calls them per image from inside its own fan-out.
+// context, no std::function); flatten_pixels runs serially, since the
+// interpreter calls it per image from inside its own fan-out.
 // The steady-state zero-allocation test (tests/test_zero_alloc.cpp) holds
 // this layer to that contract.
 //
@@ -91,11 +91,6 @@ void binary_gemm_pre(ConstBitSpan a, const std::uint64_t* bt, std::int64_t n,
 /// destination row first, so reused arena rows stay correct.
 void bit_im2row(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
                 std::int64_t w, std::int64_t c, std::int64_t k, BitSpan rows);
-
-/// 2x2 stride-2 max pool in the bit domain (word-wise OR of four pixel
-/// bit-fields) into a span, on the calling thread. Full-word stores.
-void pool2_bits(ConstBitSpan pixels, std::int64_t n, std::int64_t h,
-                std::int64_t w, BitSpan out);
 
 /// Concatenate the per-pixel bit-fields of each image into one flat row
 /// [N, ppi*C] (bit-domain Flatten) into a span, on the calling thread.

@@ -1,9 +1,12 @@
-// Plan interpreter. ALLOCATION-FREE ZONE: this file must not construct
-// Tensor/BitMatrix/std::vector or call new/malloc -- every buffer is a
-// Workspace arena slice at a plan-frozen offset, scratch lives in
-// fixed-size stack tiles, and the one parallel fan-out per call uses
-// ThreadPool::for_chunks (function pointer + context). Enforced by lint
-// rule R6 and measured by tests/test_zero_alloc.cpp.
+// Plan interpreter. One body per step kind at every residual depth: the
+// GEMM, pool and multi-level firing bodies are plane-generic
+// (exec_residual.cpp), and a classic activation is their one-plane case.
+// ALLOCATION-FREE ZONE: this file must not construct Tensor/BitMatrix/
+// std::vector or call new/malloc -- every buffer is a Workspace arena
+// slice at a plan-frozen offset, scratch lives in fixed-size stack tiles,
+// and the one parallel fan-out per call uses ThreadPool::for_chunks
+// (function pointer + context). Enforced by lint rule R6 and measured by
+// tests/test_zero_alloc.cpp.
 #include "xnor/exec.hpp"
 
 #include <algorithm>
@@ -206,6 +209,15 @@ class SlotTimer {
 #endif
 };
 
+/// Records `ns` into one slot of `slots` (null: not recording).
+void record(const Slots* slots, int slot, std::uint64_t ns) {
+#if BCOP_OBS
+  if (slots != nullptr) slots->slot_ns[slot]->record(ns);
+#else
+  (void)slots, (void)slot, (void)ns;
+#endif
+}
+
 // ---- One image's arena slice and the chunk that replays images. ----
 
 /// The arena regions and caller buffers of one image.
@@ -240,52 +252,27 @@ struct Replay {
   }
 };
 
-ConstBitSpan src_of(const PlanStep& st, const Slice& s) {
-  return {s.half[st.src_half], st.in_rows, st.in_cols, st.in_wpr};
+/// Fire accumulator rows [r, r + n) of a step into its output planes;
+/// `acc` starts at row r. The one selection by plane count left in the
+/// interpreter: a single output plane fires through the frozen tier
+/// threshold kernel, deeper outputs through the pattern banks.
+void fire(const ExecutionPlan& plan, const PlanStep& st,
+          const std::int32_t* acc, const Slice& s, std::int64_t r,
+          std::int64_t n) {
+  std::uint64_t* dst = s.half[st.dst_half] + r * st.out_wpr;
+  if (st.levels_out > 1) {
+    residual_fire(plan, st, acc, dst, n);
+    return;
+  }
+  const PreparedThresholds& prep = plan.prep(st.prep);
+  tensor::kernels::ThreshCtx ctx{acc, prep.thr.data(), prep.inv.data(),
+                                 BitSpan{dst, n, st.out_cols, st.out_wpr}};
+  st.thresh_fn(&ctx, 0, n);
 }
 
-BitSpan dst_of(const PlanStep& st, const Slice& s) {
-  return {s.half[st.dst_half], st.out_rows, st.out_cols, st.out_wpr};
-}
-
-bool residual(const PlanStep& st) {
-  return st.levels_in > 1 || st.in_scaled || st.levels_out > 1;
-}
-
-// ---- Plan-frozen kernel replay (GEMM / thresholds / im2row) over one
-// image's rows. The kernel bodies live in src/tensor/kernels/ (scalar +
-// SIMD tiers); compile() froze one tier's pointers into every step, so
-// replay is a ctx fill and a direct call -- no tier branch, no dispatch
-// lookup, no fan-out. ----
-
-void gemm(const PlanStep& st, ConstBitSpan a, const std::uint64_t* bt,
-          std::int32_t* acc) {
-  tensor::kernels::GemmCtx ctx{a, bt, st.co, acc};
-  st.gemm_fn(&ctx, 0, a.rows);
-}
-
-void fire(const PlanStep& st, const std::int32_t* acc,
-          const PreparedThresholds& prep, BitSpan out) {
-  tensor::kernels::ThreshCtx ctx{acc, prep.thr.data(), prep.inv.data(), out};
-  st.thresh_fn(&ctx, 0, out.rows);
-}
-
-/// Threshold a residual GEMM step: one output plane fires bank 0 through
-/// the frozen kernel, more fire the pattern banks (exec_residual.cpp)
-/// into consecutive planes from dst.data.
-void fire_residual(const ExecutionPlan& plan, const PlanStep& st,
-                   const std::int32_t* acc, BitSpan dst) {
-  if (st.levels_out == 1)
-    fire(st, acc, plan.prep(st.prep), dst);
-  else
-    residual_fire(plan, st, acc, dst.data);
-}
-
-/// Entry step of one image: quantize its pixels, then accumulate the
-/// first conv. The classic entry accumulates up to one output row at a
-/// time into a stack tile and fires it through the frozen threshold
-/// kernel; a residual entry stores every accumulator to the arena for
-/// the pattern banks (M > 1 firing needs every channel of a pixel).
+/// Entry step of one image: quantize its pixels, then accumulate the first
+/// conv up to one output row at a time into a stack tile and fire the tile
+/// as it goes.
 void first_conv(const ExecutionPlan& plan, const PlanStep& st,
                 const FirstConvStage& fc, const Slice& s) {
   // Recover the integer pixel codes (pixels are odd k'/255, see
@@ -294,13 +281,6 @@ void first_conv(const ExecutionPlan& plan, const PlanStep& st,
   for (std::int64_t j = 0; j < numel; ++j)
     s.floats[j] = std::nearbyint(s.in[j] * 255.f);
   const FirstConvCtx t{s.floats, &fc, st.w, st.c, st.wo};
-  if (st.levels_out > 1) {
-    first_conv_rows(t, 0, st.out_rows, s.acc);
-    residual_fire(plan, st, s.acc, s.half[st.dst_half]);
-    return;
-  }
-  const PreparedThresholds& prep = plan.prep(st.prep);
-  const BitSpan dst = dst_of(st, s);
   std::int32_t tile[kFirstConvTile];
   const std::int64_t px = std::min(st.wo, kFirstConvTile / st.co);
   for (std::int64_t y = 0; y < st.ho; ++y)
@@ -308,7 +288,7 @@ void first_conv(const ExecutionPlan& plan, const PlanStep& st,
       const std::int64_t r = y * st.wo + x;
       const std::int64_t nr = std::min(px, st.wo - x);
       first_conv_rows(t, r, r + nr, tile);
-      fire(st, tile, prep, BitSpan{dst.row(r), nr, dst.cols, dst.wpr});
+      fire(plan, st, tile, s, r, nr);
     }
 }
 
@@ -329,19 +309,18 @@ void run_step(const ExecutionPlan& plan, const std::vector<Stage>& stages,
       break;
     }
     case StepKind::kPackInput:
-      tensor::pack_rows(s.in, st.out_rows, st.out_cols, dst_of(st, s));
+      tensor::pack_rows(s.in, st.out_rows, st.out_cols,
+                        {s.half[st.dst_half], st.out_rows, st.out_cols,
+                         st.out_wpr});
       break;
     case StepKind::kBinConv:  // replayed phase by phase in replay_chunk
       break;
     case StepKind::kPool:
-      if (st.levels_in == 1)
-        tensor::pool2_bits(src_of(st, s), 1, st.h, st.w, dst_of(st, s));
-      else
-        residual_pool(st, s.half[st.src_half], s.half[st.dst_half]);
+      residual_pool(st, s.half[st.src_half], s.half[st.dst_half]);
       break;
     case StepKind::kFlatten:
-      // Flatten is a per-plane bit permutation, so the residual case is
-      // the classic kernel replayed once per plane at shifted bases.
+      // Flatten is a per-plane bit permutation: one kernel call per plane
+      // at shifted bases.
       for (std::int64_t m = 0; m < st.levels_in; ++m) {
         const ConstBitSpan src{s.half[st.src_half] + m * st.in_rows * st.in_wpr,
                                st.in_rows, st.in_cols, st.in_wpr};
@@ -351,51 +330,31 @@ void run_step(const ExecutionPlan& plan, const std::vector<Stage>& stages,
       }
       break;
     case StepKind::kBinDense:
-      if (residual(st)) {
-        residual_gemm(plan, st, s.half[st.src_half], nullptr, s.acc);
-        fire_residual(plan, st, s.acc, dst_of(st, s));
-        break;
-      }
-      gemm(st, src_of(st, s), plan.wmat(st.wmat), s.acc);
-      fire(st, s.acc, plan.prep(st.prep), dst_of(st, s));
+      residual_gemm(plan, st, s.half[st.src_half], nullptr, s.acc);
+      fire(plan, st, s.acc, s, 0, st.out_rows);
       break;
     case StepKind::kLogits:
-      if (st.levels_in > 1 || st.in_scaled) {
-        // A = 256 * y for scaled inputs; out_scale (1/256) undoes it
-        // exactly -- every logit is a multiple of 2^-8 far below 2^24.
-        residual_gemm(plan, st, s.half[st.src_half], nullptr, s.acc);
-        for (std::int64_t j = 0; j < st.acc_len; ++j)
-          s.out[j] = static_cast<float>(s.acc[j]) * st.out_scale;
-        break;
-      }
-      gemm(st, src_of(st, s), plan.wmat(st.wmat), s.acc);
+      // A = 256 * y for scaled inputs; out_scale (1/256) undoes it
+      // exactly -- every logit is a multiple of 2^-8 far below 2^24.
+      residual_gemm(plan, st, s.half[st.src_half], nullptr, s.acc);
       for (std::int64_t j = 0; j < st.acc_len; ++j)
-        s.out[j] = static_cast<float>(s.acc[j]);
+        s.out[j] = static_cast<float>(s.acc[j]) * st.out_scale;
       break;
     case StepKind::kUnpack:
-      if (st.levels_in == 1 && !st.in_scaled) {
-        const ConstBitSpan src = src_of(st, s);
-        for (std::int64_t r = 0; r < st.in_rows; ++r) {
-          const std::uint64_t* row = src.row(r);
-          float* o = s.out + r * st.in_cols;
+      // Sum of signed per-plane values: g_m/256 for a scaled plane (exact
+      // dyadic floats, any summation order), 1 for an unscaled one.
+      for (std::int64_t r = 0; r < st.in_rows; ++r) {
+        float* o = s.out + r * st.in_cols;
+        for (std::int64_t j = 0; j < st.in_cols; ++j) o[j] = 0.f;
+        for (std::int64_t m = 0; m < st.levels_in; ++m) {
+          const std::uint64_t* row =
+              s.half[st.src_half] + (m * st.in_rows + r) * st.in_wpr;
+          const float q =
+              st.in_scaled
+                  ? static_cast<float>(st.in_scale_bits[m]) * (1.f / 256.f)
+                  : 1.f;
           for (std::int64_t j = 0; j < st.in_cols; ++j)
-            o[j] = ((row[j >> 6] >> (j & 63)) & 1ull) ? 1.f : -1.f;
-        }
-      } else {
-        // Residual reconstruction: sum of signed per-plane values
-        // g_m/256 (exact dyadic floats, any summation order).
-        for (std::int64_t r = 0; r < st.in_rows; ++r) {
-          float* o = s.out + r * st.in_cols;
-          for (std::int64_t j = 0; j < st.in_cols; ++j) o[j] = 0.f;
-          for (std::int64_t m = 0; m < st.levels_in; ++m) {
-            const std::uint64_t* row = s.half[st.src_half] +
-                                       m * st.in_rows * st.in_wpr +
-                                       r * st.in_wpr;
-            const float q =
-                static_cast<float>(st.in_scale_bits[m]) * (1.f / 256.f);
-            for (std::int64_t j = 0; j < st.in_cols; ++j)
-              o[j] += ((row[j >> 6] >> (j & 63)) & 1ull) ? q : -q;
-          }
+            o[j] += ((row[j >> 6] >> (j & 63)) & 1ull) ? q : -q;
         }
       }
       break;
@@ -404,11 +363,12 @@ void run_step(const ExecutionPlan& plan, const std::vector<Stage>& stages,
 
 /// Chunk body of the single fan-out: replay every plan step over images
 /// [lo, hi), steps outer and images inner. Images own disjoint arena
-/// slices, so no barrier separates the steps. A binary conv runs as
-/// phases (im2row, GEMM, thresholds; residual: gather + GEMM,
-/// thresholds), each over every image of the chunk, so one timer covers
-/// a phase. Only the chunk holding image 0 records: one sample per step
-/// and sub-phase per call, timed over that chunk's images.
+/// slices, so no barrier separates the steps. A binary conv runs as two
+/// phases over every image of the chunk: the block loop (gather + GEMM),
+/// then the firing pass. Only the chunk holding image 0 records: one
+/// sample per step and sub-phase per call, timed over that chunk's
+/// images; the conv's gather and GEMM samples are the clock sums of its
+/// blocks.
 void replay_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   const Replay& rp = *static_cast<const Replay*>(raw);
   const ExecutionPlan& plan = *rp.plan;
@@ -426,31 +386,17 @@ void replay_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
       continue;
     }
     const SlotTimer step(slots, static_cast<int>(st.kind));
-    if (residual(st)) {
-      // The gather runs inside the plane-fused GEMM, so a residual conv
-      // splits into binary_gemm and thresholds only.
-      phase(kObsSlotGemm, [&](const Slice& s) {
-        residual_gemm(plan, st, s.half[st.src_half], s.patch, s.acc);
-      });
-      phase(kObsSlotThresholds, [&](const Slice& s) {
-        fire_residual(plan, st, s.acc, dst_of(st, s));
-      });
-    } else {
-      const auto rows = [&st](const Slice& s) {
-        return BitSpan{s.patch, st.patch_rows, st.patch_cols, st.patch_wpr};
-      };
-      phase(kObsSlotIm2row, [&](const Slice& s) {
-        tensor::kernels::Im2RowCtx ctx{src_of(st, s), rows(s), st.h,  st.w,
-                                       st.c,          st.k,    st.ho, st.wo};
-        st.im2row_fn(&ctx, 0, st.patch_rows);
-      });
-      phase(kObsSlotGemm, [&](const Slice& s) {
-        gemm(st, rows(s), plan.wmat(st.wmat), s.acc);
-      });
-      phase(kObsSlotThresholds, [&](const Slice& s) {
-        fire(st, s.acc, plan.prep(st.prep), dst_of(st, s));
-      });
+    GemmPhaseNs ns;
+    for (std::int64_t i = lo; i < hi; ++i) {
+      const Slice s = rp.slice(i);
+      residual_gemm(plan, st, s.half[st.src_half], s.patch, s.acc,
+                    slots != nullptr ? &ns : nullptr);
     }
+    record(slots, kObsSlotIm2row, ns.gather);
+    record(slots, kObsSlotGemm, ns.gemm);
+    phase(kObsSlotThresholds, [&](const Slice& s) {
+      fire(plan, st, s.acc, s, 0, st.out_rows);
+    });
   }
 }
 

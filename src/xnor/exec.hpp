@@ -29,10 +29,10 @@ namespace bcop::xnor::detail {
 void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
              const float* input, Workspace& ws, float* out);
 
-/// int32 accumulators in the classic first conv's stack tile: it
-/// accumulates up to one output row of pixels into the tile, then fires
-/// the tile through the plan's threshold kernel. compile() rejects a
-/// classic first conv whose channels would not fit one pixel in the tile.
+/// int32 accumulators in the first conv's stack tile: it accumulates up
+/// to one output row of pixels into the tile, then fires the tile into
+/// the step's output planes. compile() rejects a first conv whose
+/// channels would not fit one pixel in the tile.
 inline constexpr std::int64_t kFirstConvTile = 2048;
 
 // Telemetry slot order shared by the registration site (plan.cpp) and the

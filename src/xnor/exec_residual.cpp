@@ -1,11 +1,11 @@
-// Residual-binarization interpreter steps. ALLOCATION-FREE ZONE: same
-// contract as exec.cpp -- no Tensor/BitMatrix/std::vector construction, no
-// new/malloc; buffers are Workspace arena slices at plan-frozen offsets,
-// scratch is fixed-size stack tiles. Every function here runs serially
-// over one image's rows: detail::execute's per-image fan-out is the only
+// Plane-generic interpreter steps. ALLOCATION-FREE ZONE: same contract as
+// exec.cpp -- no Tensor/BitMatrix/std::vector construction, no new/malloc;
+// buffers are Workspace arena slices at plan-frozen offsets, scratch is
+// fixed-size stack tiles. Every function here runs serially over one
+// image's rows: detail::execute's per-image fan-out is the only
 // parallelism, and lint rule R9 keeps the thread pool out of this TU.
 // Enforced by lint rules R6/R9 and scripts/audit_hot_path.py, measured by
-// tests/test_zero_alloc.cpp (M > 1 plans included).
+// tests/test_zero_alloc.cpp at every level cap.
 #include "xnor/exec_residual.hpp"
 
 #include <algorithm>
@@ -14,6 +14,10 @@
 #include "tensor/bit_span.hpp"
 #include "tensor/kernels/kernel_api.hpp"
 #include "util/check.hpp"
+
+#if BCOP_OBS
+#include "obs/metrics.hpp"  // now_ns: one steady_clock read, lock-free
+#endif
 
 namespace bcop::xnor::detail {
 
@@ -29,17 +33,18 @@ struct ResidualFireCtx {
   const std::int32_t* acc;
   const std::int32_t* thr[7];  // bank b = (1 << m) - 1 + pattern
   const std::int32_t* inv[7];
-  std::uint64_t* dst;  // plane-0 base
+  std::uint64_t* dst;  // plane 0 of the first row
   std::int64_t cols, wpr, plane_words;
 };
 
-/// L-level firing. Level m's threshold and flip flag come from its 2^m
-/// pattern banks by selects on the bits levels 0..m-1 already fired, so
-/// each level costs one compare, with no per-channel branch and no
-/// indexed gather, and the channel loop vectorizes like the classic
-/// threshold kernel.
+/// L-level firing, L in {2, 3}. Level m's threshold and flip flag come
+/// from its 2^m pattern banks by selects on the bits levels 0..m-1 already
+/// fired, so each level costs one compare, with no per-channel branch and
+/// no indexed gather, and the channel loop vectorizes like the tier
+/// threshold kernels.
 template <int L>
 void fire_rows(const ResidualFireCtx& t, std::int64_t rows) {
+  static_assert(L == 2 || L == 3, "one level fires through thresh_fn");
   constexpr int kBanks = (1 << L) - 1;
   const std::int64_t cols = t.cols, wpr = t.wpr;
   for (std::int64_t r = 0; r < rows; ++r) {
@@ -65,42 +70,54 @@ void fire_rows(const ResidualFireCtx& t, std::int64_t rows) {
         const std::int32_t x = a[i];
         // b_m = (x >= thr) ^ inv under bank (1 << m) - 1 + pattern.
         const std::int32_t b0 = (x >= tv[0]) ^ iv[0];
+        const std::int32_t b1 =
+            (x >= (b0 ? tv[2] : tv[1])) ^ (b0 ? iv[2] : iv[1]);
         w0 |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(b0)) << i;
-        if constexpr (L >= 2) {
-          const std::int32_t b1 =
-              (x >= (b0 ? tv[2] : tv[1])) ^ (b0 ? iv[2] : iv[1]);
-          w1 |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(b1))
+        w1 |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(b1)) << i;
+        if constexpr (L == 3) {
+          const std::int32_t t2 =
+              b1 ? (b0 ? tv[6] : tv[5]) : (b0 ? tv[4] : tv[3]);
+          const std::int32_t i2 =
+              b1 ? (b0 ? iv[6] : iv[5]) : (b0 ? iv[4] : iv[3]);
+          const std::int32_t b2 = (x >= t2) ^ i2;
+          w2 |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(b2))
                 << i;
-          if constexpr (L >= 3) {
-            const std::int32_t t2 =
-                b1 ? (b0 ? tv[6] : tv[5]) : (b0 ? tv[4] : tv[3]);
-            const std::int32_t i2 =
-                b1 ? (b0 ? iv[6] : iv[5]) : (b0 ? iv[4] : iv[3]);
-            const std::int32_t b2 = (x >= t2) ^ i2;
-            w2 |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(b2))
-                  << i;
-          }
         }
       }
       // Full-word stores: slack bits beyond `cols` come out zero, keeping
       // the trailing-bits invariant on reused arena rows.
       std::uint64_t* d = t.dst + r * wpr + wd;
       d[0] = w0;
-      if constexpr (L >= 2) d[t.plane_words] = w1;
-      if constexpr (L >= 3) d[2 * t.plane_words] = w2;
+      d[t.plane_words] = w1;
+      if constexpr (L == 3) d[2 * t.plane_words] = w2;
     }
   }
+}
+
+/// The profiler's clock where telemetry is built in; the block loop
+/// reads it only when its call records.
+std::uint64_t clock_ns() {
+#if BCOP_OBS
+  return obs::now_ns();
+#else
+  return 0;
+#endif
+}
+
+/// Adds the time since `t` to `sum` and moves `t` to now.
+void lap(std::uint64_t& sum, std::uint64_t& t) {
+  const std::uint64_t now = clock_ns();
+  sum += now - t;
+  t = now;
 }
 
 }  // namespace
 
 void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
                    const std::uint64_t* src, std::uint64_t* patch,
-                   std::int32_t* acc) {
+                   std::int32_t* acc, GemmPhaseNs* ns) {
   const ConstBitSpan in{src, st.in_rows, st.in_cols, st.in_wpr};
   const std::int64_t in_plane = st.in_rows * st.in_wpr;
-  // An unscaled input (a classic stream feeding a residual stage) is one
-  // plane at unit scale: the classic GEMM, through the same kernel call.
   tensor::kernels::GemmCtx gemm{in, plan.wmat(st.wmat), st.co, acc};
   if (st.in_scaled) {
     gemm.planes = st.levels_in;
@@ -123,6 +140,7 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
   gemm.plane_stride = st.patch_rows * st.patch_wpr;
   const std::int64_t block = std::max<std::int64_t>(
       1, kGatherBlockWords / (gemm.planes * st.patch_wpr));
+  std::uint64_t t = ns != nullptr ? clock_ns() : 0;
   for (std::int64_t r0 = 0; r0 < st.patch_rows; r0 += block) {
     const std::int64_t r1 = std::min(st.patch_rows, r0 + block);
     for (std::int64_t m = 0; m < gemm.planes; ++m) {
@@ -132,14 +150,17 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
           st.h, st.w, st.c, st.k, st.ho, st.wo};
       st.im2row_fn(&plane, r0, r1);
     }
+    if (ns != nullptr) lap(ns->gather, t);
     st.gemm_fn(&gemm, r0, r1);
+    if (ns != nullptr) lap(ns->gemm, t);
   }
 }
 
 void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
-                   const std::int32_t* acc, std::uint64_t* dst) {
-  BCOP_CHECK(st.levels_out >= 1 && st.levels_out <= 3,
-             "residual_fire: levels_out %lld out of [1, 3]",
+                   const std::int32_t* acc, std::uint64_t* dst,
+                   std::int64_t rows) {
+  BCOP_CHECK(st.levels_out == 2 || st.levels_out == 3,
+             "residual_fire: levels_out %lld out of [2, 3]",
              static_cast<long long>(st.levels_out));
   ResidualFireCtx ctx;
   ctx.acc = acc;
@@ -154,21 +175,16 @@ void residual_fire(const ExecutionPlan& plan, const PlanStep& st,
   ctx.cols = st.out_cols;
   ctx.wpr = st.out_wpr;
   ctx.plane_words = st.out_rows * st.out_wpr;
-  switch (st.levels_out) {
-    case 1:
-      fire_rows<1>(ctx, st.out_rows);
-      break;
-    case 2:
-      fire_rows<2>(ctx, st.out_rows);
-      break;
-    default:
-      fire_rows<3>(ctx, st.out_rows);
-  }
+  if (st.levels_out == 2)
+    fire_rows<2>(ctx, rows);
+  else
+    fire_rows<3>(ctx, rows);
 }
 
 void residual_pool(const PlanStep& st, const std::uint64_t* src,
                    std::uint64_t* dst) {
-  // Output pixel rows in the geometry of tensor::pool2_bits.
+  // Output pixel r of one image reads input pixels (2y, 2x), (2y, 2x + 1),
+  // (2y + 1, 2x) and (2y + 1, 2x + 1).
   const std::int64_t w = st.w, wo = st.wo, wpr = st.in_wpr;
   const std::int64_t in_plane = st.in_rows * st.in_wpr;
   const std::int64_t out_plane = st.out_rows * st.out_wpr;
@@ -180,8 +196,9 @@ void residual_pool(const PlanStep& st, const std::uint64_t* src,
     const std::uint64_t* pd = pc + wpr;
     std::uint64_t* out = dst + r * wpr;
     for (std::int64_t wd = 0; wd < wpr; ++wd) {
-      // Plane 0: the max of {-1,+1} values is the boolean OR, exactly the
-      // classic pool. Deeper planes only matter where candidates tie.
+      // Plane 0: the max of {-1,+1} values is the boolean OR -- the whole
+      // pool of a one-plane stream. Deeper planes only matter where
+      // candidates tie.
       const std::uint64_t a0 = pa[wd], b0 = pb[wd], c0 = pc[wd], d0 = pd[wd];
       std::uint64_t o = a0 | b0 | c0 | d0;
       out[wd] = o;

@@ -193,13 +193,9 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     st.out_cols = fc->co;
     st.out_wpr = words_for_bits(fc->co);
     st.dst_half = 0;
-    // The classic first conv fires its stack tiles of accumulators as it
-    // goes, so a tile must hold one output pixel's channels; a residual
-    // one materializes every accumulator first so the shared pattern-bank
-    // firing can run over them.
-    if (st.levels_out > 1)
-      st.acc_len = st.out_rows * fc->co;
-    else if (fc->co > detail::kFirstConvTile)
+    // The first conv fires its stack tiles of accumulators as it goes, so
+    // a tile must hold one output pixel's channels.
+    if (fc->co > detail::kFirstConvTile)
       fail("FirstConv has " + std::to_string(fc->co) +
            " output channels, more than the " +
            std::to_string(detail::kFirstConvTile) + " its firing tile holds");

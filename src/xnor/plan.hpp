@@ -78,8 +78,8 @@ struct PlanStep {
   // accumulate A = sum_m in_scale_bits[m] * acc_m in one plane-fused GEMM
   // pass; levels_out > 1 fires the (1 << levels_out) - 1 consecutive
   // threshold banks starting at `prep` (bank 0 = level 0; level m bank
-  // under sign pattern p at prep + (1 << m) - 1 + p). All defaults
-  // reproduce the classic single-level path byte for byte.
+  // under sign pattern p at prep + (1 << m) - 1 + p). The defaults are a
+  // classic activation: one unscaled plane in, one plane out.
   std::int64_t levels_in = 1, levels_out = 1;
   std::int32_t in_scale_bits[3] = {0, 0, 0};
   bool in_scaled = false;
@@ -141,7 +141,7 @@ class ExecutionPlan {
   /// Total arena bytes a Workspace must provide: batch() slices of
   /// slice_bytes() each, image i's at byte i * slice_bytes(). The offsets
   /// below place, within one slice, the two ping-pong halves, the im2row
-  /// patch region (levels_in planes for residual conv steps), the int32
+  /// patch region (levels_in planes of a conv step's rows), the int32
   /// accumulator region and the float scratch region.
   std::size_t arena_bytes() const {
     return slice_bytes_ * static_cast<std::size_t>(batch());

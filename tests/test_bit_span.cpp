@@ -11,6 +11,7 @@
 #include "tensor/bit_tensor.hpp"
 #include "tensor/im2row.hpp"
 #include "util/rng.hpp"
+#include "xnor/exec_residual.hpp"
 
 namespace {
 
@@ -102,6 +103,9 @@ TEST(BitSpan, BitIm2RowMatchesMatrixVariantOnDirtyBuffer) {
   }
 }
 
+// The interpreter's pool step runs xnor::detail::residual_pool at every
+// plane count; at one plane it is the word-wise OR of each 2x2 window.
+// Like the interpreter, it runs one image at a time.
 TEST(BitSpan, Pool2IsBooleanOrOfTheWindow) {
   bcop::util::Rng rng(17);
   const std::int64_t n = 2, h = 4, w = 6;
@@ -109,7 +113,21 @@ TEST(BitSpan, Pool2IsBooleanOrOfTheWindow) {
     const auto src = random_signs(n * h * w * c, rng);
     const BitMatrix pixels = pack_matrix(src.data(), n * h * w, c);
     DirtyBits dirty(n * (h / 2) * (w / 2), c);
-    pool2_bits(span_of(pixels), n, h, w, dirty.span);
+    bcop::xnor::PlanStep st;
+    st.kind = bcop::xnor::StepKind::kPool;
+    st.h = h;
+    st.w = w;
+    st.c = st.co = c;
+    st.ho = h / 2;
+    st.wo = w / 2;
+    st.in_rows = h * w;
+    st.in_cols = st.out_cols = c;
+    st.in_wpr = st.out_wpr = words_for_bits(c);
+    st.out_rows = st.ho * st.wo;
+    ASSERT_EQ(st.levels_in, 1);
+    for (std::int64_t img = 0; img < n; ++img)
+      bcop::xnor::detail::residual_pool(st, pixels.row(img * st.in_rows),
+                                        dirty.span.row(img * st.out_rows));
     BitMatrix want(n * (h / 2) * (w / 2), c);
     for (std::int64_t nn = 0; nn < n; ++nn)
       for (std::int64_t y = 0; y < h / 2; ++y)

@@ -264,46 +264,59 @@ TEST(ObsStageProfiler, ForwardBatchRecordsPerStageSeries) {
   EXPECT_GE(execute.sum(), first_conv.sum());  // whole replay >= one step
 }
 
-// A residual binary-conv step records the two sub-phases it has: the
-// plane-fused gather + GEMM fan-out (binary_gemm) and the pattern-bank
-// fire fan-out (thresholds). Its patch gather runs inside the GEMM chunks,
-// so the im2row series stays classic-only.
+// Every binary-conv step records its three sub-phases at any depth: the
+// block loop's gather (im2row) and GEMM (binary_gemm) clock sums, and the
+// firing pass (thresholds) -- each once per conv step and call, and all
+// three inside the step's own binary_conv timer. Inputs: µ-CNV trained at
+// M = 3 served at cap 2, and the classic (M = 1) µ-CNV.
 TEST(ObsStageProfiler, ResidualConvRecordsGemmAndThresholdSubphases) {
   obs::StageProfiler::global().set_enabled(true);
-  nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 5, 3);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
-  util::Rng rng(7);
-  tensor::Tensor batch(tensor::Shape{5, 32, 32, 3});
-  for (std::int64_t i = 0; i < batch.numel(); ++i)
-    batch[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const xnor::ExecutionPlan& plan = net.plan_for(batch.shape(), 2);
-  const auto convs = static_cast<std::uint64_t>(
-      std::count_if(plan.steps().begin(), plan.steps().end(),
-                    [](const xnor::PlanStep& st) {
-                      return st.kind == xnor::StepKind::kBinConv;
-                    }));
-  ASSERT_GT(convs, 0u);
+  struct Case {
+    std::int64_t levels, cap;
+    const char* key;
+  };
+  for (const Case& c : {Case{3, 2, "bcop_exec_b5_in32x32x3_l2_"},
+                        Case{1, 0, "bcop_exec_b5_in32x32x3_"}}) {
+    SCOPED_TRACE(c.key);
+    nn::Sequential model =
+        core::build_bnn(core::ArchitectureId::kMicroCnv, 5, c.levels);
+    const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+    util::Rng rng(7);
+    tensor::Tensor batch(tensor::Shape{5, 32, 32, 3});
+    for (std::int64_t i = 0; i < batch.numel(); ++i)
+      batch[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const xnor::ExecutionPlan& plan = net.plan_for(batch.shape(), c.cap);
+    const auto convs = static_cast<std::uint64_t>(
+        std::count_if(plan.steps().begin(), plan.steps().end(),
+                      [](const xnor::PlanStep& st) {
+                        return st.kind == xnor::StepKind::kBinConv;
+                      }));
+    ASSERT_GT(convs, 0u);
 
-  auto& reg = obs::Registry::global();
-  const std::string key = "bcop_exec_b5_in32x32x3_l2_";
-  obs::LatencyHistogram& conv = reg.histogram(key + "binary_conv_ns");
-  obs::LatencyHistogram& gemm = reg.histogram(key + "binary_gemm_ns");
-  obs::LatencyHistogram& thr = reg.histogram(key + "thresholds_ns");
-  obs::LatencyHistogram& im2row = reg.histogram(key + "im2row_ns");
-  const std::uint64_t conv0 = conv.count(), gemm0 = gemm.count();
-  const std::uint64_t thr0 = thr.count(), im2row0 = im2row.count();
-  const std::uint64_t conv_ns0 = conv.sum(), gemm_ns0 = gemm.sum();
-  const std::uint64_t thr_ns0 = thr.sum();
+    auto& reg = obs::Registry::global();
+    const std::string key = c.key;
+    obs::LatencyHistogram* conv = &reg.histogram(key + "binary_conv_ns");
+    obs::LatencyHistogram* subs[] = {&reg.histogram(key + "im2row_ns"),
+                                     &reg.histogram(key + "binary_gemm_ns"),
+                                     &reg.histogram(key + "thresholds_ns")};
+    const std::uint64_t conv0 = conv->count(), conv_ns0 = conv->sum();
+    std::uint64_t count0[3], sum0[3];
+    for (int i = 0; i < 3; ++i) {
+      count0[i] = subs[i]->count();
+      sum0[i] = subs[i]->sum();
+    }
 
-  net.forward_batch(batch, 2);
+    net.forward_batch(batch, c.cap);
 
-  EXPECT_EQ(conv.count() - conv0, convs);
-  EXPECT_EQ(gemm.count() - gemm0, convs);
-  EXPECT_EQ(thr.count() - thr0, convs);
-  EXPECT_EQ(im2row.count(), im2row0);
-  // The sub-phases nest inside their step's timer.
-  EXPECT_GE(conv.sum() - conv_ns0,
-            (gemm.sum() - gemm_ns0) + (thr.sum() - thr_ns0));
+    EXPECT_EQ(conv->count() - conv0, convs);
+    std::uint64_t sub_ns = 0;
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(subs[i]->count() - count0[i], convs) << "sub-phase " << i;
+      sub_ns += subs[i]->sum() - sum0[i];
+    }
+    // The sub-phases nest inside their step's timer.
+    EXPECT_LE(sub_ns, conv->sum() - conv_ns0);
+  }
 }
 
 // A batch fans out once over its images, and only the chunk holding

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -226,19 +227,72 @@ TEST(ExecutionPlanResidual, MultiLevelPlanLaysOutBanksPlanesAndScratch) {
   EXPECT_EQ(cplan.arena_bytes(), 2 * slice);
 
   // One image's slice is the whole arena a batch-1 plan had before images
-  // got slices of their own.
+  // got slices of their own. At M = 3 the planes triple the halves and the
+  // patch region, but the acc region stays the conv steps': the first conv
+  // fires from its stack tile at every depth.
   const Shape one{1, 32, 32, 3};
-  const std::pair<core::ArchitectureId, std::size_t> b1_arenas[] = {
-      {core::ArchitectureId::kMicroCnv, 94784u},
-      {core::ArchitectureId::kNCnv, 94784u},
-      {core::ArchitectureId::kCnv, 282944u}};
-  for (const auto& [id, want] : b1_arenas) {
+  struct B1Slice {
+    core::ArchitectureId id;
+    std::size_t m1, m3;
+  };
+  const B1Slice b1_slices[] = {
+      {core::ArchitectureId::kMicroCnv, 94784u, 159360u},
+      {core::ArchitectureId::kNCnv, 94784u, 159360u},
+      {core::ArchitectureId::kCnv, 282944u, 422784u}};
+  for (const auto& [id, m1, m3] : b1_slices) {
     nn::Sequential m = core::build_bnn(id, 7);
     const XnorNetwork proto = XnorNetwork::fold(m);
-    EXPECT_EQ(ExecutionPlan::compile(proto, one).arena_bytes(), want)
+    EXPECT_EQ(ExecutionPlan::compile(proto, one).arena_bytes(), m1)
         << core::arch_name(id);
-    EXPECT_EQ(ExecutionPlan::compile(proto, input).arena_bytes(), 2 * want)
+    EXPECT_EQ(ExecutionPlan::compile(proto, input).arena_bytes(), 2 * m1)
         << core::arch_name(id);
+    nn::Sequential r = core::build_bnn(id, 7, /*residual_levels=*/3);
+    const XnorNetwork rproto = XnorNetwork::fold(r);
+    const ExecutionPlan rplan = ExecutionPlan::compile(rproto, one);
+    EXPECT_EQ(rplan.slice_bytes(), m3) << core::arch_name(id);
+    EXPECT_EQ(rplan.steps().front().kind, StepKind::kFirstConv);
+    EXPECT_EQ(rplan.steps().front().acc_len, 0) << core::arch_name(id);
+  }
+}
+
+// compile() rejects a first conv whose one output pixel would not fit the
+// kFirstConvTile stack tile it fires from -- at one level and at three,
+// since every depth fires the first conv tile by tile.
+TEST(ExecutionPlanTest, RejectsFirstConvWiderThanItsTile) {
+  const std::int64_t co = xnor::detail::kFirstConvTile + 1;
+  const auto bank = [co] {
+    xnor::ThresholdSpec t;
+    t.t.assign(static_cast<std::size_t>(co), 0);
+    t.flip.assign(static_cast<std::size_t>(co), 0);
+    return t;
+  };
+  for (const std::int64_t levels : {1, 3}) {
+    xnor::FirstConvStage fc;
+    fc.k = 3;
+    fc.ci = 3;
+    fc.co = co;
+    fc.weights = Tensor(Shape{fc.k * fc.k * fc.ci, co});
+    fc.thresholds = bank();
+    if (levels > 1) {
+      fc.residual.levels = levels;
+      fc.residual.scale_bits = {128, 32, 8};
+      fc.residual.extra_banks.assign(6, bank());
+    }
+    std::vector<xnor::Stage> stages;
+    stages.emplace_back(std::move(fc));
+    const XnorNetwork net("wide_first_conv", std::move(stages));
+    ASSERT_EQ(net.max_levels(), levels);
+    try {
+      (void)ExecutionPlan::compile(net, Shape{1, 8, 8, 3});
+      ADD_FAILURE() << "compiled a " << co << "-channel first conv at M = "
+                    << levels;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "FirstConv has 2049 output channels, more than the 2048 "
+                    "its firing tile holds"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
