@@ -12,10 +12,10 @@
 //
 // Accuracy uses core::Evaluator::evaluate_xnor at the cap; FPS times the
 // allocation-free forward_batch(x, ws, out, M) serving path after a warm
-// call, so the numbers are the same path serve::TieredRouter pays for
-// its low and high tiers. All caps run against the SAME folded network
-// and plan cache -- the frontier isolates the cost of depth, nothing
-// else.
+// call, so the numbers are the same path a tiered serve::Router pays for
+// its fast and full-depth replicas. All caps run against the SAME folded
+// network and plan cache -- the frontier isolates the cost of depth,
+// nothing else.
 //
 // The JSON artifact (--out, default bench_artifacts/residual_frontier.json)
 // records per-point accuracy, FPS and the mean softmax margin (the
@@ -102,7 +102,7 @@ double measure_fps(const xnor::XnorNetwork& net, const tensor::Tensor& x,
 }
 
 /// Mean softmax top1-top2 margin over the test set at one level cap --
-/// the distribution serve::TieredRouter's margin_threshold cuts.
+/// the distribution RouterConfig::margin_threshold cuts.
 double mean_margin(const xnor::XnorNetwork& net,
                    const std::vector<facegen::Sample>& samples,
                    std::int64_t levels) {

@@ -37,9 +37,9 @@ class Predictor {
     std::array<float, facegen::kNumClasses> scores{};  // softmax of logits
     /// Confidence margin: softmax(top-1) - softmax(top-2), in [0, 1].
     /// Near 0 means the classifier is torn between two classes -- the
-    /// signal serve::TieredRouter uses to escalate a request from the
-    /// cheap M = 1 tier to the full residual depth
-    /// (docs/residual-binarization.md).
+    /// signal a tiered serve::Router uses to hand a request from an M = 1
+    /// fast replica to a full-depth one (RouterConfig::margin_threshold,
+    /// docs/residual-binarization.md).
     float margin = 0.f;
     /// True when the subject may pass a gate (mask correctly worn).
     bool admit() const { return label == facegen::MaskClass::kCorrect; }
@@ -72,10 +72,10 @@ class Predictor {
   /// (XnorNetwork::plan_for semantics: 0 = every trained level, m in
   /// [1, max_levels()] truncates the deeper planes and their threshold
   /// banks). Classic M = 1 networks are unaffected by any value.
-  /// replicate() copies the cap, which is how serve::TieredRouter builds
-  /// an M = 1 fast tier and a full-depth escalation tier from one trained
-  /// model. Not thread-safe against concurrent classify calls: set it
-  /// before serving starts.
+  /// replicate() copies the cap, which is how a tiered serve::Router
+  /// (RouterConfig::fast_replicas) serves M = 1 fast replicas and
+  /// full-depth ones from one trained model. Not thread-safe against
+  /// concurrent classify calls: set it before serving starts.
   void set_serve_levels(std::int64_t levels);
   std::int64_t serve_levels() const { return serve_levels_; }
 

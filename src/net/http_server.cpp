@@ -361,34 +361,21 @@ void HttpServer::handle_request(Connection& conn, const ParsedRequest& req) {
               req.keep_alive, "Allow: GET\r\n");
       return;
     }
-    const std::int64_t depth = router_.queue_depth();
-    // The fleet sheds when every serving replica is at the watermark --
-    // the Router picks the least loaded, so "shedding" means min depth
-    // over serving replicas >= watermark. No serving replica at all is
-    // shedding too (fleet-wide drain/swap).
-    bool shedding = config_.shed_watermark >= 0;
-    bool any_serving = false;
     std::string replicas = "[";
     for (int i = 0; i < router_.size(); ++i) {
       const serve::BatchingServer& r = router_.replica(i);
-      const serve::ServerState state = r.state();
-      const std::int64_t rdepth = r.queue_depth();
-      if (state == serve::ServerState::kServing) {
-        any_serving = true;
-        if (config_.shed_watermark >= 0 && rdepth < config_.shed_watermark)
-          shedding = false;
-      }
       if (i) replicas += ",";
       replicas += "{\"id\":" + std::to_string(i);
       replicas += ",\"state\":\"";
-      replicas += serve::to_string(state);
-      replicas += "\",\"queue_depth\":" + std::to_string(rdepth) + "}";
+      replicas += serve::to_string(r.state());
+      replicas += "\",\"queue_depth\":" + std::to_string(r.queue_depth());
+      replicas += "}";
     }
     replicas += "]";
-    if (!any_serving) shedding = true;
+    // Only the Router knows which replicas admit clients.
     std::string body = "{\"status\":\"";
-    body += shedding ? "shedding" : "ok";
-    body += "\",\"queue_depth\":" + std::to_string(depth);
+    body += router_.sheds(config_.shed_watermark) ? "shedding" : "ok";
+    body += "\",\"queue_depth\":" + std::to_string(router_.queue_depth());
     body += ",\"queue_capacity\":" + std::to_string(router_.queue_capacity());
     body += ",\"shed_watermark\":" + std::to_string(config_.shed_watermark);
     body += ",\"replicas\":" + replicas;

@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
 #include "parallel/affinity.hpp"
+#include "serve/router.hpp"
 #include "util/check.hpp"
 
 namespace bcop::serve {
@@ -87,8 +88,9 @@ void BatchingServer::each_metrics(Fn&& fn) const {
 }
 
 BatchingServer::BatchingServer(const Predictor& prototype,
-                               BatcherConfig config)
+                               BatcherConfig config, Router* router)
     : config_(std::move(config)),
+      router_(router),
       model_(std::make_unique<const Predictor>(prototype.replicate())),
       pool_(config_.workers) {
   BCOP_CHECK(config_.max_batch >= 1, "max_batch %lld must be >= 1",
@@ -162,8 +164,9 @@ void BatchingServer::swap_model(const Predictor& prototype) {
   start_workers();
 }
 
-BatchingServer::Admitted BatchingServer::try_submit(Tensor& image,
-                                                    std::int64_t max_depth) {
+BatchingServer::Admitted BatchingServer::admit(
+    Tensor& image, std::int64_t max_depth,
+    std::promise<Predictor::Result>* handed) {
   const Shape s = request_shape(image);
   Admitted out;
   UniqueLock lock(mutex_);
@@ -174,24 +177,31 @@ BatchingServer::Admitted BatchingServer::try_submit(Tensor& image,
              s.str().c_str(), image_shape_.str().c_str());
   if (state_.load(std::memory_order_relaxed) != ServerState::kServing)
     return out;  // kUnavailable: nothing counted, image untouched
-  if (config_.workers == 0) {
-    out.future = classify_inline(image);
-    out.admission = Admission::kAccepted;
-    return out;
-  }
+  const bool sync = config_.workers == 0;
   std::int64_t limit = config_.queue_capacity;
   if (max_depth >= 0) limit = std::min(limit, max_depth);
-  if (static_cast<std::int64_t>(queue_.size()) >= limit) {
-    each_metrics([](Metrics& m) { m.rejected.add(1); });
+  if (!sync && static_cast<std::int64_t>(queue_.size()) >= limit) {
+    if (handed == nullptr) each_metrics([](Metrics& m) { m.rejected.add(1); });
     out.admission = Admission::kShed;
     return out;
   }
   Request request;
   request.image = std::move(image);
+  if (handed != nullptr)
+    request.promise = std::move(*handed);
+  else
+    out.future = request.promise.get_future();
   request.enqueued = std::chrono::steady_clock::now();
-  out.future = request.promise.get_future();
-  queue_.push_back(std::move(request));
+  request.max_depth = max_depth;
+  out.admission = Admission::kAccepted;
   ++stats_.requests;
+  if (sync) {
+    const std::optional<Predictor::Result> result = classify_inline(request);
+    lock.unlock();
+    if (result) resolve(request, *result);
+    return out;
+  }
+  queue_.push_back(std::move(request));
   // The gauge moves with the queue mutation it mirrors, inside the
   // critical section, so a snapshot never sees a pushed request with an
   // un-bumped depth (recording is one relaxed fetch_add).
@@ -199,13 +209,19 @@ BatchingServer::Admitted BatchingServer::try_submit(Tensor& image,
   lock.unlock();
   each_metrics([](Metrics& m) { m.submitted.add(1); });
   cv_work_.notify_one();
-  out.admission = Admission::kAccepted;
   return out;
 }
 
-std::future<Predictor::Result> BatchingServer::classify_inline(
-    const Tensor& image) {
-  ++stats_.requests;
+void BatchingServer::resolve(Request& request,
+                             const Predictor::Result& result) {
+  if (router_ != nullptr && result.margin < router_->config().margin_threshold)
+    router_->escalate(request, result);
+  else
+    request.promise.set_value(result);
+}
+
+std::optional<Predictor::Result> BatchingServer::classify_inline(
+    Request& request) {
   ++stats_.batches;
   stats_.max_batch_seen = std::max<std::int64_t>(stats_.max_batch_seen, 1);
   each_metrics([](Metrics& m) {
@@ -214,20 +230,17 @@ std::future<Predictor::Result> BatchingServer::classify_inline(
     m.batch_size.record(1);
     m.coalesce_wait_ns.record(0);
   });
-  const auto t0 = std::chrono::steady_clock::now();
-  std::promise<Predictor::Result> promise;
-  auto future = promise.get_future();
+  std::optional<Predictor::Result> result;
   try {
     const Shape& s = image_shape_;
-    promise.set_value(
-        model_->classify_batch(image.reshaped(Shape{1, s[0], s[1], s[2]}))
-            .front());
+    result = model_->classify_batch(
+        request.image.reshaped(Shape{1, s[0], s[1], s[2]})).front();
   } catch (...) {
-    promise.set_exception(std::current_exception());
+    request.promise.set_exception(std::current_exception());
   }
-  const std::uint64_t ns = ns_since(t0);
+  const std::uint64_t ns = ns_since(request.enqueued);
   each_metrics([ns](Metrics& m) { m.e2e_latency_ns.record(ns); });
-  return future;
+  return result;
 }
 
 std::int64_t BatchingServer::generation() const {
@@ -320,15 +333,16 @@ void BatchingServer::run_batch(std::deque<Request>& batch,
   try {
     model.classify_batch(buffers.input, buffers.ws, buffers.logits,
                          buffers.results);
-    for (std::int64_t i = 0; i < b; ++i) {
-      Request& request = batch[static_cast<std::size_t>(i)];
-      request.promise.set_value(buffers.results[static_cast<std::size_t>(i)]);
-      const std::uint64_t e2e_ns = ns_since(request.enqueued);
-      each_metrics([e2e_ns](Metrics& m) { m.e2e_latency_ns.record(e2e_ns); });
-    }
   } catch (...) {
     for (auto& request : batch)
       request.promise.set_exception(std::current_exception());
+    return;
+  }
+  for (std::int64_t i = 0; i < b; ++i) {
+    Request& request = batch[static_cast<std::size_t>(i)];
+    resolve(request, buffers.results[static_cast<std::size_t>(i)]);
+    const std::uint64_t e2e_ns = ns_since(request.enqueued);
+    each_metrics([e2e_ns](Metrics& m) { m.e2e_latency_ns.record(e2e_ns); });
   }
 }
 

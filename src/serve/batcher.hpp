@@ -37,6 +37,12 @@
 // long-running task on a dedicated pool, and the batched network forward
 // itself fans out over ThreadPool::global() once per call, over images.
 //
+// A tiered Router's fast replica (RouterConfig::fast_replicas) does not
+// fulfil an answer whose margin is below the Router's margin_threshold:
+// it hands that request's own image and promise back to the Router, on
+// the worker that computed the answer (or, synchronous, on the submitting
+// thread once the queue mutex is released). No copy, no wait on a future.
+//
 // The server exports telemetry into the process-wide obs::Registry
 // (docs/observability.md): bcop_serve_{submitted,rejected,batches}_total
 // counters, a bcop_serve_queue_depth gauge, and batch_size /
@@ -53,6 +59,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -62,6 +69,8 @@
 #include "xnor/plan.hpp"
 
 namespace bcop::serve {
+
+class Router;
 
 struct BatcherConfig {
   /// Largest coalesced batch handed to classify_batch.
@@ -122,8 +131,11 @@ class BatchingServer {
   };
 
   /// Clone `prototype` (Predictor::replicate: fresh plan cache) and start
-  /// serving it. The prototype is only read during the call.
-  BatchingServer(const core::Predictor& prototype, BatcherConfig config);
+  /// serving it. The prototype is only read during the call. A non-null
+  /// `router` makes this one of its fast replicas: low-margin answers are
+  /// handed back to it (see the header comment).
+  BatchingServer(const core::Predictor& prototype, BatcherConfig config,
+                 Router* router = nullptr);
   /// Drains (every accepted future resolves), then joins.
   ~BatchingServer();
 
@@ -139,10 +151,13 @@ class BatchingServer {
   /// is moved from only on kAccepted. A mis-shaped image is a caller bug
   /// and fails a BCOP_CHECK -- the same contract classify_batch enforces.
   Admitted try_submit(tensor::Tensor& image, std::int64_t max_depth = -1)
-      BCOP_EXCLUDES(mutex_);
+      BCOP_EXCLUDES(mutex_) {
+    return admit(image, max_depth, nullptr);
+  }
 
-  /// Stop admitting, let the workers answer every accepted request, join
-  /// them: kServing -> kDraining -> kStopped. Blocks until drained.
+  /// Stop admitting, let the workers answer (or hand back to the Router)
+  /// every accepted request, join them: kServing -> kDraining -> kStopped.
+  /// Blocks until drained.
   /// Idempotent; the destructor calls it. Concurrent drain/swap calls
   /// serialize.
   void drain() BCOP_EXCLUDES(admin_mutex_, mutex_);
@@ -165,10 +180,13 @@ class BatchingServer {
   const BatcherConfig& config() const { return config_; }
 
  private:
+  friend class Router;
+
   struct Request {
     tensor::Tensor image;  // [S, S, C] or [1, S, S, C]
     std::promise<core::Predictor::Result> promise;
     std::chrono::steady_clock::time_point enqueued;
+    std::int64_t max_depth = -1;  // its watermark; an escalation reuses it
   };
 
   /// Per-worker serving state, owned by the worker for its lifetime: the
@@ -187,6 +205,15 @@ class BatchingServer {
   /// Defined in batcher.cpp; recording is lock-free either way.
   struct Metrics;
 
+  /// try_submit, and the Router's placement of a hand-off: a non-null
+  /// `handed` promise moves into the queue on kAccepted (no future is
+  /// made), and shedding it counts no rejection -- the Router degrades it.
+  Admitted admit(tensor::Tensor& image, std::int64_t max_depth,
+                 std::promise<core::Predictor::Result>* handed)
+      BCOP_EXCLUDES(mutex_);
+  /// Fulfil `request` with `result`, or hand it back to router_.
+  void resolve(Request& request, const core::Predictor::Result& result)
+      BCOP_EXCLUDES(mutex_);
   void start_workers();
   void drain_admin() BCOP_REQUIRES(admin_mutex_) BCOP_EXCLUDES(mutex_);
   void worker_loop() BCOP_EXCLUDES(mutex_);
@@ -195,8 +222,9 @@ class BatchingServer {
       BCOP_EXCLUDES(mutex_);
   /// Synchronous (workers == 0) path: classify on the calling thread,
   /// under the lock so a concurrent swap cannot free the model mid-call.
-  std::future<core::Predictor::Result> classify_inline(
-      const tensor::Tensor& image) BCOP_REQUIRES(mutex_);
+  /// A throw lands in the request's promise and yields nullopt.
+  std::optional<core::Predictor::Result> classify_inline(Request& request)
+      BCOP_REQUIRES(mutex_);
 
   /// Apply `fn` to the global metrics family and, when this server is a
   /// replica, to its per-replica family too (defined in batcher.cpp).
@@ -204,6 +232,8 @@ class BatchingServer {
   void each_metrics(Fn&& fn) const;
 
   const BatcherConfig config_;
+  /// The tiered Router this fast replica hands low-margin answers to.
+  Router* const router_;
   /// Per-replica metric family (bcop_serve_replica<N>_*); null unless
   /// config_.replica_id >= 0. The pointees are registry-owned and
   /// reference-stable; recording is relaxed atomics only.

@@ -28,6 +28,24 @@
 //      Router itself count one rejection (keeping the ledger intact) and
 //      report nullopt.
 //
+// Confidence tiering (ReBNet: one trained M = 3 model serves any depth
+// from the same weights) is a per-replica level cap. With fast_replicas
+// = F > 0, replicas [0, F) serve the prototype capped at M = 1 and take
+// client traffic; the rest serve it at full depth:
+//
+//   try_submit --> fast replicas (M = 1) --> margin >= threshold: answer
+//                    |                         | below: hand-off
+//                    | none serving            v
+//                    +--------------> full-depth replicas --> answer
+//                                       shed / none serving: low answer
+//
+// A fast replica hands a low-margin request's own image and promise back
+// to the Router, which places it on the least-loaded serving full-depth
+// replica under the request's watermark (bcop_serve_escalated_total). If
+// that is shed, or no full-depth replica serves, the client gets the low
+// answer (bcop_serve_degraded_total) -- never a rejection, so
+// rejected_total == 503s holds for every fleet.
+//
 // The Router itself is lock-free: the replica vector is immutable after
 // construction, placement state is one atomic round-robin counter, and
 // all lifecycle mutation lives inside the replicas. drain()/swap_model()
@@ -61,6 +79,13 @@ struct RouterConfig {
   /// and pin its workers there. Soft like all pinning: hosts without an
   /// affinity syscall run unpinned.
   bool pin_workers = false;
+  /// Replicas [0, fast_replicas) serve a replicate() of the prototype
+  /// capped with set_serve_levels(1) (swap_model re-applies the cap); the
+  /// rest serve it as given. 0 = an untiered fleet.
+  int fast_replicas = 0;
+  /// A fast replica's answer escalates when its softmax margin is below
+  /// this (0 never escalates; anything > 1 always does).
+  float margin_threshold = 0.25f;
 };
 
 class Router {
@@ -70,12 +95,16 @@ class Router {
   /// outlive the Router (front-ends read its input shape; swaps may
   /// re-clone it).
   Router(const core::Predictor& prototype, RouterConfig config);
+  /// Drains the fast replicas, then the full-depth ones, so every
+  /// accepted future resolves exactly once.
+  ~Router();
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
   /// Non-blocking fleet admission: place on the least-loaded serving
-  /// replica, retrying past mid-swap replicas. nullopt = shed (503 path);
+  /// replica (a fast one while any serves), retrying past mid-swap
+  /// replicas. nullopt = shed (503 path);
   /// exactly one bcop_serve_rejected_total increment has happened, either
   /// inside the shedding replica or -- when no replica is serving -- in
   /// the Router itself. `max_depth` is the per-replica watermark handed
@@ -98,10 +127,12 @@ class Router {
   /// fleet downtime: drain, re-clone, resume serving. Throws
   /// std::invalid_argument, leaving the replica serving its current
   /// model, when `prototype` expects a different input shape.
-  void swap_model(int i, const core::Predictor& prototype) {
-    replica(i).swap_model(prototype);
-  }
+  void swap_model(int i, const core::Predictor& prototype);
 
+  /// True when a client request at watermark `max_depth` would be shed:
+  /// no replica that admits clients is serving below it (the /healthz
+  /// "shedding" state).
+  bool sheds(std::int64_t max_depth) const;
   /// Sum of live replica queue depths (the /healthz fleet view).
   std::int64_t queue_depth() const;
   /// replicas x per-replica queue_capacity.
@@ -113,7 +144,19 @@ class Router {
   const RouterConfig& config() const { return config_; }
 
  private:
+  friend class BatchingServer;
   struct Metrics;
+
+  /// Placement rules 1-4 over replicas [lo, hi), ties broken from
+  /// `origin`. kUnavailable = no replica in the range took the offer.
+  BatchingServer::Admitted place(std::size_t lo, std::size_t hi,
+                                 std::uint64_t origin, tensor::Tensor& image,
+                                 std::int64_t max_depth,
+                                 std::promise<core::Predictor::Result>* handed);
+  /// A fast replica's low-margin hand-off: place it at full depth, or
+  /// answer `low`.
+  void escalate(BatchingServer::Request& request,
+                const core::Predictor::Result& low);
 
   const core::Predictor& prototype_;
   const RouterConfig config_;

@@ -53,8 +53,8 @@ TEST(Predictor, MarginIsTopTwoSoftmaxGap) {
 }
 
 // serve_levels caps the residual depth every classify call evaluates and
-// survives replicate() -- the contract serve::TieredRouter builds its
-// fast tier on.
+// survives replicate() -- the contract a tiered serve::Router builds its
+// fast replicas on.
 TEST(Predictor, ServeLevelsCapReplicatesAndMatchesEngineCap) {
   core::Predictor p(core::build_bnn(core::ArchitectureId::kMicroCnv, 9,
                                     /*residual_levels=*/2));

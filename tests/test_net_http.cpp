@@ -5,6 +5,7 @@
 // admission control that forwards garbage is not admission control.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -44,8 +45,14 @@ struct LiveServer {
 
   explicit LiveServer(std::uint64_t seed, std::int64_t shed_watermark = 48,
                       int replicas = 1)
-      : predictor(core::build_bnn(core::ArchitectureId::kMicroCnv, seed)),
-        router(predictor, router_config(replicas)),
+      : LiveServer(seed, shed_watermark, router_config(replicas), 1) {}
+
+  /// Any fleet shape over a µ-CNV trained at `residual_levels`.
+  LiveServer(std::uint64_t seed, std::int64_t shed_watermark,
+             serve::RouterConfig fleet, std::int64_t residual_levels)
+      : predictor(core::build_bnn(core::ArchitectureId::kMicroCnv, seed,
+                                  residual_levels)),
+        router(predictor, fleet),
         http(router, http_config(shed_watermark)) {}
 
   static serve::RouterConfig router_config(int replicas) {
@@ -53,6 +60,13 @@ struct LiveServer {
     cfg.replicas = replicas;
     cfg.batcher.workers = 1;
     cfg.batcher.max_latency = std::chrono::microseconds(500);
+    return cfg;
+  }
+  /// One fast replica (level cap 1) in front of one full-depth replica.
+  static serve::RouterConfig tiered_config(float margin_threshold) {
+    serve::RouterConfig cfg = router_config(2);
+    cfg.fast_replicas = 1;
+    cfg.margin_threshold = margin_threshold;
     return cfg;
   }
   static net::HttpServerConfig http_config(std::int64_t watermark) {
@@ -94,6 +108,38 @@ Tensor u8_to_tensor(const std::string& payload) {
         static_cast<float>(2 * static_cast<unsigned char>(payload[i]) - 255) /
         255.f;
   return t;
+}
+
+/// In-process answer for `payload` at a residual level cap (0 = full).
+core::Predictor::Result classify_at(const core::Predictor& prototype,
+                                    const std::string& payload,
+                                    std::int64_t cap) {
+  core::Predictor capped = prototype.replicate();
+  capped.set_serve_levels(cap);
+  return capped
+      .classify_batch(u8_to_tensor(payload).reshaped(Shape{1, 32, 32, 3}))
+      .front();
+}
+
+/// The class and scores fields as HttpServer renders them.
+std::string answer_fields(const core::Predictor::Result& r) {
+  std::string s = "{\"class\":" + std::to_string(static_cast<int>(r.label));
+  s += " \"scores\":[";
+  for (std::size_t i = 0; i < r.scores.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%s%.4f", i ? "," : "",
+                  static_cast<double>(r.scores[i]));
+    s += buf;
+  }
+  return s + "]}";
+}
+
+/// The same two fields cut out of a /v1/classify response body.
+std::string answer_fields(const std::string& body) {
+  const std::size_t comma = body.find(',');
+  const std::size_t scores = body.find("\"scores\":[");
+  if (comma == std::string::npos || scores == std::string::npos) return body;
+  return body.substr(0, comma) + " " + body.substr(scores);
 }
 
 TEST(NetSocket, FdIsMoveOnlyRaii) {
@@ -366,6 +412,103 @@ TEST(NetHttp, HealthzReportsPerReplicaStates) {
   ASSERT_TRUE(c.request("POST", "/v1/classify", u8_payload(121), resp));
   EXPECT_EQ(resp.status, 200)
       << "a drained replica must not take requests down with it";
+
+  // A tiered 1 + 1 fleet: clients reach the full-depth replica only while
+  // the fast one is not serving, and only then does it count for health.
+  LiveServer tiered(127, /*shed_watermark=*/48,
+                    LiveServer::tiered_config(0.25f), /*residual_levels=*/3);
+  auto t = tiered.client();
+  tiered.router.drain(0);
+  ASSERT_TRUE(t.request("GET", "/healthz", "", health));
+  EXPECT_NE(health.body.find("\"status\":\"ok\""), std::string::npos)
+      << health.body;
+  ASSERT_TRUE(t.request("POST", "/v1/classify", u8_payload(128), resp));
+  EXPECT_EQ(resp.status, 200) << "the full-depth replica is the fallback";
+  tiered.router.drain(1);
+  ASSERT_TRUE(t.request("GET", "/healthz", "", health));
+  EXPECT_NE(health.body.find("\"status\":\"shedding\""), std::string::npos)
+      << health.body;
+  ASSERT_TRUE(t.request("POST", "/v1/classify", u8_payload(129), resp));
+  EXPECT_EQ(resp.status, 503);
+
+  // A fast replica at the watermark sheds clients although the idle
+  // full-depth replica has room. A long coalescing window keeps one
+  // request queued until teardown drains it.
+  serve::RouterConfig held = LiveServer::tiered_config(0.25f);
+  held.batcher.max_latency = std::chrono::seconds(5);
+  LiveServer busy(160, /*shed_watermark=*/1, held, /*residual_levels=*/3);
+  auto queued = busy.router.try_submit(u8_to_tensor(u8_payload(161)));
+  ASSERT_TRUE(queued.has_value());
+  auto b = busy.client();
+  ASSERT_TRUE(b.request("GET", "/healthz", "", health));
+  EXPECT_NE(health.body.find("\"status\":\"shedding\""), std::string::npos)
+      << health.body;
+  ASSERT_TRUE(b.request("POST", "/v1/classify", u8_payload(162), resp));
+  EXPECT_EQ(resp.status, 503);
+}
+
+// Tiering over the wire, threshold 2 so every fast answer escalates:
+// answers are the full-depth ones; with the full-depth replica drained
+// they degrade to the cap-1 ones, still 200s, counted as degraded and
+// never as rejected; and a watermark-0 burst keeps rejected_total ==
+// 503s.
+TEST(NetHttp, TieredFleetKeepsTheLedgerOverTheWire) {
+  LiveServer s(130, /*shed_watermark=*/48, LiveServer::tiered_config(2.f),
+               /*residual_levels=*/3);
+  obs::Counter& degraded =
+      obs::Registry::global().counter("bcop_serve_degraded_total");
+  obs::Counter& rejected =
+      obs::Registry::global().counter("bcop_serve_rejected_total");
+  auto c = s.client();
+  constexpr int kRequests = 4;
+  bool depths_distinguished = false;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string payload = u8_payload(static_cast<std::uint64_t>(131 + i));
+    const std::string deep =
+        answer_fields(classify_at(s.predictor, payload, 0));
+    if (deep != answer_fields(classify_at(s.predictor, payload, 1)))
+      depths_distinguished = true;
+    net::HttpResponse resp;
+    ASSERT_TRUE(c.request("POST", "/v1/classify", payload, resp)) << i;
+    EXPECT_EQ(resp.status, 200) << i;
+    EXPECT_EQ(answer_fields(resp.body), deep) << i;
+  }
+  EXPECT_TRUE(depths_distinguished)
+      << "cap-1 and full-depth answers never differed on the wire";
+
+  s.router.drain(1);
+  const std::uint64_t degraded0 = degraded.value();
+  const std::uint64_t rejected0 = rejected.value();
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string payload = u8_payload(static_cast<std::uint64_t>(141 + i));
+    net::HttpResponse resp;
+    ASSERT_TRUE(c.request("POST", "/v1/classify", payload, resp)) << i;
+    EXPECT_EQ(resp.status, 200) << i;
+    EXPECT_EQ(answer_fields(resp.body),
+              answer_fields(classify_at(s.predictor, payload, 1)))
+        << i;
+  }
+  EXPECT_EQ(degraded.value() - degraded0,
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(rejected.value(), rejected0)
+      << "a degraded answer is a 200, not a rejection";
+
+  net::HttpServer zero(s.router, LiveServer::http_config(0));
+  net::BlockingClient b;
+  ASSERT_TRUE(b.connect("127.0.0.1", zero.port()));
+  std::string burst;
+  for (int i = 0; i < 8; ++i)
+    burst += net::format_request("POST", "/v1/classify", u8_payload(151));
+  ASSERT_TRUE(b.send_raw(burst));
+  std::uint64_t status_503 = 0;
+  for (int i = 0; i < 8; ++i) {
+    net::HttpResponse resp;
+    ASSERT_TRUE(b.read_response(resp)) << i;
+    if (resp.status == 503) ++status_503;
+  }
+  EXPECT_GT(status_503, 0u);
+  EXPECT_EQ(rejected.value() - rejected0, status_503)
+      << "rejected_total must equal the 503 count";
 }
 
 TEST(NetHttp, HotSwapUnderTrafficNeverDropsService) {

@@ -2,13 +2,17 @@
 // geometry, quantile accuracy against a sorted-sample oracle, registry
 // identity/validation, exporter golden output from a hand-built snapshot,
 // and the end-to-end wiring of the StageProfiler (plan interpreter) and
-// the BatchingServer's metrics. Concurrency hammering lives in
-// tests/test_obs_stress.cpp for the TSan configuration.
+// the BatchingServer's metrics, and the server metric table of
+// docs/observability.md against the live registry. Concurrency hammering
+// lives in tests/test_obs_stress.cpp for the TSan configuration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "obs/registry.hpp"
 #include "obs/stage_profiler.hpp"
 #include "serve/batcher.hpp"
+#include "serve/router.hpp"
 #include "util/rng.hpp"
 #include "xnor/engine.hpp"
 #include "xnor/exec.hpp"
@@ -401,6 +406,55 @@ TEST(ObsServe, SynchronousServerCounts) {
   EXPECT_EQ(batch_size.count(), sizes0 + 5);
   EXPECT_EQ(e2e.count(), e2e0 + 5);
   EXPECT_EQ(reg.gauge("bcop_serve_queue_depth").value(), 0);
+}
+
+// Golden check of docs/observability.md's "Server metrics" table: its
+// first-column names and the bcop_serve_* series a tiered Router
+// registers must match in both directions, the per-replica families
+// collapsing to one bcop_serve_replica<N>_* row. A series added or
+// renamed without its row (or a row left behind) fails here.
+TEST(ObsDocs, ServerMetricTableMatchesLiveRegistry) {
+  const core::Predictor p(core::build_bnn(core::ArchitectureId::kMicroCnv, 9,
+                                          /*residual_levels=*/3));
+  serve::RouterConfig cfg;
+  cfg.replicas = 2;
+  cfg.fast_replicas = 1;
+  cfg.batcher.workers = 0;
+  serve::Router router(p, cfg);
+  auto future = router.try_submit(tensor::Tensor(tensor::Shape{32, 32, 3}));
+  ASSERT_TRUE(future.has_value());
+  future->get();
+
+  const std::string replica_prefix = "bcop_serve_replica";
+  std::set<std::string> live;
+  const auto add = [&](const std::string& name) {
+    if (name.rfind("bcop_serve_", 0) != 0) return;
+    const bool per_replica =
+        name.rfind(replica_prefix, 0) == 0 &&
+        std::isdigit(static_cast<unsigned char>(name[replica_prefix.size()]));
+    live.insert(per_replica ? replica_prefix + "<N>_*" : name);
+  };
+  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+  for (const auto& c : snap.counters) add(c.name);
+  for (const auto& g : snap.gauges) add(g.name);
+  for (const auto& h : snap.histograms) add(h.name);
+
+  std::ifstream doc(BCOP_DOCS_DIR "/observability.md");
+  ASSERT_TRUE(doc.good()) << "cannot read " BCOP_DOCS_DIR "/observability.md";
+  std::set<std::string> documented;
+  bool in_table = false;
+  for (std::string line; std::getline(doc, line);) {
+    if (line.rfind("## ", 0) == 0) in_table = line == "## Server metrics";
+    if (!in_table || line.rfind("| `", 0) != 0) continue;
+    documented.insert(line.substr(3, line.find('`', 3) - 3));
+  }
+  ASSERT_FALSE(documented.empty()) << "no Server metrics table found";
+  for (const std::string& name : live)
+    EXPECT_EQ(documented.count(name), 1u)
+        << name << " is registered but has no Server metrics row";
+  for (const std::string& name : documented)
+    EXPECT_EQ(live.count(name), 1u)
+        << name << " is documented but no server registers it";
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 //     request onto a replica that did not record it),
 //   - the fleet keeps answering while any replica is serving (zero
 //     downtime across a rolling swap), and contention alone never turns
-//     into a "no serving replica" rejection.
+//     into a "no serving replica" rejection,
+//   - a tiered fleet's hand-offs resolve every accepted future exactly
+//     once, with a cap-1 or full-depth answer, even across swaps and
+//     Router teardown.
 //
 // Client concurrency comes from parallel::ThreadPool (repo rule R2).
 #include <gtest/gtest.h>
@@ -18,6 +21,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <vector>
 
 #include "core/architecture.hpp"
@@ -266,6 +271,129 @@ TEST(RouterStress, ContentionIsNotAnOutage) {
   EXPECT_EQ(accepted, attempts);
   EXPECT_EQ(unrouted.value() - unrouted0, 0u);
   EXPECT_EQ(rejected.value() - rejected0, 0u);
+}
+
+// Tiered hand-off under fire: a threaded fleet of two fast replicas and
+// one full-depth replica at threshold 2, so every fast answer is handed
+// off. Clients keep a few requests in flight while an admin rolls
+// swap_model over every replica (the full-depth swap degrades what is
+// handed off meanwhile); then the Router is destroyed with accepted
+// requests still queued or mid-hand-off.
+TEST(RouterStress, TieredHandoffResolvesEveryFutureOnce) {
+  using Result = core::Predictor::Result;
+  const core::Predictor p(core::build_bnn(core::ArchitectureId::kMicroCnv,
+                                          54, /*residual_levels=*/3));
+  constexpr int kImages = 6;
+  core::Predictor capped = p.replicate();
+  capped.set_serve_levels(1);
+  std::vector<Tensor> images;
+  std::vector<Result> low, deep;
+  util::Rng rng(55);
+  for (int i = 0; i < kImages; ++i) {
+    images.push_back(random_image(rng));
+    const Tensor one = images.back().reshaped(Shape{1, 32, 32, 3});
+    low.push_back(capped.classify_batch(one).front());
+    deep.push_back(p.classify_batch(one).front());
+  }
+  const auto same = [](const Result& a, const Result& b) {
+    return a.label == b.label && a.scores == b.scores;
+  };
+
+  serve::RouterConfig cfg;
+  cfg.replicas = 3;
+  cfg.fast_replicas = 2;
+  cfg.margin_threshold = 2.f;
+  cfg.batcher.workers = 1;
+  cfg.batcher.max_batch = 4;
+  cfg.batcher.queue_capacity = 4;
+  cfg.batcher.max_latency = std::chrono::microseconds(500);
+  auto router = std::make_unique<serve::Router>(p, cfg);
+
+  obs::Counter& degraded =
+      obs::Registry::global().counter("bcop_serve_degraded_total");
+  obs::Counter& rejected =
+      obs::Registry::global().counter("bcop_serve_rejected_total");
+  const std::uint64_t degraded0 = degraded.value();
+  const std::uint64_t rejected0 = rejected.value();
+
+  struct Pending {
+    int image;
+    std::future<Result> future;
+  };
+  struct Client {
+    std::uint64_t shed = 0;
+    std::deque<Pending> pending;                // still in flight at the end
+    std::vector<std::pair<int, Result>> answers;  // resolved while running
+  };
+  const int kClients = 3;
+  std::vector<Client> clients(static_cast<std::size_t>(kClients));
+  std::atomic<bool> swapping{true};
+  {
+    parallel::ThreadPool pool(kClients + 1);
+    pool.submit([&] {
+      for (int i = 0; i < router->size(); ++i) router->swap_model(i, p);
+      swapping.store(false, std::memory_order_release);
+    });
+    for (int c = 0; c < kClients; ++c) {
+      Client* client = &clients[static_cast<std::size_t>(c)];
+      pool.submit([&, client, c] {
+        const auto settle_oldest = [client] {
+          Pending& oldest = client->pending.front();
+          client->answers.emplace_back(oldest.image, oldest.future.get());
+          client->pending.pop_front();
+        };
+        for (int k = 0; swapping.load(std::memory_order_acquire) || k < 40;
+             ++k) {
+          const int image = (c + k) % kImages;
+          auto future =
+              router->try_submit(images[static_cast<std::size_t>(image)]);
+          if (future.has_value())
+            client->pending.push_back({image, std::move(*future)});
+          else
+            ++client->shed;
+          // Shed or deep enough in flight: wait for the oldest answer.
+          if (!client->pending.empty() &&
+              (!future.has_value() || client->pending.size() > 6))
+            settle_oldest();
+        }
+      });
+    }
+    pool.wait_idle();
+  }
+  router.reset();  // teardown with accepted work queued or mid-hand-off
+
+  std::uint64_t shed = 0, accepted = 0, low_only = 0;
+  std::vector<std::pair<int, Result>> answers;
+  for (Client& client : clients) {
+    shed += client.shed;
+    accepted += client.answers.size() + client.pending.size();
+    answers.insert(answers.end(), client.answers.begin(), client.answers.end());
+    for (Pending& pending : client.pending) {
+      ASSERT_EQ(pending.future.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << "~Router must resolve every accepted future";
+      answers.emplace_back(pending.image, pending.future.get());
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(answers.size(), accepted) << "every accepted future resolves";
+  bool depths_distinguished = false;
+  for (int i = 0; i < kImages; ++i)
+    if (!same(low[static_cast<std::size_t>(i)],
+              deep[static_cast<std::size_t>(i)]))
+      depths_distinguished = true;
+  ASSERT_TRUE(depths_distinguished)
+      << "cap-1 and full-depth answers never differ; the test is blind";
+  for (const auto& [image, got] : answers) {
+    const auto i = static_cast<std::size_t>(image);
+    EXPECT_TRUE(same(got, low[i]) || same(got, deep[i]))
+        << "image " << image << ": neither the cap-1 nor the full answer";
+    if (same(got, low[i]) && !same(got, deep[i])) ++low_only;
+  }
+  EXPECT_EQ(rejected.value() - rejected0, shed)
+      << "rejected_total must equal the nullopt count";
+  EXPECT_LE(low_only, degraded.value() - degraded0)
+      << "a low-only answer reached a client without being degraded";
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Dispatcher/replica behavior: least-loaded placement with round-robin
 // tie-break, never placing onto a non-serving replica, graceful drain
 // (accepted futures resolve, new work turned away), zero-downtime
-// hot-swap, and the exactly-once rejection ledger. Concurrency hammering
-// of the same surfaces lives in test_router_stress.cpp for the TSan
-// configuration.
+// hot-swap, the exactly-once rejection ledger, and confidence tiering
+// (fast replicas hand low-margin answers to full-depth ones). Concurrency
+// hammering of the same surfaces lives in test_router_stress.cpp for the
+// TSan configuration.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "core/architecture.hpp"
@@ -15,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
 #include "serve/router.hpp"
-#include "serve/tiered.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -65,6 +66,9 @@ TEST(Router, RejectsOutOfRangeReplicaCounts) {
   EXPECT_DEATH({ serve::Router router(p, zero); }, "replicas");
   serve::RouterConfig huge = sync_config(65);
   EXPECT_DEATH({ serve::Router router(p, huge); }, "replicas");
+  serve::RouterConfig all_fast = sync_config(2);
+  all_fast.fast_replicas = 2;  // no full-depth replica left to escalate to
+  EXPECT_DEATH({ serve::Router router(p, all_fast); }, "fast_replicas");
 }
 
 // An idle fleet has every replica at depth zero, so placement is pure
@@ -246,11 +250,11 @@ TEST(Router, PerReplicaMetricFamiliesRecord) {
       << "and once in the fleet-wide family";
 }
 
-// --- Confidence-tiered serving (serve/tiered.hpp) --------------------------
-// All tiered tests run fully synchronous (workers == 0 in both tiers,
-// escalation_workers == 0) so every future is ready when try_submit
-// returns and every counter has settled -- escalation behavior and the
-// exactly-once accounting become plain assertions.
+// --- Confidence tiering -----------------------------------------------------
+// One fast replica (cap M = 1) and one full-depth replica over a µ-CNV
+// trained at M = 3. Synchronous replicas (workers == 0) make every future
+// ready when try_submit returns and every counter settled, so escalation
+// and the exactly-once accounting become plain assertions.
 
 core::Predictor make_residual_predictor(std::uint64_t seed) {
   return core::Predictor(
@@ -258,14 +262,10 @@ core::Predictor make_residual_predictor(std::uint64_t seed) {
                       /*residual_levels=*/3));
 }
 
-serve::TieredConfig sync_tiered(float margin_threshold) {
-  serve::TieredConfig cfg;
-  cfg.low.replicas = 1;
-  cfg.low.batcher.workers = 0;
-  cfg.high.replicas = 1;
-  cfg.high.batcher.workers = 0;
+serve::RouterConfig sync_tiered(float margin_threshold) {
+  serve::RouterConfig cfg = sync_config(2);
+  cfg.fast_replicas = 1;
   cfg.margin_threshold = margin_threshold;
-  cfg.escalation_workers = 0;
   return cfg;
 }
 
@@ -279,38 +279,28 @@ core::Predictor::Result classify_at(const core::Predictor& prototype,
 }
 
 struct TieredCounters {
-  obs::Counter& submitted;
-  obs::Counter& resolved_low;
-  obs::Counter& escalated;
-  obs::Counter& escalation_shed;
-  std::uint64_t submitted0, resolved_low0, escalated0, escalation_shed0;
-
-  TieredCounters()
-      : submitted(obs::Registry::global().counter(
-            "bcop_serve_tiered_submitted_total")),
-        resolved_low(obs::Registry::global().counter(
-            "bcop_serve_tiered_resolved_low_total")),
-        escalated(obs::Registry::global().counter(
-            "bcop_serve_tiered_escalated_total")),
-        escalation_shed(obs::Registry::global().counter(
-            "bcop_serve_tiered_escalation_shed_total")),
-        submitted0(submitted.value()),
-        resolved_low0(resolved_low.value()),
-        escalated0(escalated.value()),
-        escalation_shed0(escalation_shed.value()) {}
+  obs::Counter& escalated = obs::Registry::global().counter(
+      "bcop_serve_escalated_total");
+  obs::Counter& degraded = obs::Registry::global().counter(
+      "bcop_serve_degraded_total");
+  obs::Counter& rejected = obs::Registry::global().counter(
+      "bcop_serve_rejected_total");
+  const std::uint64_t escalated0 = escalated.value();
+  const std::uint64_t degraded0 = degraded.value();
+  const std::uint64_t rejected0 = rejected.value();
 };
 
-// Wide-margin traffic must never touch the high tier: a threshold of 0
-// accepts every margin, so each request costs exactly one M = 1 pass and
-// the answer is bit-identical to serving the capped clone directly.
+// Wide-margin traffic must never touch the full-depth replica: a threshold
+// of 0 accepts every margin, so each request costs exactly one M = 1 pass
+// and the answer is bit-identical to serving the capped clone directly.
 TEST(Tiered, WideMarginResolvesInLowTierOnly) {
   const core::Predictor p = make_residual_predictor(40);
-  serve::TieredRouter tiered(p, sync_tiered(0.f));
+  serve::Router router(p, sync_tiered(0.f));
   TieredCounters c;
   util::Rng rng(41);
   for (int i = 0; i < 4; ++i) {
     const Tensor image = random_image(rng);
-    auto future = tiered.try_submit(image);
+    auto future = router.try_submit(image);
     ASSERT_TRUE(future.has_value()) << i;
     const auto got = future->get();
     const auto want = classify_at(p, image, 1);
@@ -318,29 +308,27 @@ TEST(Tiered, WideMarginResolvesInLowTierOnly) {
     for (std::size_t k = 0; k < got.scores.size(); ++k)
       EXPECT_EQ(got.scores[k], want.scores[k]) << i << " class " << k;
   }
-  EXPECT_EQ(c.submitted.value() - c.submitted0, 4u);
-  EXPECT_EQ(c.resolved_low.value() - c.resolved_low0, 4u);
   EXPECT_EQ(c.escalated.value() - c.escalated0, 0u);
-  EXPECT_EQ(tiered.high().stats().requests, 0)
-      << "no request may reach the high tier below the threshold";
-  EXPECT_EQ(tiered.low().stats().requests, 4);
+  EXPECT_EQ(router.replica(1).stats().requests, 0)
+      << "no request may reach the full-depth replica below the threshold";
+  EXPECT_EQ(router.replica(0).stats().requests, 4);
 }
 
-// A low-margin input is provably RE-SERVED at the higher depth: it costs
-// one request in EACH tier (exactly once per tier), the escalation
-// counter moves exactly once per request, and the answer is bit-identical
-// to the full-depth M = 3 classification -- which differs from the M = 1
-// answer, proving the two passes really ran at different depths.
+// A low-margin input is provably RE-SERVED at full depth: it costs one
+// request on EACH replica, the escalation counter moves exactly once per
+// request, and the answer is bit-identical to the full-depth M = 3
+// classification -- which differs from the M = 1 answer, proving the two
+// passes really ran at different depths.
 TEST(Tiered, LowMarginEscalatesToFullDepthExactlyOnce) {
   const core::Predictor p = make_residual_predictor(42);
   // margin <= 1 < 2: every request is "low margin" and must escalate.
-  serve::TieredRouter tiered(p, sync_tiered(2.f));
+  serve::Router router(p, sync_tiered(2.f));
   TieredCounters c;
   util::Rng rng(43);
   bool depths_distinguished = false;
   for (int i = 0; i < 6; ++i) {
     const Tensor image = random_image(rng);
-    auto future = tiered.try_submit(image);
+    auto future = router.try_submit(image);
     ASSERT_TRUE(future.has_value()) << i;
     const auto got = future->get();
     const auto deep = classify_at(p, image, 3);
@@ -354,63 +342,93 @@ TEST(Tiered, LowMarginEscalatesToFullDepthExactlyOnce) {
   EXPECT_TRUE(depths_distinguished)
       << "M = 1 and M = 3 scores never differed, so the test cannot tell "
          "the tiers apart";
-  EXPECT_EQ(c.submitted.value() - c.submitted0, 6u);
   EXPECT_EQ(c.escalated.value() - c.escalated0, 6u)
       << "each low-margin request escalates exactly once";
-  EXPECT_EQ(c.resolved_low.value() - c.resolved_low0, 0u);
-  EXPECT_EQ(tiered.low().stats().requests, 6)
-      << "escalation re-serves; it does not bypass the low tier";
-  EXPECT_EQ(tiered.high().stats().requests, 6)
+  EXPECT_EQ(c.degraded.value() - c.degraded0, 0u);
+  EXPECT_EQ(router.replica(0).stats().requests, 6)
+      << "escalation re-serves; it does not bypass the fast replica";
+  EXPECT_EQ(router.replica(1).stats().requests, 6)
       << "each escalated request is served exactly once at depth";
 }
 
-// When the high tier sheds the escalation, the request degrades to the
-// low-tier answer instead of failing: the client future still resolves,
-// with the M = 1 result, and the shed is counted exactly once.
+// With the full-depth replica drained, every escalation degrades to the
+// fast replica's answer instead of failing: the client future still
+// resolves, with the M = 1 result, and nothing counts as a rejection.
 TEST(Tiered, EscalationShedDegradesToLowTierAnswer) {
   const core::Predictor p = make_residual_predictor(44);
-  serve::TieredConfig cfg = sync_tiered(2.f);  // always try to escalate
-  // Watermark 0 sheds every escalation -- but only a QUEUED server
-  // consults the watermark (a synchronous workers == 0 server classifies
-  // inline and never sheds), so the high tier runs one real worker.
-  cfg.high.batcher.workers = 1;
-  cfg.high_max_depth = 0;
-  serve::TieredRouter tiered(p, cfg);
+  serve::Router router(p, sync_tiered(2.f));  // always try to escalate
+  router.drain(1);
   TieredCounters c;
   util::Rng rng(45);
   for (int i = 0; i < 3; ++i) {
     const Tensor image = random_image(rng);
-    auto future = tiered.try_submit(image);
+    auto future = router.try_submit(image);
     ASSERT_TRUE(future.has_value())
-        << i << ": a shed escalation must not become a client-visible 503";
+        << i << ": a degraded escalation must not become a client-visible 503";
     const auto got = future->get();
     const auto want = classify_at(p, image, 1);
     for (std::size_t k = 0; k < got.scores.size(); ++k)
       EXPECT_EQ(got.scores[k], want.scores[k]) << i << " class " << k;
   }
-  EXPECT_EQ(c.escalated.value() - c.escalated0, 3u);
-  EXPECT_EQ(c.escalation_shed.value() - c.escalation_shed0, 3u);
-  EXPECT_EQ(tiered.high().stats().requests, 0);
+  EXPECT_EQ(c.escalated.value() - c.escalated0, 0u);
+  EXPECT_EQ(c.degraded.value() - c.degraded0, 3u);
+  EXPECT_EQ(c.rejected.value() - c.rejected0, 0u)
+      << "the client got a 200, so the ledger must not count a rejection";
+  EXPECT_EQ(router.replica(1).stats().requests, 0);
 }
 
-// A LOW-tier admission shed is the client-visible 503 path and keeps the
-// exactly-once rejection ledger, same as a plain Router.
+// A fast-replica admission shed is the client-visible 503 path and keeps
+// the exactly-once rejection ledger, same as an untiered Router.
 TEST(Tiered, LowTierShedIsClientVisibleAndCountedOnce) {
   const core::Predictor p = make_residual_predictor(46);
-  serve::TieredConfig cfg = sync_tiered(2.f);
-  cfg.low.batcher.workers = 1;  // async so a max_depth-0 watermark sheds
-  serve::TieredRouter tiered(p, cfg);
+  serve::RouterConfig cfg = sync_tiered(2.f);
+  cfg.batcher.workers = 1;  // threaded, so a max_depth-0 watermark sheds
+  serve::Router router(p, cfg);
   TieredCounters c;
-  obs::Counter& rejected =
-      obs::Registry::global().counter("bcop_serve_rejected_total");
-  const std::uint64_t rejected0 = rejected.value();
   util::Rng rng(47);
   for (int i = 0; i < 3; ++i)
-    EXPECT_FALSE(tiered.try_submit(random_image(rng), 0).has_value()) << i;
-  EXPECT_EQ(rejected.value() - rejected0, 3u)
-      << "each low-tier shed counts exactly one rejection";
-  EXPECT_EQ(c.submitted.value() - c.submitted0, 0u)
-      << "a shed request was never admitted to the tier pipeline";
+    EXPECT_FALSE(router.try_submit(random_image(rng), 0).has_value()) << i;
+  EXPECT_EQ(c.rejected.value() - c.rejected0, 3u)
+      << "each fast-replica shed counts exactly one rejection";
+  EXPECT_EQ(router.stats().requests, 0)
+      << "a shed request was never admitted to any replica";
+  EXPECT_EQ(c.escalated.value() - c.escalated0, 0u);
+  EXPECT_EQ(c.degraded.value() - c.degraded0, 0u);
+}
+
+// ~Router drains the fast replicas first, while the full-depth replica
+// still serves, so a request still queued at teardown is escalated, not
+// degraded. A one-second coalescing window keeps the three requests
+// queued until the destructor's drain ships them.
+TEST(Tiered, TeardownEscalatesQueuedRequests) {
+  const core::Predictor p = make_residual_predictor(48);
+  serve::RouterConfig cfg = sync_tiered(2.f);
+  cfg.batcher.workers = 1;
+  cfg.batcher.max_latency = std::chrono::seconds(1);
+  auto router = std::make_unique<serve::Router>(p, cfg);
+  TieredCounters c;
+  util::Rng rng(49);
+  std::vector<Tensor> images;
+  std::vector<std::future<core::Predictor::Result>> futures;
+  for (int i = 0; i < 3; ++i) {
+    images.push_back(random_image(rng));
+    auto future = router->try_submit(images.back());
+    ASSERT_TRUE(future.has_value()) << i;
+    futures.push_back(std::move(*future));
+  }
+  router.reset();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << i << ": teardown must resolve every accepted future";
+    const auto got = futures[i].get();
+    const auto deep = classify_at(p, images[i], 3);
+    for (std::size_t k = 0; k < got.scores.size(); ++k)
+      EXPECT_EQ(got.scores[k], deep.scores[k]) << i << " class " << k;
+  }
+  EXPECT_EQ(c.escalated.value() - c.escalated0, 3u);
+  EXPECT_EQ(c.degraded.value() - c.degraded0, 0u)
+      << "the full-depth replica must outlive the fast replica's drain";
 }
 
 }  // namespace
