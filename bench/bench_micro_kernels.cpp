@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the kernels behind the system:
-// float GEMM vs XNOR-popcount GEMM (the paper's core efficiency claim in
-// software form), patch extraction, bit packing, face rendering, folding
-// and whole-network inference.
+// float GEMM vs the per-tier XNOR-popcount GEMM rows (the paper's core
+// efficiency claim in software form), patch extraction, bit packing, face
+// rendering, folding and whole-network inference.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -15,6 +15,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/im2row.hpp"
 #include "tensor/kernels/dispatch.hpp"
+#include "tensor/kernels/scalar.hpp"
 #include "util/rng.hpp"
 #include "xnor/engine.hpp"
 
@@ -45,21 +46,6 @@ void BM_FloatGemmConv12(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * M * N * K);
 }
 BENCHMARK(BM_FloatGemmConv12);
-
-void BM_XnorGemmConv12(benchmark::State& state) {
-  const std::int64_t M = 784, N = 64, K = 576;
-  const auto a = random_signs(M * K, 3);
-  const auto b = random_signs(N * K, 4);
-  const BitMatrix pa = tensor::pack_matrix(a.data(), M, K);
-  const BitMatrix pb = tensor::pack_matrix(b.data(), N, K);
-  std::vector<std::int32_t> c;
-  for (auto _ : state) {
-    tensor::binary_gemm(pa, pb, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * M * N * K);
-}
-BENCHMARK(BM_XnorGemmConv12);
 
 void BM_PackMatrix(benchmark::State& state) {
   const std::int64_t M = 784, K = 576;
@@ -137,8 +123,7 @@ BENCHMARK(BM_FloatForwardNCnv);
 // ---- Per-tier kernel rows: one row per compiled+executable dispatch ----
 // tier, same geometry, so the report shows scalar vs avx2 vs avx512 side
 // by side (docs/benchmarks.md). Each bench drives the tier's chunk
-// function directly, single-chunk, to isolate kernel throughput from the
-// pool fan-out.
+// function directly, single-chunk, on the calling thread.
 
 namespace kn = tensor::kernels;
 
@@ -183,21 +168,22 @@ void kernel_thresh_tier(benchmark::State& state, kn::KernelLevel lvl) {
   state.SetItemsProcessed(state.iterations() * rows * C);
 }
 
-void kernel_im2row_tier(benchmark::State& state, kn::KernelLevel lvl) {
+// bit-im2row has one body, shared by every tier's table: one row.
+void BM_KernelIm2Row32x32(benchmark::State& state) {
   const std::int64_t n = 1, h = 32, w = 32, c = 64, k = 3;
   const std::int64_t ho = h - k + 1, wo = w - k + 1;
   const auto src = random_signs(n * h * w * c, 16);
   const BitMatrix pixels = tensor::pack_matrix(src.data(), n * h * w, c);
   BitMatrix rows(n * ho * wo, k * k * c);
-  const kn::KernelTable& table = kn::table_for(lvl);
   for (auto _ : state) {
     kn::Im2RowCtx ctx{tensor::span_of(pixels), tensor::span_of(rows),
                       h,  w,  c, k, ho, wo};
-    table.im2row(&ctx, 0, n * ho * wo);
+    kn::scalar_table().im2row(&ctx, 0, n * ho * wo);
     benchmark::DoNotOptimize(rows.storage().data());
   }
   state.SetItemsProcessed(state.iterations() * n * ho * wo * k * k * c);
 }
+BENCHMARK(BM_KernelIm2Row32x32);
 
 const bool kKernelTierRowsRegistered = [] {
   for (int i = 0; i < kn::kKernelLevelCount; ++i) {
@@ -208,8 +194,6 @@ const bool kKernelTierRowsRegistered = [] {
                                  kernel_gemm_tier, lvl);
     benchmark::RegisterBenchmark(("BM_KernelThreshold/" + tier).c_str(),
                                  kernel_thresh_tier, lvl);
-    benchmark::RegisterBenchmark(("BM_KernelIm2Row32x32/" + tier).c_str(),
-                                 kernel_im2row_tier, lvl);
   }
   return true;
 }();

@@ -24,8 +24,8 @@ Audited translation units (the plan-replay path):
                       lexicographic pooling).
   src/obs/metrics.cpp the metric recording primitives the interpreter and
                       the serving path record into.
-  src/tensor/bit_span.cpp        span-kernel entry points the engine's
-                                 non-plan callers go through.
+  src/tensor/bit_span.cpp        the span helpers the interpreter replays
+                                 (input packing, bit-domain flatten).
   src/tensor/kernels/*.cpp       the kernel dispatch tiers (scalar, AVX2,
                                  AVX-512) plus the CPUID dispatcher whose
                                  function pointers plans freeze.
@@ -68,7 +68,7 @@ AUDITED_TUS = [
     ("src/xnor/exec_residual.cpp",
      "residual-binarization replay kernels (multi-level GEMM/fire/pool)"),
     ("src/obs/metrics.cpp", "metric recording primitives"),
-    ("src/tensor/bit_span.cpp", "span-kernel entry points"),
+    ("src/tensor/bit_span.cpp", "span helpers (input packing, flatten)"),
     ("src/tensor/kernels/scalar.cpp", "scalar kernel tier (reference)"),
     ("src/tensor/kernels/avx2.cpp", "AVX2 kernel tier"),
     ("src/tensor/kernels/avx512.cpp", "AVX-512 kernel tier"),

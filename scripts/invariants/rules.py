@@ -85,11 +85,12 @@ OBS_HOT_HEADER = "src/obs/metrics.hpp"
 HOT_BANNED_HEADERS = ("mutex", "iostream", "functional", "sys/socket.h",
                       "poll.h")
 # detail::execute in exec.cpp is the one pool fan-out of inference (over a
-# batch's images); the residual replay steps and the kernel tiers run
-# serially over one image's rows, so a per-step for_chunks must not grow
-# back in them.
+# batch's images); the residual replay steps, the span helpers and the
+# kernel tiers run serially over one image's rows, so a per-step
+# for_chunks must not grow back in them.
 SERIAL_FILES = (
     "src/xnor/exec_residual.cpp",
+    "src/tensor/bit_span.cpp",
     "src/tensor/kernels/scalar.cpp",
     "src/tensor/kernels/avx2.cpp",
     "src/tensor/kernels/avx512.cpp",

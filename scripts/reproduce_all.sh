@@ -40,9 +40,10 @@ Stages are controlled by environment variables (all default off/full):
                      broken conservation identity (see docs/networking.md)
   KERNEL_BENCH=1     run the per-tier kernel micro-benchmarks (the
                      BM_Kernel* rows of bench_micro_kernels: scalar vs
-                     avx2 vs avx512 popcount GEMM / threshold / im2row on
-                     whatever tiers this host can execute) and save the
-                     JSON to bench_artifacts/kernel_tiers.json
+                     avx2 vs avx512 popcount GEMM / threshold on whatever
+                     tiers this host can execute, plus the one shared
+                     im2row) and save the JSON to
+                     bench_artifacts/kernel_tiers.json
 
 Exit status is non-zero when any enabled stage fails; a per-stage summary
 prints at the end either way.

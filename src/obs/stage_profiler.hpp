@@ -13,9 +13,8 @@
 //                    and records into the pre-resolved histogram pointer.
 //                    No locks, no allocation (rules R6 + R7).
 //
-// The hooks are compiled in by default (CMake option BCOP_OBS, default
-// ON; `-DBCOP_OBS=OFF` removes them entirely) and recording is toggled at
-// runtime with set_enabled(). Metric names look like
+// The hooks are always compiled in; recording is toggled at runtime with
+// set_enabled(). Metric names look like
 // `bcop_exec_b8_in32x32x3_binary_conv_ns`: keyed by plan shape, so two
 // networks executing the same shape share a series (reset the registry
 // between phases to separate them, as bench_serving_throughput does).

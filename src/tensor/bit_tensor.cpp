@@ -1,8 +1,7 @@
 #include "tensor/bit_tensor.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "parallel/thread_pool.hpp"
 
 namespace bcop::tensor {
 
@@ -60,48 +59,6 @@ std::int64_t xnor_match_count(const std::uint64_t* a, const std::uint64_t* b,
   for (std::int64_t i = 0; i < words; ++i)
     pop += std::popcount(~(a[i] ^ b[i]));
   return pop - pad;
-}
-
-void binary_gemm(const BitMatrix& a, const BitMatrix& b,
-                 std::vector<std::int32_t>& c) {
-  if (a.cols() != b.cols())
-    throw std::invalid_argument("binary_gemm: K mismatch");
-  const std::int64_t M = a.rows(), N = b.rows(), K = a.cols();
-  const std::int64_t words = a.words_per_row();
-  const std::int64_t pad = words * 64 - K;
-  c.assign(static_cast<std::size_t>(M * N), 0);
-  // Word-major transpose of b: bt[w*N + j] = b.row(j)[w]. With the weight
-  // rows adjacent per word, one activation word broadcasts against N
-  // contiguous lanes and the popcount loop vectorizes (vpopcntq where the
-  // ISA has it; the `omp simd` hint is what unlocks it -- see bcop_optim).
-  std::vector<std::uint64_t> bt(static_cast<std::size_t>(words * N));
-  for (std::int64_t j = 0; j < N; ++j) {
-    const std::uint64_t* bj = b.row(j);
-    for (std::int64_t w = 0; w < words; ++w)
-      bt[static_cast<std::size_t>(w * N + j)] = bj[w];
-  }
-  parallel::parallel_for_chunked(
-      parallel::ThreadPool::global(), 0, M,
-      [&](std::int64_t lo, std::int64_t hi) {
-        std::vector<std::int64_t> pop(static_cast<std::size_t>(N));
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const std::uint64_t* ai = a.row(i);
-          std::int32_t* ci = c.data() + i * N;
-          std::int64_t* pp = pop.data();
-#pragma omp simd
-          for (std::int64_t j = 0; j < N; ++j) pp[j] = 0;
-          for (std::int64_t w = 0; w < words; ++w) {
-            const std::uint64_t av = ai[w];
-            const std::uint64_t* btw = bt.data() + w * N;
-#pragma omp simd
-            for (std::int64_t j = 0; j < N; ++j)
-              pp[j] += std::popcount(~(av ^ btw[j]));
-          }
-#pragma omp simd
-          for (std::int64_t j = 0; j < N; ++j)
-            ci[j] = static_cast<std::int32_t>(2 * (pp[j] - pad) - K);
-        }
-      });
 }
 
 }  // namespace bcop::tensor

@@ -95,9 +95,4 @@ inline std::int64_t xnor_dot(const std::uint64_t* a, const std::uint64_t* b,
   return 2 * xnor_match_count(a, b, words, pad) - cols;
 }
 
-/// Binary GEMM: C[M,N] (int32) = A[M,K] x B[N,K]^T with {-1,+1} semantics.
-/// A holds M packed activation rows, B holds N packed weight rows.
-void binary_gemm(const BitMatrix& a, const BitMatrix& b,
-                 std::vector<std::int32_t>& c);
-
 }  // namespace bcop::tensor

@@ -3,8 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "parallel/thread_pool.hpp"
-
 namespace bcop::tensor {
 
 void im2row(const Tensor& input, std::int64_t k, Tensor& rows) {
@@ -34,53 +32,6 @@ void im2row(const Tensor& input, std::int64_t k, Tensor& rows) {
       }
     }
   }
-}
-
-void bit_im2row(const BitMatrix& pixels, std::int64_t n, std::int64_t h,
-                std::int64_t w, std::int64_t c, std::int64_t k,
-                BitMatrix& rows) {
-  if (pixels.rows() != n * h * w || pixels.cols() != c)
-    throw std::invalid_argument("bit_im2row: pixels not [N*H*W, C]");
-  const std::int64_t ho = conv_out_dim(h, k), wo = conv_out_dim(w, k);
-  if (ho <= 0 || wo <= 0)
-    throw std::invalid_argument("bit_im2row: kernel larger than input");
-  rows = BitMatrix(n * ho * wo, k * k * c);
-  const std::int64_t wpp = pixels.words_per_row();
-  const bool aligned = (c % 64) == 0;
-  parallel::parallel_for_chunked(
-      parallel::ThreadPool::global(), 0, n * ho * wo,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t r = lo; r < hi; ++r) {
-          const std::int64_t img = r / (ho * wo);
-          const std::int64_t rem = r - img * ho * wo;
-          const std::int64_t y = rem / wo, x = rem - y * wo;
-          std::uint64_t* dst = rows.row(r);
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            // The k pixels of one kernel row are adjacent along x, so their
-            // packed fields are consecutive rows of `pixels`.
-            const std::int64_t p = ((img * h) + y + ky) * w + x;
-            if (aligned) {
-              std::memcpy(dst + (ky * k * c) / 64, pixels.row(p),
-                          static_cast<std::size_t>(k * wpp) * sizeof(std::uint64_t));
-            } else if (c < 64) {
-              // Single-word fields: inline the append (the call + multi-word
-              // generality of append_bits costs more than the OR itself).
-              const std::uint64_t* src = pixels.row(p);
-              for (std::int64_t kx = 0; kx < k; ++kx) {
-                const std::uint64_t v = src[kx * wpp];
-                const std::int64_t off = (ky * k + kx) * c;
-                const std::int64_t sh = off & 63;
-                std::uint64_t* d = dst + (off >> 6);
-                d[0] |= v << sh;
-                if (sh + c > 64) d[1] |= v >> (64 - sh);
-              }
-            } else {
-              for (std::int64_t kx = 0; kx < k; ++kx)
-                append_bits(dst, (ky * k + kx) * c, pixels.row(p + kx), c);
-            }
-          }
-        }
-      });
 }
 
 void row2im(const Tensor& rows_grad, std::int64_t k, Tensor& input_grad) {

@@ -5,12 +5,13 @@
 // what makes conv2_2's post-pool output 5x5 as the paper states. im2row
 // lowers such a convolution to one GEMM:
 //   patches[N*Ho*Wo, K*K*Ci] x weights[K*K*Ci, Co] = output[N*Ho*Wo, Co]
-// and row2im scatters patch gradients back for the backward pass.
+// and row2im scatters patch gradients back for the backward pass. The
+// bit-domain gather the plan interpreter runs is the kernel tables' im2row
+// (tensor/kernels/scalar.cpp), with the same (ky, kx, c) patch order.
 #pragma once
 
 #include <cstdint>
 
-#include "tensor/bit_tensor.hpp"
 #include "tensor/tensor.hpp"
 
 namespace bcop::tensor {
@@ -27,15 +28,5 @@ void im2row(const Tensor& input, std::int64_t k, Tensor& rows);
 /// Scatter-add patch-space gradients `rows_grad` [N*Ho*Wo, K*K*C] back to
 /// `input_grad` [N,H,W,C] (which is zeroed first).
 void row2im(const Tensor& rows_grad, std::int64_t k, Tensor& input_grad);
-
-/// Bit-domain im2row over a pixel-major packed activation batch: `pixels`
-/// holds one C-bit row per (n, y, x) position ([N*H*W, C]); `rows` receives
-/// the packed patch matrix [N*Ho*Wo, K*K*C] with the same (ky, kx, c)
-/// element order as the float im2row, ready for binary_gemm. When C is a
-/// multiple of 64 each kernel row is a word-aligned memcpy; otherwise the
-/// per-pixel bit-fields are concatenated with append_bits.
-void bit_im2row(const BitMatrix& pixels, std::int64_t n, std::int64_t h,
-                std::int64_t w, std::int64_t c, std::int64_t k,
-                BitMatrix& rows);
 
 }  // namespace bcop::tensor

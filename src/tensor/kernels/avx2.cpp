@@ -20,9 +20,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
-#include "tensor/bit_tensor.hpp"
+#include "tensor/kernels/scalar.hpp"
 
 namespace bcop::tensor::kernels {
 
@@ -205,54 +204,6 @@ void thresh_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
                     (ab[i] >= tp[i]) ^ ip[i]))
                 << i;
       w[word] = bits;
-    }
-  }
-}
-
-/// 256-bit-wide word copy (the patch gather is bandwidth-bound; wider
-/// moves are all a SIMD tier can add to a copy kernel).
-inline void copy_words(std::uint64_t* dst, const std::uint64_t* src,
-                       std::int64_t n) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + i),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)));
-  for (; i < n; ++i) dst[i] = src[i];
-}
-
-void im2row_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
-  const Im2RowCtx& t = *static_cast<const Im2RowCtx*>(raw);
-  const std::int64_t h = t.h, w = t.w, c = t.c, k = t.k;
-  const std::int64_t ho = t.ho, wo = t.wo;
-  const std::int64_t wpp = t.pixels.wpr;
-  const bool aligned = (c % 64) == 0;
-  for (std::int64_t r = lo; r < hi; ++r) {
-    const std::int64_t img = r / (ho * wo);
-    const std::int64_t rem = r - img * ho * wo;
-    const std::int64_t y = rem / wo, x = rem - y * wo;
-    std::uint64_t* dst = t.rows.row(r);
-    if (!aligned)
-      std::memset(dst, 0, static_cast<std::size_t>(t.rows.wpr) *
-                              sizeof(std::uint64_t));
-    for (std::int64_t ky = 0; ky < k; ++ky) {
-      const std::int64_t p = ((img * h) + y + ky) * w + x;
-      if (aligned) {
-        copy_words(dst + (ky * k * c) / 64, t.pixels.row(p), k * wpp);
-      } else if (c < 64) {
-        const std::uint64_t* src = t.pixels.row(p);
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::uint64_t v = src[kx * wpp];
-          const std::int64_t off = (ky * k + kx) * c;
-          const std::int64_t sh = off & 63;
-          std::uint64_t* d = dst + (off >> 6);
-          d[0] |= v << sh;
-          if (sh + c > 64) d[1] |= v >> (64 - sh);
-        }
-      } else {
-        for (std::int64_t kx = 0; kx < k; ++kx)
-          append_bits(dst, (ky * k + kx) * c, t.pixels.row(p + kx), c);
-      }
     }
   }
 }

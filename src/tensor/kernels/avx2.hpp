@@ -1,6 +1,6 @@
 // AVX2 kernel tier: vpshufb nibble-LUT popcount with a Harley-Seal
-// carry-save accumulator for long rows (GEMM), 8-lane compare+movemask
-// threshold firing, and 256-bit-wide patch copies (im2row).
+// carry-save accumulator for long rows (GEMM) and 8-lane compare+movemask
+// threshold firing. Its im2row is the scalar tier's, like every table's.
 #pragma once
 
 #include "tensor/kernels/kernel_api.hpp"

@@ -1,6 +1,6 @@
 // AVX-512 kernel tier: hardware VPOPCNTQ popcount (8 x 64-bit lanes per
-// instruction), 16-lane mask-register threshold firing, and 512-bit-wide
-// patch copies.
+// instruction) and 16-lane mask-register threshold firing. Its im2row is
+// the scalar tier's, like every table's.
 #pragma once
 
 #include "tensor/kernels/kernel_api.hpp"

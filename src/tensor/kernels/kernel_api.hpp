@@ -1,9 +1,11 @@
 // Kernel dispatch vocabulary for the bit-domain hot path.
 //
 // The three kernels the plan interpreter spends its cycles in -- popcount
-// GEMM, packed threshold firing and bit-im2row -- exist in per-ISA tiers
-// (scalar reference, AVX2, AVX-512 VPOPCNTDQ). Each tier exports one
-// KernelTable of chunk functions; runtime CPUID detection picks the best
+// GEMM, packed threshold firing and bit-im2row -- sit in one KernelTable
+// per ISA tier (scalar reference, AVX2, AVX-512 VPOPCNTDQ). GEMM and
+// threshold firing have one body per tier; bit-im2row is a word copy with
+// nothing for wider registers to add, so it has one body (scalar.cpp) that
+// every table points at. Runtime CPUID detection picks the best
 // table once (src/tensor/kernels/dispatch.cpp) and ExecutionPlan::compile
 // freezes the chosen function pointers into every plan step, so the
 // interpreter replay stays branch-free: it calls whatever pointer the plan
@@ -13,11 +15,9 @@
 // throw-free by contract -- the tiers are audited at the object level by
 // scripts/audit_hot_path.py exactly like the interpreter TU, and rules
 // R6/R9 lint the sources (R9 also keeps the thread pool out of the tier
-// TUs: a kernel never fans out itself). Chunk functions share the
-// ThreadPool::ChunkFn shape (void* context + [lo, hi) range): the plan
-// interpreter calls them directly over one image's rows, and the
-// tensor::binary_gemm_pre / bit_im2row wrappers fan them out through
-// ThreadPool::for_chunks with no adapter.
+// TUs: a kernel never fans out itself). The plan interpreter calls each
+// chunk function directly over one image's rows; the tables are the only
+// XNOR GEMM and bit-im2row in the tree.
 //
 // All tiers compute bit-identical results: the arithmetic is integral
 // (popcounts, compares, shifts), so the differential suite
@@ -40,9 +40,7 @@ enum class KernelLevel : std::uint8_t {
 };
 inline constexpr int kKernelLevelCount = 3;
 
-/// Chunk function over rows [lo, hi) of its context. Matches
-/// parallel::ThreadPool::ChunkFn (static_asserted where the two meet) so
-/// tables plug into the pool without any trampoline.
+/// Chunk function over rows [lo, hi) of its context.
 using KernelFn = void (*)(void* ctx, std::int64_t lo, std::int64_t hi);
 
 /// Most packed planes one GEMM call reads (ReBNet residual levels, M <= 3).

@@ -23,9 +23,11 @@ void gemm_rows(const GemmCtx& g, std::int64_t lo, std::int64_t hi) {
   // Popcount accumulators live in a fixed stack tile: the weight-row
   // dimension is walked kTile lanes at a time, each sweep streaming every
   // activation word once. 256 lanes keep the tile inside L1 while leaving
-  // the inner loop wide enough to vectorize (see binary_gemm for the
-  // word-major layout rationale). Each weight word is loaded once and
-  // counted against all P planes.
+  // the inner loop wide enough to vectorize: with the weight rows adjacent
+  // per word (word-major bt), one activation word broadcasts against
+  // contiguous lanes, and the `omp simd` hint lets the popcount loop
+  // vectorize (vpopcntq where the ISA has it). Each weight word is loaded
+  // once and counted against all P planes.
   constexpr std::int64_t kTile = 256;
   std::int64_t pop[P][kTile];
   for (std::int64_t i = lo; i < hi; ++i) {
@@ -104,6 +106,8 @@ void thresh_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   }
 }
 
+}  // namespace
+
 void im2row_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   const Im2RowCtx& t = *static_cast<const Im2RowCtx*>(raw);
   const std::int64_t h = t.h, w = t.w, c = t.c, k = t.k;
@@ -117,7 +121,7 @@ void im2row_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
     std::uint64_t* dst = t.rows.row(r);
     // The OR-based paths rely on zero destination bits; arena rows carry
     // stale state, so clear the whole row first (aligned rows are fully
-    // overwritten by the memcpy below and skip this).
+    // overwritten by the word copy below and skip this).
     if (!aligned)
       std::memset(dst, 0, static_cast<std::size_t>(t.rows.wpr) *
                               sizeof(std::uint64_t));
@@ -126,8 +130,12 @@ void im2row_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
       // packed fields are consecutive rows of `pixels`.
       const std::int64_t p = ((img * h) + y + ky) * w + x;
       if (aligned) {
-        std::memcpy(dst + (ky * k * c) / 64, t.pixels.row(p),
-                    static_cast<std::size_t>(k * wpp) * sizeof(std::uint64_t));
+        // An inline word loop the compiler vectorizes: on the prototypes'
+        // 3-12-word kernel rows it matched or beat the AVX-512 copy it
+        // replaced (EXPERIMENTS.md, kernel dispatch tiers).
+        const std::uint64_t* src = t.pixels.row(p);
+        std::uint64_t* d = dst + (ky * k * c) / 64;
+        for (std::int64_t i = 0; i < k * wpp; ++i) d[i] = src[i];
       } else if (c < 64) {
         // Single-word fields: inline the append (the call + multi-word
         // generality of append_bits costs more than the OR itself).
@@ -147,6 +155,8 @@ void im2row_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
     }
   }
 }
+
+namespace {
 
 constexpr KernelTable kScalarTable{KernelLevel::kScalar, &gemm_chunk,
                                    &thresh_chunk, &im2row_chunk};

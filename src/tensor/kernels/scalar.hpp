@@ -10,4 +10,9 @@ namespace bcop::tensor::kernels {
 /// Always available, on every architecture.
 const KernelTable& scalar_table();
 
+/// Bit-domain im2row chunk (Im2RowCtx): the one patch gather in the tree.
+/// A copy loop has nothing for wider registers to add, so every tier's
+/// table points its `im2row` field here.
+void im2row_chunk(void* ctx, std::int64_t lo, std::int64_t hi);
+
 }  // namespace bcop::tensor::kernels

@@ -20,13 +20,11 @@
 #include "util/check.hpp"
 #include "xnor/exec_residual.hpp"
 
-#if BCOP_OBS
 // Telemetry is allowed in this file because recording is atomics-only:
 // obs::LatencyHistogram::record and obs::now_ns never lock or allocate
 // (rule R7 lints the record-path header for exactly that).
 #include "obs/metrics.hpp"
 #include "obs/stage_profiler.hpp"
-#endif
 
 namespace bcop::xnor::detail {
 
@@ -180,18 +178,11 @@ void first_conv_rows(const FirstConvCtx& t, std::int64_t lo, std::int64_t hi,
 
 // ---- Telemetry: one histogram slot per step, sub-phase and call. ----
 
-#if BCOP_OBS
-using Slots = obs::StageSlots;
-#else
-struct Slots {};
-#endif
-
 /// Records the time from construction to destruction into one slot of
 /// `slots`; a null `slots` (not recording) costs one branch.
 class SlotTimer {
  public:
-#if BCOP_OBS
-  SlotTimer(const Slots* slots, int slot)
+  SlotTimer(const obs::StageSlots* slots, int slot)
       : slots_(slots),
         slot_(slot),
         t0_(slots != nullptr ? obs::now_ns() : 0) {}
@@ -201,21 +192,14 @@ class SlotTimer {
   }
 
  private:
-  const Slots* slots_;
+  const obs::StageSlots* slots_;
   int slot_;
   std::uint64_t t0_;
-#else
-  SlotTimer(const Slots*, int) {}
-#endif
 };
 
 /// Records `ns` into one slot of `slots` (null: not recording).
-void record(const Slots* slots, int slot, std::uint64_t ns) {
-#if BCOP_OBS
+void record(const obs::StageSlots* slots, int slot, std::uint64_t ns) {
   if (slots != nullptr) slots->slot_ns[slot]->record(ns);
-#else
-  (void)slots, (void)slot, (void)ns;
-#endif
 }
 
 // ---- One image's arena slice and the chunk that replays images. ----
@@ -238,7 +222,7 @@ struct Replay {
   const float* input;
   float* out;
   std::byte* arena;
-  const Slots* slots = nullptr;  // null unless this call records
+  const obs::StageSlots* slots = nullptr;  // null unless this call records
 
   Slice slice(std::int64_t img) const {
     std::byte* b = arena + static_cast<std::size_t>(img) * plan->slice_bytes();
@@ -372,7 +356,7 @@ void run_step(const ExecutionPlan& plan, const std::vector<Stage>& stages,
 void replay_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   const Replay& rp = *static_cast<const Replay*>(raw);
   const ExecutionPlan& plan = *rp.plan;
-  const Slots* slots = lo == 0 ? rp.slots : nullptr;
+  const obs::StageSlots* slots = lo == 0 ? rp.slots : nullptr;
   // Run `body` on every image of the chunk, timed into `slot`.
   auto phase = [&](int slot, auto&& body) {
     const SlotTimer timer(slots, slot);
@@ -409,7 +393,6 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
              "Workspace::prepare(plan) first",
              ws.capacity(), plan.arena_bytes());
   Replay rp{&plan, &stages, input, out, ws.base()};
-#if BCOP_OBS
   // One flag read per call; when recording, each step adds two clock
   // reads and one relaxed fetch_add -- measured at < 1% of the replay
   // (docs/observability.md), far below the coarse step kernels it brackets.
@@ -417,7 +400,6 @@ void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
     rp.slots = plan.obs_slots();
     rp.slots->replays->add(1);
   }
-#endif
   const SlotTimer call(rp.slots, kObsSlotExecute);
   // The only fan-out of the call. A one-image range runs inline on the
   // caller (for_chunks never wakes the pool for a single chunk).

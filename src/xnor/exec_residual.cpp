@@ -11,13 +11,10 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "obs/metrics.hpp"  // now_ns: one steady_clock read, lock-free
 #include "tensor/bit_span.hpp"
 #include "tensor/kernels/kernel_api.hpp"
 #include "util/check.hpp"
-
-#if BCOP_OBS
-#include "obs/metrics.hpp"  // now_ns: one steady_clock read, lock-free
-#endif
 
 namespace bcop::xnor::detail {
 
@@ -94,19 +91,9 @@ void fire_rows(const ResidualFireCtx& t, std::int64_t rows) {
   }
 }
 
-/// The profiler's clock where telemetry is built in; the block loop
-/// reads it only when its call records.
-std::uint64_t clock_ns() {
-#if BCOP_OBS
-  return obs::now_ns();
-#else
-  return 0;
-#endif
-}
-
 /// Adds the time since `t` to `sum` and moves `t` to now.
 void lap(std::uint64_t& sum, std::uint64_t& t) {
-  const std::uint64_t now = clock_ns();
+  const std::uint64_t now = obs::now_ns();
   sum += now - t;
   t = now;
 }
@@ -140,7 +127,7 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
   gemm.plane_stride = st.patch_rows * st.patch_wpr;
   const std::int64_t block = std::max<std::int64_t>(
       1, kGatherBlockWords / (gemm.planes * st.patch_wpr));
-  std::uint64_t t = ns != nullptr ? clock_ns() : 0;
+  std::uint64_t t = ns != nullptr ? obs::now_ns() : 0;
   for (std::int64_t r0 = 0; r0 < st.patch_rows; r0 += block) {
     const std::int64_t r1 = std::min(st.patch_rows, r0 + block);
     for (std::int64_t m = 0; m < gemm.planes; ++m) {

@@ -5,15 +5,12 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/stage_profiler.hpp"
 #include "tensor/bit_span.hpp"
 #include "tensor/im2row.hpp"
 #include "tensor/kernels/dispatch.hpp"
 #include "xnor/engine.hpp"
 #include "xnor/exec.hpp"
-
-#if BCOP_OBS
-#include "obs/stage_profiler.hpp"
-#endif
 
 namespace bcop::xnor {
 
@@ -408,22 +405,18 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
   off += align64(float_bytes);
   plan.slice_bytes_ = off;
 
-#if BCOP_OBS
   // Resolve the telemetry slots for this plan shape once, here on the
   // allocating compile path, so the interpreter only dereferences.
-  {
-    std::string key = "b" + std::to_string(batch) + "_in";
-    for (int d = 1; d < input.rank(); ++d) {
-      if (d > 1) key += "x";
-      key += std::to_string(input[d]);
-    }
-    // Truncated residual plans profile separately from the full-depth plan
-    // of the same shape -- their per-stage costs differ by design.
-    if (levels > 0) key += "_l" + std::to_string(levels);
-    plan.obs_slots_ = obs::StageProfiler::global().slots_for(
-        key, detail::kObsSlotNames, detail::kObsSlotCount);
+  std::string key = "b" + std::to_string(batch) + "_in";
+  for (int d = 1; d < input.rank(); ++d) {
+    if (d > 1) key += "x";
+    key += std::to_string(input[d]);
   }
-#endif
+  // Truncated residual plans profile separately from the full-depth plan
+  // of the same shape -- their per-stage costs differ by design.
+  if (levels > 0) key += "_l" + std::to_string(levels);
+  plan.obs_slots_ = obs::StageProfiler::global().slots_for(
+      key, detail::kObsSlotNames, detail::kObsSlotCount);
   return plan;
 }
 

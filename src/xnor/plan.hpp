@@ -159,8 +159,9 @@ class ExecutionPlan {
   std::int64_t levels() const { return levels_; }
 
   /// Telemetry slots resolved at compile time, keyed by this plan's input
-  /// shape (see obs::StageProfiler). Null when the build disables the
-  /// hooks (-DBCOP_OBS=OFF); the interpreter records nothing then.
+  /// shape (see obs::StageProfiler). Null only for a default-constructed
+  /// plan; the interpreter records into them while
+  /// StageProfiler::enabled() is set.
   const obs::StageSlots* obs_slots() const { return obs_slots_; }
 
   /// The dispatch tier whose kernel pointers this plan froze at compile

@@ -1,21 +1,27 @@
-// Span kernels (tensor/bit_span.hpp) vs their owning BitMatrix
-// counterparts. The serving hot path reuses arena rows, so every case runs
+// Span helpers (tensor/bit_span.hpp) and the scalar kernel table vs float
+// references. The serving hot path reuses arena rows, so every case runs
 // the span kernel into a *dirty* buffer (pre-filled with 1-bits) to prove
 // the kernels re-establish the zero-padding invariant themselves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "tensor/bit_span.hpp"
 #include "tensor/bit_tensor.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/im2row.hpp"
+#include "tensor/kernels/scalar.hpp"
 #include "util/rng.hpp"
+#include "xnor/exec.hpp"
 #include "xnor/exec_residual.hpp"
 
 namespace {
 
 using namespace bcop::tensor;
+namespace kn = bcop::tensor::kernels;
 
 std::vector<float> random_signs(std::int64_t n, bcop::util::Rng& rng) {
   std::vector<float> v(static_cast<std::size_t>(n));
@@ -75,16 +81,19 @@ TEST(BitSpan, PretransposedGemmMatchesBinaryGemm) {
     const std::int64_t M = 17, K = 131;
     const auto a = random_signs(M * K, rng);
     const auto b = random_signs(N * K, rng);
+    std::vector<float> want(static_cast<std::size_t>(M * N));
+    gemm_nt_naive(M, N, K, a.data(), b.data(), want.data());
     const BitMatrix pa = pack_matrix(a.data(), M, K);
     const BitMatrix pb = pack_matrix(b.data(), N, K);
-    std::vector<std::int32_t> want;
-    binary_gemm(pa, pb, want);
     std::vector<std::uint64_t> bt(
         static_cast<std::size_t>(pb.words_per_row() * N));
     transpose_word_major(span_of(pb), bt.data());
     std::vector<std::int32_t> got(static_cast<std::size_t>(M * N), -1);
-    binary_gemm_pre(span_of(pa), bt.data(), N, got.data());
-    EXPECT_EQ(got, want) << "N=" << N;
+    kn::GemmCtx ctx{span_of(pa), bt.data(), N, got.data()};
+    kn::scalar_table().gemm(&ctx, 0, M);
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], static_cast<std::int32_t>(want[i]))
+          << "N=" << N << " i=" << i;
   }
 }
 
@@ -93,12 +102,17 @@ TEST(BitSpan, BitIm2RowMatchesMatrixVariantOnDirtyBuffer) {
   const std::int64_t n = 2, h = 6, w = 5, k = 3;
   for (const std::int64_t c : {3, 64, 100}) {  // <64, aligned, >64 unaligned
     const auto src = random_signs(n * h * w * c, rng);
+    Tensor in(Shape{n, h, w, c});
+    std::copy(src.begin(), src.end(), in.data());
+    Tensor rows;
+    im2row(in, k, rows);
+    const BitMatrix want =
+        pack_matrix(rows.data(), rows.shape()[0], rows.shape()[1]);
     const BitMatrix pixels = pack_matrix(src.data(), n * h * w, c);
-    BitMatrix want;
-    bit_im2row(pixels, n, h, w, c, k, want);
     const std::int64_t ho = conv_out_dim(h, k), wo = conv_out_dim(w, k);
     DirtyBits dirty(n * ho * wo, k * k * c);
-    bit_im2row(span_of(pixels), n, h, w, c, k, dirty.span);
+    kn::Im2RowCtx ctx{span_of(pixels), dirty.span, h, w, c, k, ho, wo};
+    kn::scalar_table().im2row(&ctx, 0, n * ho * wo);
     expect_same_bits(dirty.span, want);
   }
 }
@@ -160,15 +174,33 @@ TEST(BitSpan, FlattenMatchesFloatOrderOnDirtyBuffer) {
 }
 
 TEST(BitSpanDeathTest, Im2rowShapeMismatchAborts) {
-  // Span-kernel contracts abort via BCOP_CHECK rather than throw: a throw
+  // Replay-path contracts abort via BCOP_CHECK rather than throw: a throw
   // would pull exception machinery into the allocation-free hot objects
-  // (scripts/audit_hot_path.py would flag it), and a shape mismatch here
-  // is a caller bug, not a recoverable condition.
+  // (scripts/audit_hot_path.py would flag it), and a violation here is a
+  // caller bug, not a recoverable condition. Kernel shapes are checked
+  // once, by ExecutionPlan::compile (BitIm2Row.ShapeMismatchThrows); the
+  // replay itself checks that its arena fits the plan's im2row and GEMM
+  // regions.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  BitMatrix pixels(4, 3);
-  DirtyBits bad(5, 27);  // wrong row count for 1x2x2 im2row
-  EXPECT_DEATH(bit_im2row(span_of(pixels), 1, 2, 2, 3, 3, bad.span),
-               "bit_im2row: kernel 3 larger than input 2x2");
+  bcop::xnor::BinConvStage cv;
+  cv.k = 3;
+  cv.ci = 3;
+  cv.co = 8;
+  cv.weights = BitMatrix(cv.co, cv.k * cv.k * cv.ci);
+  cv.thresholds.t.assign(8, 0);
+  cv.thresholds.flip.assign(8, 0);
+  std::vector<bcop::xnor::Stage> stages;
+  stages.emplace_back(std::move(cv));
+  const bcop::xnor::XnorNetwork net("unprepared", std::move(stages));
+  const auto plan =
+      bcop::xnor::ExecutionPlan::compile(net, Shape{1, 5, 5, 3});
+  ASSERT_GT(plan.arena_bytes(), 0u);
+  const std::vector<float> in(5 * 5 * 3, 1.f);
+  std::vector<float> out(static_cast<std::size_t>(plan.image_outputs()));
+  bcop::xnor::Workspace ws;  // never prepared
+  EXPECT_DEATH(bcop::xnor::detail::execute(plan, net.stages(), in.data(), ws,
+                                           out.data()),
+               "call Workspace::prepare\\(plan\\) first");
 }
 
 }  // namespace

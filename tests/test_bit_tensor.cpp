@@ -1,19 +1,39 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "tensor/bit_span.hpp"
 #include "tensor/bit_tensor.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/kernels/scalar.hpp"
 #include "util/rng.hpp"
+#include "xnor/engine.hpp"
+#include "xnor/plan.hpp"
 
 namespace {
 
 using namespace bcop::tensor;
+namespace kn = bcop::tensor::kernels;
 
 std::vector<float> random_signs(std::int64_t n, bcop::util::Rng& rng) {
   std::vector<float> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = rng.bernoulli(0.5) ? 1.f : -1.f;
   return v;
+}
+
+/// C[M, N] = A[M, K] x B[N, K]^T through the scalar kernel table, the
+/// reference every tier is tested against (test_kernel_dispatch.cpp).
+std::vector<std::int32_t> scalar_gemm(const BitMatrix& a, const BitMatrix& b) {
+  std::vector<std::uint64_t> bt(
+      static_cast<std::size_t>(b.rows() * b.words_per_row()));
+  transpose_word_major(span_of(b), bt.data());
+  std::vector<std::int32_t> c(static_cast<std::size_t>(a.rows() * b.rows()));
+  kn::GemmCtx ctx{span_of(a), bt.data(), b.rows(), c.data()};
+  kn::scalar_table().gemm(&ctx, 0, a.rows());
+  return c;
 }
 
 TEST(BitMatrix, PackRoundTrip) {
@@ -90,10 +110,8 @@ TEST(BinaryGemm, MatchesFloatGemm) {
   const std::int64_t M = 13, N = 9, K = 300;
   const auto a = random_signs(M * K, rng);
   const auto b = random_signs(N * K, rng);
-  const BitMatrix pa = pack_matrix(a.data(), M, K);
-  const BitMatrix pb = pack_matrix(b.data(), N, K);
-  std::vector<std::int32_t> c;
-  binary_gemm(pa, pb, c);
+  const std::vector<std::int32_t> c =
+      scalar_gemm(pack_matrix(a.data(), M, K), pack_matrix(b.data(), N, K));
 
   std::vector<float> cref(static_cast<std::size_t>(M * N));
   gemm_nt_naive(M, N, K, a.data(), b.data(), cref.data());
@@ -102,10 +120,26 @@ TEST(BinaryGemm, MatchesFloatGemm) {
     EXPECT_EQ(c[i], static_cast<std::int32_t>(cref[i]));
 }
 
+// The kernel GEMM trusts its context; ExecutionPlan::compile is where a
+// dense layer's K is checked against the features that reach it.
 TEST(BinaryGemm, KMismatchThrows) {
-  const BitMatrix a(2, 10), b(2, 11);
-  std::vector<std::int32_t> c;
-  EXPECT_THROW(binary_gemm(a, b, c), std::invalid_argument);
+  bcop::xnor::BinDenseStage d;
+  d.in = 64;
+  d.out = 4;
+  d.weights = BitMatrix(d.out, d.in);
+  d.has_threshold = false;
+  std::vector<bcop::xnor::Stage> stages;
+  stages.emplace_back(std::move(d));
+  const bcop::xnor::XnorNetwork net("k_mismatch", std::move(stages));
+  try {
+    (void)bcop::xnor::ExecutionPlan::compile(net, Shape{1, 32});
+    ADD_FAILURE() << "compiled a 64-input dense layer fed 32 features";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "dense stage 0 expects 64 input features, got 32"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(AppendBits, ConcatenationMatchesDirectPack) {
@@ -151,8 +185,8 @@ TEST(BinaryGemm, ResultParityMatchesK) {
   const std::int64_t K = 27;
   const auto a = random_signs(4 * K, rng);
   const auto b = random_signs(3 * K, rng);
-  std::vector<std::int32_t> c;
-  binary_gemm(pack_matrix(a.data(), 4, K), pack_matrix(b.data(), 3, K), c);
+  const std::vector<std::int32_t> c =
+      scalar_gemm(pack_matrix(a.data(), 4, K), pack_matrix(b.data(), 3, K));
   for (const auto v : c) EXPECT_EQ((v & 1), (K & 1));
 }
 

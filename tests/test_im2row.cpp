@@ -1,11 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "tensor/bit_span.hpp"
+#include "tensor/bit_tensor.hpp"
 #include "tensor/im2row.hpp"
+#include "tensor/kernels/scalar.hpp"
 #include "util/rng.hpp"
+#include "xnor/engine.hpp"
+#include "xnor/plan.hpp"
 
 namespace {
 
 using namespace bcop::tensor;
+namespace kn = bcop::tensor::kernels;
 
 Tensor random_tensor(const Shape& s, bcop::util::Rng& rng) {
   Tensor t(s);
@@ -98,39 +109,69 @@ TEST(Row2Im, IsAdjointOfIm2Row) {
   EXPECT_NEAR(lhs, rhs, 1e-2);
 }
 
-// The bit-domain patch extraction must produce exactly the packed image of
-// the float one. Channel counts cover the sub-word shifted path (1, 3, 16)
-// and the word-aligned memcpy path (64, 70-with-tail).
+// The bit-domain patch extraction (the kernel tables' one im2row) must
+// produce exactly the packed image of the float one, into a dirty buffer.
+// Channel counts cover the sub-word shifted path (1, 3, 16), the
+// word-aligned copy path (64) and the multi-word append path (70).
 TEST(BitIm2Row, MatchesFloatIm2RowForAnyChannelCount) {
   for (const std::int64_t c : {1, 3, 16, 64, 70}) {
     bcop::util::Rng rng(static_cast<std::uint64_t>(c) * 13);
-    Tensor in(Shape{2, 6, 5, c});
+    const std::int64_t n = 2, h = 6, w = 5, k = 3;
+    Tensor in(Shape{n, h, w, c});
     for (std::int64_t i = 0; i < in.numel(); ++i)
       in[i] = rng.bernoulli(0.5) ? 1.f : -1.f;
 
     Tensor rows;
-    im2row(in, 3, rows);
+    im2row(in, k, rows);
     const BitMatrix want =
         pack_matrix(rows.data(), rows.shape()[0], rows.shape()[1]);
 
-    const BitMatrix pixels = pack_matrix(in.data(), 2 * 6 * 5, c);
-    BitMatrix got;
-    bit_im2row(pixels, 2, 6, 5, c, 3, got);
+    const BitMatrix pixels = pack_matrix(in.data(), n * h * w, c);
+    const std::int64_t ho = conv_out_dim(h, k), wo = conv_out_dim(w, k);
+    const std::int64_t wpr = words_for_bits(k * k * c);
+    std::vector<std::uint64_t> got(
+        static_cast<std::size_t>(n * ho * wo * wpr), ~0ull);
+    kn::Im2RowCtx ctx{span_of(pixels),
+                      {got.data(), n * ho * wo, k * k * c, wpr},
+                      h, w, c, k, ho, wo};
+    kn::scalar_table().im2row(&ctx, 0, n * ho * wo);
 
-    ASSERT_EQ(got.rows(), want.rows()) << "c=" << c;
-    ASSERT_EQ(got.cols(), want.cols()) << "c=" << c;
-    EXPECT_EQ(got.storage(), want.storage()) << "c=" << c;
+    ASSERT_EQ(want.rows(), n * ho * wo) << "c=" << c;
+    ASSERT_EQ(want.words_per_row(), wpr) << "c=" << c;
+    EXPECT_EQ(got, want.storage()) << "c=" << c;
   }
 }
 
+// The kernel trusts its context; ExecutionPlan::compile is where a conv's
+// channel count and kernel size are checked against its input.
 TEST(BitIm2Row, ShapeMismatchThrows) {
-  const BitMatrix pixels(10, 3);
-  BitMatrix rows;
-  // Channel count disagrees with the packed width (cols 3, claimed C=4).
-  EXPECT_THROW(bit_im2row(pixels, 1, 2, 5, 4, 3, rows), std::invalid_argument);
+  const auto compile_error = [](std::int64_t ci, const Shape& input) {
+    bcop::xnor::BinConvStage cv;
+    cv.k = 3;
+    cv.ci = ci;
+    cv.co = 8;
+    cv.weights = BitMatrix(cv.co, cv.k * cv.k * ci);
+    cv.thresholds.t.assign(8, 0);
+    cv.thresholds.flip.assign(8, 0);
+    std::vector<bcop::xnor::Stage> stages;
+    stages.emplace_back(std::move(cv));
+    const bcop::xnor::XnorNetwork net("im2row_mismatch", std::move(stages));
+    try {
+      (void)bcop::xnor::ExecutionPlan::compile(net, input);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("compiled");
+  };
+  // Channel count disagrees with the input (C = 3, the conv claims 4).
+  const std::string channels = compile_error(4, Shape{1, 5, 5, 3});
+  EXPECT_NE(channels.find("conv stage 0 expects 4 input channels, got 3"),
+            std::string::npos)
+      << channels;
   // 3x3 kernel does not fit a 2x2 input.
-  EXPECT_THROW(bit_im2row(BitMatrix(4, 3), 1, 2, 2, 3, 3, rows),
-               std::invalid_argument);
+  const std::string kernel = compile_error(3, Shape{1, 2, 2, 3});
+  EXPECT_NE(kernel.find("conv kernel larger than input"), std::string::npos)
+      << kernel;
 }
 
 TEST(Row2Im, AccumulatesOverlappingPatches) {

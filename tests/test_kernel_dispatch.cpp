@@ -86,6 +86,9 @@ TEST(KernelDispatch, TablesMatchTheirAdvertisedLevel) {
     EXPECT_NE(t.gemm, nullptr);
     EXPECT_NE(t.thresh, nullptr);
     EXPECT_NE(t.im2row, nullptr);
+    // bit-im2row is a word copy: every tier shares the scalar body.
+    EXPECT_EQ(t.im2row, kn::scalar_table().im2row)
+        << kn::kernel_level_name(lvl);
   }
 }
 
