@@ -25,8 +25,10 @@
 //
 // Knobs: --slo-ms F --max-shed F --replicas-list a,b,.. --workers-list
 // a,b,.. --rate-start R --rate-step F --max-probes N --duration-ms N
-// --connections N --watermark N --http-workers N --seed S --pin
+// --connections N --watermark N --http-workers N --seed S
 // --out PATH --smoke (one 1x1 shape, 300 ms probes, for CI wiring).
+#include <sched.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -36,7 +38,6 @@
 #include "core/predictor.hpp"
 #include "net/http_server.hpp"
 #include "net/loadgen.hpp"
-#include "parallel/affinity.hpp"
 #include "serve/router.hpp"
 #include "tensor/kernels/dispatch.hpp"
 #include "util/args.hpp"
@@ -77,6 +78,14 @@ struct ShapeResult {
   std::vector<Probe> probes;
 };
 
+/// CPUs in this process's affinity mask (0 when it cannot be read).
+int available_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  return ::sched_getaffinity(0, sizeof(mask), &mask) == 0 ? CPU_COUNT(&mask)
+                                                          : 0;
+}
+
 bool probe_passes(const net::LoadGenReport& r, double slo_ms,
                   double max_shed) {
   return r.conserved() && r.lost == 0 && r.timed_out == 0 && r.err_4xx == 0 &&
@@ -86,7 +95,7 @@ bool probe_passes(const net::LoadGenReport& r, double slo_ms,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"smoke", "pin"});
+  const util::Args args(argc, argv, {"smoke"});
   const bool smoke = args.get_flag("smoke");
   const double slo_ms = args.get_double("slo-ms", 50.0);
   const double max_shed = args.get_double("max-shed", 0.01);
@@ -118,7 +127,6 @@ int main(int argc, char** argv) {
       serve::RouterConfig rcfg;
       rcfg.replicas = replicas;
       rcfg.batcher.workers = shape.workers;
-      rcfg.pin_workers = args.get_flag("pin");
       serve::Router router(predictor, rcfg);
       net::HttpServerConfig hcfg;
       hcfg.workers = static_cast<unsigned>(args.get_int("http-workers", 2));
@@ -173,7 +181,7 @@ int main(int argc, char** argv) {
                slo_ms, max_shed, rate_start, rate_step, duration_ms,
                tensor::kernels::kernel_level_name(
                    tensor::kernels::active_level()),
-               BCOP_GIT_SHA, parallel::available_cpus());
+               BCOP_GIT_SHA, available_cpus());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ShapeResult& s = results[i];
     std::fprintf(f,

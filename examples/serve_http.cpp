@@ -17,10 +17,9 @@
 //
 // Knobs: --port N (default 8080), --arch cnv|ncnv|ucnv, --untrained
 // (skip load/quick-train; weights random, latency representative),
-// --replicas N, --workers N (per replica), --pin (deal each replica a
-// disjoint core set), --http-workers N, --watermark N (503 above this
-// per-replica queue depth; 0 sheds everything, -1 disables),
-// --duration-s N.
+// --replicas N, --workers N (per replica), --http-workers N, --watermark N
+// (503 above this per-replica queue depth; 0 sheds everything, -1
+// disables), --duration-s N.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -47,7 +46,7 @@ core::ArchitectureId parse_arch(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"untrained", "pin"});
+  const util::Args args(argc, argv, {"untrained"});
   const auto arch = parse_arch(args.get("arch", "ucnv"));
 
   nn::Sequential model =
@@ -59,7 +58,6 @@ int main(int argc, char** argv) {
   serve::RouterConfig rcfg;
   rcfg.replicas = static_cast<int>(args.get_int("replicas", 2));
   rcfg.batcher.workers = static_cast<unsigned>(args.get_int("workers", 2));
-  rcfg.pin_workers = args.get_flag("pin");
   serve::Router router(predictor, rcfg);
 
   net::HttpServerConfig hcfg;
@@ -72,10 +70,9 @@ int main(int argc, char** argv) {
   std::printf("  POST /v1/classify  (3072 u8 or 12288 f32 bytes)\n");
   std::printf("  GET  /healthz      fleet + per-replica state\n");
   std::printf("  GET  /metrics      Prometheus export\n");
-  std::printf("replicas: %d (%s), workers/replica: %u, http workers: %u, "
+  std::printf("replicas: %d, workers/replica: %u, http workers: %u, "
               "shed watermark: %lld\n",
-              rcfg.replicas, rcfg.pin_workers ? "pinned" : "unpinned",
-              rcfg.batcher.workers, hcfg.workers,
+              rcfg.replicas, rcfg.batcher.workers, hcfg.workers,
               static_cast<long long>(hcfg.shed_watermark));
 
   const int duration_s = args.get_int("duration-s", 0);

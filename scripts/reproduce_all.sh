@@ -31,13 +31,14 @@ Stages are controlled by environment variables (all default off/full):
                      bench re-runs with --metrics and the stage fails if
                      the Prometheus snapshot comes out empty (see
                      docs/observability.md)
-  NET_BENCH=1        drive the HTTP front-end with the open-loop load
-                     generator (bench_loadgen): a baseline phase at the
-                     default offered rate plus a 2x overload phase that
-                     must shed gracefully (503s, zero losses); the JSON
-                     artifact lands in bench_artifacts/loadgen.json and
-                     the stage fails on any lost/timed-out request or a
-                     broken conservation identity (see docs/networking.md)
+  NET_BENCH=1        drive the HTTP front-end past capacity with the
+                     repository benchmark's http_overload workload (10 s
+                     of open-loop load at 16000 req/s); the stage fails
+                     unless its result line reads "correct": true, i.e.
+                     no lost, timed-out, 4xx or 5xx request, a conserved
+                     ledger and 503s matching the rejection counter; the
+                     run's output lands in bench_artifacts/net_bench.out
+                     (see docs/networking.md)
   KERNEL_BENCH=1     run the per-tier kernel micro-benchmarks (the
                      BM_Kernel* rows of bench_micro_kernels: scalar vs
                      avx2 vs avx512 popcount GEMM / threshold on whatever
@@ -130,10 +131,13 @@ else
 fi
 
 if [[ "${NET_BENCH:-0}" == "1" ]]; then
-  if build/bench/bench_loadgen --out bench_artifacts/loadgen.json; then
-    note "net_bench (bench_loadgen): PASS"
+  mkdir -p bench_artifacts
+  if python3 perfbench/run.py --workload http_overload --seed 1 --seconds 10 \
+      > bench_artifacts/net_bench.out \
+      && tail -n 1 bench_artifacts/net_bench.out | grep -q '"correct": true'; then
+    note "net_bench (perfbench http_overload): PASS"
   else
-    note "net_bench (bench_loadgen): FAIL"
+    note "net_bench (perfbench http_overload): FAIL"
   fi
 else
   note "net_bench: skipped (set NET_BENCH=1 to load-test the HTTP front-end)"

@@ -24,6 +24,24 @@ namespace bcop::net {
 
 using Clock = std::chrono::steady_clock;
 
+namespace {
+
+constexpr int kBacklog = 128;
+constexpr std::size_t kMaxConnectionsPerWorker = 256;
+/// Close connections with no traffic for this long.
+constexpr std::chrono::milliseconds kIdleTimeout{5000};
+/// 408 + close connections stuck mid-request for this long (slowloris).
+constexpr std::chrono::milliseconds kReadTimeout{2000};
+/// Responses in flight per connection (HTTP/1.1 pipelining depth).
+/// Beyond it the worker stops parsing and lets TCP push back. Depth
+/// matters for load shedding: in-flight requests are what fills the
+/// batching queue past the watermark, so a deep pipeline is how an
+/// overloaded server sees 503-able backlog instead of socket buffers
+/// silently queueing it.
+constexpr std::size_t kMaxPipeline = 64;
+
+}  // namespace
+
 /// Front-end telemetry (naming scheme in docs/observability.md).
 /// Registered once; recording afterwards is lock-free.
 struct HttpServer::Metrics {
@@ -61,7 +79,7 @@ struct HttpServer::Metrics {
 /// rendered text (health, metrics, rejects, sheds) or an engine future.
 /// drain_ready() moves slots to the output buffer strictly front-first,
 /// stalling at the first unresolved future -- ordering is preserved by
-/// construction. The slot queue is capped (max_pipeline): beyond it the
+/// construction. The slot queue is capped (kMaxPipeline): beyond it the
 /// worker simply stops parsing, the bounded input buffer fills, and TCP
 /// backpressure does the rest.
 struct HttpServer::Connection {
@@ -176,14 +194,11 @@ HttpServer::HttpServer(serve::Router& router, HttpServerConfig config)
   BCOP_CHECK(want_.rank() == 3,
              "served model must take a rank-3 [S, S, C] input, got rank %d",
              static_cast<int>(want_.rank()));
-  BCOP_CHECK(config_.max_pipeline >= 1, "max_pipeline must be >= 1");
   u8_bytes_ = static_cast<std::size_t>(want_.numel());
   f32_bytes_ = u8_bytes_ * sizeof(float);
-  limits_.max_header_bytes = config_.max_header_bytes;
-  limits_.max_headers = config_.max_headers;
   limits_.max_body = f32_bytes_;  // largest payload /v1/classify accepts
 
-  listen_fd_ = listen_tcp(config_.port, config_.backlog, port_);
+  listen_fd_ = listen_tcp(config_.port, kBacklog, port_);
   if (!listen_fd_.valid())
     throw std::runtime_error("HttpServer: cannot bind 127.0.0.1:" +
                              std::to_string(config_.port));
@@ -198,7 +213,7 @@ HttpServer::~HttpServer() {
 }
 
 void HttpServer::accept_ready(std::vector<Connection>& conns) {
-  while (conns.size() < config_.max_connections_per_worker) {
+  while (conns.size() < kMaxConnectionsPerWorker) {
     Fd fd(::accept(listen_fd_.get(), nullptr, nullptr));
     if (!fd.valid()) return;  // EAGAIN or raced by another worker
     set_nonblocking(fd.get(), true);
@@ -391,7 +406,7 @@ void HttpServer::step(Connection& conn) {
   for (;;) {
     drain_ready(conn);
     if (conn.close_after_write || conn.in.empty()) return;
-    if (conn.responses.size() >= config_.max_pipeline)
+    if (conn.responses.size() >= kMaxPipeline)
       return;  // pipeline full: stop parsing, let TCP push back
 
     ParsedRequest req;
@@ -466,7 +481,7 @@ void HttpServer::worker_loop() {
     pfds.clear();
     pollfd lp{};
     lp.fd = listen_fd_.get();
-    lp.events = conns.size() < config_.max_connections_per_worker
+    lp.events = conns.size() < kMaxConnectionsPerWorker
                     ? POLLIN
                     : static_cast<short>(0);
     pfds.push_back(lp);
@@ -475,8 +490,7 @@ void HttpServer::worker_loop() {
       pollfd p{};
       p.fd = conn.fd.get();
       p.events = 0;
-      if (conn.in.size() < in_cap &&
-          conn.responses.size() < config_.max_pipeline)
+      if (conn.in.size() < in_cap && conn.responses.size() < kMaxPipeline)
         p.events |= POLLIN;
       if (conn.writable_backlog()) p.events |= POLLOUT;
       pfds.push_back(p);
@@ -510,7 +524,7 @@ void HttpServer::worker_loop() {
         alive = false;  // all responses delivered; close our half
       if (alive && conn.responses.empty() && !conn.writable_backlog()) {
         if (conn.mid_request &&
-            now - conn.request_start > config_.read_timeout) {
+            now - conn.request_start > kReadTimeout) {
           // Stalled mid-request with nothing else owed: slowloris reap.
           Metrics::get().timeouts.add(1);
           respond(conn, 408, "application/json",
@@ -519,7 +533,7 @@ void HttpServer::worker_loop() {
           flush(conn);
           alive = false;
         } else if (!conn.mid_request &&
-                   now - conn.last_activity > config_.idle_timeout) {
+                   now - conn.last_activity > kIdleTimeout) {
           Metrics::get().timeouts.add(1);
           alive = false;
         }

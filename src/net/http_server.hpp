@@ -27,7 +27,9 @@
 //     still go out strictly in request order.
 //   - Malformed input gets 400/413/431/501 without touching the engine;
 //     idle and stuck-mid-request connections are reaped by per-connection
-//     timeouts (slowloris defense).
+//     timeouts (slowloris defense). Those timeouts, the connection caps
+//     and the pipelining depth are constants of http_server.cpp; a config
+//     sets only the port, the worker count and the watermark.
 //
 // Endpoints (docs/networking.md has curl examples):
 //   POST /v1/classify  raw image payload -> class + confidence JSON
@@ -59,27 +61,11 @@ struct HttpServerConfig {
   std::uint16_t port = 0;
   /// Event workers. Each owns its accepted connections outright.
   unsigned workers = 2;
-  int backlog = 128;
-  std::size_t max_connections_per_worker = 256;
   /// Per-replica admission watermark: POST /v1/classify answers 503 when
   /// the replica the Router picked already holds shed_watermark requests
   /// (0 sheds everything; < 0 disables the watermark and sheds only on a
   /// full queue). Fleet shedding capacity is replicas x this value.
   std::int64_t shed_watermark = 48;
-  /// Close connections with no traffic for this long.
-  std::chrono::milliseconds idle_timeout{5000};
-  /// 408 + close connections stuck mid-request for this long (slowloris).
-  std::chrono::milliseconds read_timeout{2000};
-  /// Header-section cap handed to the parser.
-  std::size_t max_header_bytes = 8192;
-  std::size_t max_headers = 64;
-  /// Responses in flight per connection (HTTP/1.1 pipelining depth).
-  /// Beyond it the worker stops parsing and lets TCP push back. Depth
-  /// matters for load shedding: in-flight requests are what fills the
-  /// batching queue past the watermark, so a deep pipeline is how an
-  /// overloaded server sees 503-able backlog instead of socket buffers
-  /// silently queueing it.
-  std::size_t max_pipeline = 64;
 };
 
 class HttpServer {

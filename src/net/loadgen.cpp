@@ -23,45 +23,27 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using FpSeconds = std::chrono::duration<double>;
 
-/// Instantaneous rate lambda(t) for the configured shape; mean == rate.
-double lambda_at(const LoadGenConfig& c, double t) {
-  if (c.shape == "burst") {
-    const double base = c.rate / (1.0 + (c.burst_factor - 1.0) * c.burst_duty);
-    const double phase = std::fmod(t, c.period_s) / c.period_s;
-    return phase < c.burst_duty ? base * c.burst_factor : base;
-  }
-  if (c.shape == "diurnal") {
-    // Peak/trough ratio = burst_factor with the mean preserved.
-    const double a = (c.burst_factor - 1.0) / (c.burst_factor + 1.0);
-    return c.rate * (1.0 + a * std::sin(2.0 * M_PI * t / c.period_s));
-  }
-  return c.rate;  // poisson
-}
+constexpr const char* kHost = "127.0.0.1";
+/// Classify payload size in bytes (a u8 32x32x3 image), sent as
+/// POST /v1/classify with a deterministic byte pattern.
+constexpr std::size_t kPayloadBytes = 3072;
 
-double lambda_max(const LoadGenConfig& c) {
-  if (c.shape == "burst")
-    return c.burst_factor * c.rate /
-           (1.0 + (c.burst_factor - 1.0) * c.burst_duty);
-  if (c.shape == "diurnal")
-    return c.rate * (1.0 + (c.burst_factor - 1.0) / (c.burst_factor + 1.0));
-  return c.rate;
-}
-
-/// Precompute the full arrival schedule (seconds from start) by Lewis-
-/// Shedler thinning: candidates from a homogeneous process at lambda_max,
-/// kept with probability lambda(t)/lambda_max. Deterministic in the seed.
+/// Precompute the full arrival schedule (seconds from start): a Poisson
+/// process at `rate`, deterministic in the seed. Each arrival also draws
+/// one uniform it does not use; dropping that draw would change every
+/// seed's schedule, the ones perfbench replays included.
 std::vector<double> sample_arrivals(const LoadGenConfig& c) {
   std::vector<double> arrivals;
   const double horizon = FpSeconds(c.duration).count();
-  const double lmax = lambda_max(c);
-  if (lmax <= 0 || horizon <= 0) return arrivals;
+  if (c.rate <= 0 || horizon <= 0) return arrivals;
   arrivals.reserve(static_cast<std::size_t>(c.rate * horizon * 1.1) + 16);
   util::Rng rng(c.seed);
   double t = 0;
   for (;;) {
-    t += -std::log(1.0 - rng.uniform()) / lmax;
+    t += -std::log(1.0 - rng.uniform()) / c.rate;
     if (t >= horizon) break;
-    if (rng.uniform() * lmax <= lambda_at(c, t)) arrivals.push_back(t);
+    rng.uniform();  // unused; keeps each seed's schedule (see above)
+    arrivals.push_back(t);
   }
   return arrivals;
 }
@@ -86,7 +68,7 @@ struct Sender {
 
 void Sender::run() {
   result.latencies_ms.reserve(arrivals.size());
-  Fd fd = connect_tcp(config->host, config->port);
+  Fd fd = connect_tcp(kHost, config->port);
   if (fd.valid()) {
     set_nodelay(fd.get());
     set_nonblocking(fd.get(), true);
@@ -107,7 +89,7 @@ void Sender::run() {
     out.clear();
     out_off = 0;
     in.clear();
-    fd = connect_tcp(config->host, config->port);
+    fd = connect_tcp(kHost, config->port);
     if (fd.valid()) {
       set_nodelay(fd.get());
       set_nonblocking(fd.get(), true);
@@ -261,9 +243,6 @@ std::string LoadGenReport::to_json() const {
 
 LoadGenReport run_loadgen(const LoadGenConfig& config) {
   BCOP_CHECK(config.connections >= 1, "loadgen needs >= 1 connection");
-  BCOP_CHECK(config.shape == "poisson" || config.shape == "burst" ||
-                 config.shape == "diurnal",
-             "unknown arrival shape '%s'", config.shape.c_str());
 
   // Deterministic schedule, dealt round-robin across connections (so each
   // connection's sub-schedule is deterministic too).
@@ -271,7 +250,7 @@ LoadGenReport run_loadgen(const LoadGenConfig& config) {
   std::vector<Sender> senders(config.connections);
   // Constant payload: a deterministic byte ramp (content does not matter
   // for load; the server still runs the full engine path on it).
-  std::string payload(config.payload_bytes, '\0');
+  std::string payload(kPayloadBytes, '\0');
   for (std::size_t i = 0; i < payload.size(); ++i)
     payload[i] = static_cast<char>(i * 31 % 251);
   const std::string request =

@@ -3,23 +3,21 @@
 // Closed-loop clients (send, wait, send) hide overload: when the server
 // slows down, the client offers less load, and the measured latency looks
 // fine right up to collapse. This generator is open-loop: request arrival
-// times are *precomputed* from a seeded Poisson process (optionally
-// non-homogeneous: bursty square wave or diurnal sinusoid, sampled by
-// thinning), and senders inject each request at its scheduled instant over
-// pipelined keep-alive connections whether or not earlier responses have
-// arrived. Latency is measured from the scheduled arrival, so queueing
-// delay the server causes is charged to the server (the coordinated-
-// omission fix).
+// times are *precomputed* from a seeded Poisson process, and senders inject
+// each request at its scheduled instant over pipelined keep-alive
+// connections to 127.0.0.1 whether or not earlier responses have arrived.
+// Latency is measured from the scheduled arrival, so queueing delay the
+// server causes is charged to the server (the coordinated-omission fix).
 //
-// Determinism: the arrival schedule is a pure function of (seed, shape,
-// rate, duration) via util::Rng -- two runs offer byte-identical load.
+// Determinism: the arrival schedule is a pure function of (seed, rate,
+// duration) via util::Rng -- two runs offer byte-identical load.
 // Accounting is conservative by construction and checked by the caller:
 //   sent == 2xx + 4xx + 5xx + lost + timed_out
 // (`lost` = in flight when the server closed the connection, `timed_out` =
 // unanswered after the post-run drain window).
 //
-// bench/bench_loadgen.cpp wraps this in a CLI that emits the JSON artifact
-// CI uploads; tests/test_net_stress.cpp drives it in-process.
+// perfbench's http_* workloads, bench/bench_capacity.cpp and
+// tests/test_net_stress.cpp drive it in-process.
 #pragma once
 
 #include <chrono>
@@ -29,25 +27,13 @@
 namespace bcop::net {
 
 struct LoadGenConfig {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  /// Arrival process: "poisson" (constant rate), "burst" (square wave:
-  /// peak = burst_factor x base for burst_duty of each period), "diurnal"
-  /// (sinusoid with peak/trough ratio burst_factor). Mean is `rate` in all
-  /// three shapes.
-  std::string shape = "poisson";
-  double rate = 1000.0;  // mean offered requests/second
-  double burst_factor = 4.0;
-  double burst_duty = 0.2;
-  double period_s = 1.0;
+  std::uint16_t port = 0;  // of the server on 127.0.0.1
+  double rate = 1000.0;    // mean offered requests/second
   std::chrono::milliseconds duration{2000};
   /// Keep-alive connections; arrivals are dealt round-robin across them
   /// and each is driven by one pool task.
   unsigned connections = 4;
   std::uint64_t seed = 42;
-  /// Classify payload size in bytes (u8 image = S*S*3). Sent as
-  /// POST /v1/classify with a deterministic byte pattern.
-  std::size_t payload_bytes = 3072;
   /// Post-run drain: how long to wait for straggler responses before
   /// counting them timed_out.
   std::chrono::milliseconds drain_timeout{2000};
@@ -71,7 +57,7 @@ struct LoadGenReport {
   bool conserved() const {
     return sent == ok_2xx + err_4xx + shed_503 + err_5xx + lost + timed_out;
   }
-  /// The artifact line bench_loadgen writes (one flat JSON object).
+  /// The report as one flat JSON object.
   std::string to_json() const;
 };
 

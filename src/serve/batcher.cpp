@@ -8,7 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
-#include "parallel/affinity.hpp"
 #include "serve/router.hpp"
 #include "util/check.hpp"
 
@@ -259,10 +258,6 @@ ServerStats BatchingServer::stats() const {
 }
 
 void BatchingServer::worker_loop() {
-  // Replica workers pin to the core set the Router dealt this replica
-  // (parallel::partition_cpus); a failed pin just leaves the worker
-  // floating -- affinity is a performance hint, never a requirement.
-  if (!config_.pin_cpus.empty()) parallel::pin_current_thread(config_.pin_cpus);
   WorkerState buffers;  // lives as long as the worker: arena grows, then holds
   for (;;) {
     std::deque<Request> batch;

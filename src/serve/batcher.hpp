@@ -84,12 +84,6 @@ struct BatcherConfig {
   /// Worker tasks. 0 = synchronous mode: try_submit() classifies inline
   /// and returns a ready future (single-core hosts, tests).
   unsigned workers = 2;
-  /// CPUs the worker tasks pin themselves to (parallel::pin_current_thread
-  /// at loop entry; empty = unpinned). serve::Router hands each replica a
-  /// disjoint set from parallel::partition_cpus so replicas do not migrate
-  /// onto each other's caches. Pinning is a hint: an unpinnable host just
-  /// runs unpinned.
-  std::vector<int> pin_cpus;
   /// >= 0: this server is replica N of a serve::Router, and every metric
   /// it records lands in a bcop_serve_replica<N>_* family *in addition to*
   /// the process-wide bcop_serve_* family (so fleet-level dashboards and

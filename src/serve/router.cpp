@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
-#include "parallel/affinity.hpp"
 #include "util/check.hpp"
 
 namespace bcop::serve {
@@ -65,9 +64,6 @@ Router::Router(const Predictor& prototype, RouterConfig config)
   replicas_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     BatcherConfig bc = config_.batcher;
-    bc.pin_cpus = config_.pin_workers
-                      ? parallel::partition_cpus(i, n)
-                      : std::vector<int>{};
     bc.replica_id = static_cast<int>(i);
     const bool is_fast = static_cast<int>(i) < config_.fast_replicas;
     replicas_.push_back(std::make_unique<BatchingServer>(

@@ -4,8 +4,7 @@
 // and load-balancing streams across them; this is the CPU serving
 // analogue. A Router owns N serve::BatchingServer replicas -- each
 // serving its own clone of one prototype model with its own plan cache,
-// bounded queue and worker pool, optionally pinned to a disjoint core set
-// (parallel::partition_cpus) -- and places each request on the
+// bounded queue and worker pool -- and places each request on the
 // *least-loaded serving* replica:
 //
 //   try_submit --> scan serving replicas (queue_depth) --> best.try_submit
@@ -73,12 +72,8 @@ struct RouterConfig {
   int replicas = 2;
   /// Per-replica server template. queue_capacity/max_batch/max_latency/
   /// workers apply to EACH replica (fleet capacity is replicas x
-  /// queue_capacity); replica_id and pin_cpus are overwritten per replica.
+  /// queue_capacity); replica_id is overwritten per replica.
   BatcherConfig batcher;
-  /// Deal each replica a disjoint CPU set via parallel::partition_cpus
-  /// and pin its workers there. Soft like all pinning: hosts without an
-  /// affinity syscall run unpinned.
-  bool pin_workers = false;
   /// Replicas [0, fast_replicas) serve a replicate() of the prototype
   /// capped with set_serve_levels(1) (swap_model re-applies the cap); the
   /// rest serve it as given. 0 = an untiered fleet.

@@ -177,7 +177,6 @@ TEST(NetStress, LoadgenAccountingConserves) {
 
   net::LoadGenConfig cfg;
   cfg.port = http.port();
-  cfg.shape = "poisson";
   cfg.rate = 100.0;
   cfg.duration = std::chrono::milliseconds(600);
   cfg.connections = 2;
@@ -191,7 +190,9 @@ TEST(NetStress, LoadgenAccountingConserves) {
 }
 
 // Same seed, same schedule: the generator's offered load is a pure
-// function of its config (the open-loop determinism contract).
+// function of its config (the open-loop determinism contract). The count
+// is pinned as well, so a sampler change that shifts every seed's
+// schedule -- and with it the load perfbench replays -- fails here.
 TEST(NetStress, LoadgenScheduleIsDeterministic) {
   const core::Predictor predictor(
       core::build_bnn(core::ArchitectureId::kMicroCnv, 203));
@@ -205,14 +206,13 @@ TEST(NetStress, LoadgenScheduleIsDeterministic) {
 
   net::LoadGenConfig cfg;
   cfg.port = http.port();
-  cfg.shape = "burst";
   cfg.rate = 80.0;
-  cfg.burst_factor = 4.0;
   cfg.duration = std::chrono::milliseconds(400);
   cfg.connections = 2;
   cfg.seed = 11;
   const net::LoadGenReport a = net::run_loadgen(cfg);
   const net::LoadGenReport b = net::run_loadgen(cfg);
+  EXPECT_EQ(a.sent, 34u) << "the Poisson schedule of seed 11 changed";
   EXPECT_EQ(a.sent, b.sent) << "identical seeds must offer identical load";
   EXPECT_TRUE(a.conserved());
   EXPECT_TRUE(b.conserved());

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
-#include <set>
 #include <vector>
 
-#include "parallel/affinity.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -114,67 +112,6 @@ TEST(GlobalPool, IsSingleton) {
   ThreadPool& a = ThreadPool::global();
   ThreadPool& b = ThreadPool::global();
   EXPECT_EQ(&a, &b);
-}
-
-TEST(Affinity, AvailableCpusIsPositiveAndMatchesIds) {
-  const int n = bcop::parallel::available_cpus();
-  EXPECT_GE(n, 1);
-  const std::vector<int> ids = bcop::parallel::cpu_ids();
-  if (!ids.empty()) {
-    EXPECT_EQ(static_cast<int>(ids.size()), n);
-    for (std::size_t i = 1; i < ids.size(); ++i)
-      EXPECT_LT(ids[i - 1], ids[i]) << "ids must be ascending and unique";
-  }
-}
-
-// The round-robin deal: disjoint sets, every CPU covered exactly once,
-// sizes differing by at most one.
-TEST(Affinity, PartitionCpusIsDisjointAndComplete) {
-  const std::vector<int> ids = bcop::parallel::cpu_ids();
-  if (ids.empty()) GTEST_SKIP() << "no readable affinity mask on this host";
-  const unsigned groups =
-      static_cast<unsigned>(std::min<std::size_t>(ids.size(), 3));
-  std::set<int> seen;
-  std::size_t smallest = ids.size(), largest = 0;
-  for (unsigned g = 0; g < groups; ++g) {
-    const std::vector<int> mine = bcop::parallel::partition_cpus(g, groups);
-    EXPECT_FALSE(mine.empty()) << "group " << g;
-    smallest = std::min(smallest, mine.size());
-    largest = std::max(largest, mine.size());
-    for (const int cpu : mine)
-      EXPECT_TRUE(seen.insert(cpu).second)
-          << "cpu " << cpu << " dealt twice (groups must be disjoint)";
-  }
-  EXPECT_EQ(seen.size(), ids.size()) << "every CPU must be dealt";
-  EXPECT_LE(largest - smallest, 1u) << "round-robin deal is balanced";
-}
-
-// Oversubscription (more replicas than CPUs) aliases instead of handing
-// out empty sets: every group still gets at least one CPU.
-TEST(Affinity, PartitionCpusOversubscribedAliasesNotEmpty) {
-  const std::vector<int> ids = bcop::parallel::cpu_ids();
-  if (ids.empty()) GTEST_SKIP() << "no readable affinity mask on this host";
-  const unsigned groups = static_cast<unsigned>(ids.size()) + 3;
-  for (unsigned g = 0; g < groups; ++g) {
-    const std::vector<int> mine = bcop::parallel::partition_cpus(g, groups);
-    ASSERT_EQ(mine.size(), 1u) << "group " << g;
-    EXPECT_EQ(mine[0], ids[g % ids.size()]);
-  }
-}
-
-// Pinning is a hint that soft-fails: empty and nonsense sets report
-// false, a genuine CPU reports success on Linux (and the thread can be
-// re-pinned to the full mask afterwards -- the test must not leak a
-// narrowed mask).
-TEST(Affinity, PinCurrentThreadSoftFails) {
-  EXPECT_FALSE(bcop::parallel::pin_current_thread({}));
-  EXPECT_FALSE(bcop::parallel::pin_current_thread({-1}));
-  const std::vector<int> ids = bcop::parallel::cpu_ids();
-  if (ids.empty()) GTEST_SKIP() << "no readable affinity mask on this host";
-  EXPECT_TRUE(bcop::parallel::pin_current_thread({ids.front()}));
-  EXPECT_EQ(bcop::parallel::cpu_ids(), std::vector<int>{ids.front()});
-  EXPECT_TRUE(bcop::parallel::pin_current_thread(ids));  // restore
-  EXPECT_EQ(bcop::parallel::cpu_ids(), ids);
 }
 
 }  // namespace

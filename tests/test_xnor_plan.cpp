@@ -179,8 +179,9 @@ TEST(ExecutionPlanResidual, MultiLevelPlanLaysOutBanksPlanesAndScratch) {
       EXPECT_GT(st.in_scale_bits[0], st.in_scale_bits[1] + st.in_scale_bits[2]);
       EXPECT_GE(st.in_scale_bits[2], 1);
     }
-    if (st.kind == StepKind::kLogits)
+    if (st.kind == StepKind::kLogits) {
       EXPECT_FLOAT_EQ(st.out_scale, 1.f / 256.f);
+    }
   }
   EXPECT_GT(residual_steps, 0);
 
