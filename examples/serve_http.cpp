@@ -21,6 +21,7 @@
 // (503 above this per-replica queue depth; 0 sheds everything, -1
 // disables), --duration-s N.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -46,43 +47,48 @@ core::ArchitectureId parse_arch(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"untrained"});
-  const auto arch = parse_arch(args.get("arch", "ucnv"));
+  try {
+    const util::Args args(argc, argv, {"untrained"});
+    const auto arch = parse_arch(args.get("arch", "ucnv"));
 
-  nn::Sequential model =
-      args.get_flag("untrained")
-          ? core::build_bnn(arch, /*seed=*/7)
-          : examples::load_or_train(arch, examples::model_path(arch));
-  const core::Predictor predictor(std::move(model));
+    nn::Sequential model =
+        args.get_flag("untrained")
+            ? core::build_bnn(arch, /*seed=*/7)
+            : examples::load_or_train(arch, examples::model_path(arch));
+    const core::Predictor predictor(std::move(model));
 
-  serve::RouterConfig rcfg;
-  rcfg.replicas = static_cast<int>(args.get_int("replicas", 2));
-  rcfg.batcher.workers = static_cast<unsigned>(args.get_int("workers", 2));
-  serve::Router router(predictor, rcfg);
+    serve::RouterConfig rcfg;
+    rcfg.replicas = static_cast<int>(args.get_int("replicas", 2));
+    rcfg.batcher.workers = static_cast<unsigned>(args.get_int("workers", 2));
+    serve::Router router(predictor, rcfg);
 
-  net::HttpServerConfig hcfg;
-  hcfg.port = static_cast<std::uint16_t>(args.get_int("port", 8080));
-  hcfg.workers = static_cast<unsigned>(args.get_int("http-workers", 2));
-  hcfg.shed_watermark = args.get_int("watermark", 48);
-  net::HttpServer http(router, hcfg);
+    net::HttpServerConfig hcfg;
+    hcfg.port = static_cast<std::uint16_t>(args.get_int("port", 8080));
+    hcfg.workers = static_cast<unsigned>(args.get_int("http-workers", 2));
+    hcfg.shed_watermark = args.get_int("watermark", 48);
+    net::HttpServer http(router, hcfg);
 
-  std::printf("serving on http://127.0.0.1:%u\n", http.port());
-  std::printf("  POST /v1/classify  (3072 u8 or 12288 f32 bytes)\n");
-  std::printf("  GET  /healthz      fleet + per-replica state\n");
-  std::printf("  GET  /metrics      Prometheus export\n");
-  std::printf("replicas: %d, workers/replica: %u, http workers: %u, "
-              "shed watermark: %lld\n",
-              rcfg.replicas, rcfg.batcher.workers, hcfg.workers,
-              static_cast<long long>(hcfg.shed_watermark));
+    std::printf("serving on http://127.0.0.1:%u\n", http.port());
+    std::printf("  POST /v1/classify  (3072 u8 or 12288 f32 bytes)\n");
+    std::printf("  GET  /healthz      fleet + per-replica state\n");
+    std::printf("  GET  /metrics      Prometheus export\n");
+    std::printf("replicas: %d, workers/replica: %u, http workers: %u, "
+                "shed watermark: %lld\n",
+                rcfg.replicas, rcfg.batcher.workers, hcfg.workers,
+                static_cast<long long>(hcfg.shed_watermark));
 
-  const int duration_s = args.get_int("duration-s", 0);
-  if (duration_s > 0) {
-    std::this_thread::sleep_for(std::chrono::seconds(duration_s));
-  } else {
-    std::printf("press Ctrl-D (EOF) to stop\n");
-    while (std::getchar() != EOF) {
+    const int duration_s = args.get_int("duration-s", 0);
+    if (duration_s > 0) {
+      std::this_thread::sleep_for(std::chrono::seconds(duration_s));
+    } else {
+      std::printf("press Ctrl-D (EOF) to stop\n");
+      while (std::getchar() != EOF) {
+      }
     }
+    std::printf("shutting down\n");
+    return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "serve_http: %s\n", e.what());
+    return 1;
   }
-  std::printf("shutting down\n");
-  return 0;
 }

@@ -6,6 +6,7 @@
 //
 // Arches: cnv | ncnv | ucnv | fp32 (the FP32 CNV Grad-CAM baseline).
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 
@@ -67,6 +68,8 @@ int main(int argc, char** argv) {
     std::printf("final test accuracy: %.2f%%\n", 100.0 * cm.accuracy());
 
     const std::string out = args.get("out", "models/" + arch + ".bcop");
+    const std::filesystem::path dir = std::filesystem::path(out).parent_path();
+    if (!dir.empty()) std::filesystem::create_directories(dir);
     model.save(out);
     util::log_info("saved model to ", out);
     return 0;

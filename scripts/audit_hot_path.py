@@ -4,7 +4,7 @@ zero-allocation / lock-free / no-throw contracts.
 
 The plan-replay path has three layered guarantees:
 
-  source lint   scripts/check_invariants.py R6/R7/R9 greps the *source* for
+  source lint   scripts/check_invariants.py R6/R7 greps the *source* for
                 allocation, locking and include-hygiene tokens;
   runtime test  tests/test_zero_alloc.cpp counts operator-new calls with a
                 global interposer while replaying plans;
@@ -14,21 +14,23 @@ The plan-replay path has three layered guarantees:
                 that actually ships, immune to macros, templates and
                 inlining that source greps cannot see.
 
-Audited translation units (the plan-replay path):
+Audited translation units (the plan-replay path): the .cpp files of lint
+rule R6's hot-zone table (scripts/invariants/rules.py HOT_ZONE), so the
+source lint and this audit cover one list --
 
   src/xnor/exec.cpp   the interpreter: every steady-state serving cycle is
                       one replay through this TU.
-  src/xnor/exec_residual.cpp  the ReBNet residual replay kernels the
-                      interpreter branches into for M > 1 plans
-                      (multi-level GEMM accumulation, pattern-bank firing,
-                      lexicographic pooling).
-  src/obs/metrics.cpp the metric recording primitives the interpreter and
-                      the serving path record into.
+  src/xnor/exec_residual.cpp  the plane-generic steps it replays at every
+                      residual depth (plane-fused GEMM, pattern-bank
+                      firing, lexicographic pooling).
   src/tensor/bit_span.cpp        the span helpers the interpreter replays
-                                 (input packing, bit-domain flatten).
+                                 (bit-domain flatten).
   src/tensor/kernels/*.cpp       the kernel dispatch tiers (scalar, AVX2,
                                  AVX-512) plus the CPUID dispatcher whose
-                                 function pointers plans freeze.
+                                 table plans freeze.
+
+-- plus src/obs/metrics.cpp, the metric recording primitives the
+interpreter and the serving path record into.
 
 Forbidden symbol classes (referenced == undefined or defined-and-called;
 we audit all undefined references):
@@ -61,19 +63,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
 
-# (source file the object was compiled from, why it must stay clean)
-AUDITED_TUS = [
-    ("src/xnor/exec.cpp", "plan interpreter (steady-state replay path)"),
-    ("src/xnor/exec_residual.cpp",
-     "residual-binarization replay kernels (multi-level GEMM/fire/pool)"),
-    ("src/obs/metrics.cpp", "metric recording primitives"),
-    ("src/tensor/bit_span.cpp", "span helpers (input packing, flatten)"),
-    ("src/tensor/kernels/scalar.cpp", "scalar kernel tier (reference)"),
-    ("src/tensor/kernels/avx2.cpp", "AVX2 kernel tier"),
-    ("src/tensor/kernels/avx512.cpp", "AVX-512 kernel tier"),
-    ("src/tensor/kernels/dispatch.cpp", "kernel-tier CPUID dispatcher"),
-]
+from invariants.rules import HOT_ZONE  # noqa: E402
+
+# Source files whose compiled objects must stay clean.
+AUDITED_TUS = [rel for rel in HOT_ZONE if rel.endswith(".cpp")]
+AUDITED_TUS.append("src/obs/metrics.cpp")
 
 FORBIDDEN = {
     "alloc": re.compile(
@@ -184,7 +180,7 @@ def audit(build: Path, strict: bool) -> int:
     failures = 0
     missing = 0
     skipped = 0
-    for source, role in AUDITED_TUS:
+    for source in AUDITED_TUS:
         obj = find_object(build, source)
         if obj is None:
             print(f"audit_hot_path: MISSING  {source} (no compiled object "
@@ -200,11 +196,11 @@ def audit(build: Path, strict: bool) -> int:
         hits = classify(symbols)
         if hits:
             failures += 1
-            print(f"audit_hot_path: FAIL  {source} -- {role}")
+            print(f"audit_hot_path: FAIL  {source}")
             for cls, sym in sorted(hits):
                 print(f"    [{cls:8s}] {sym}")
         else:
-            print(f"audit_hot_path: OK    {source} -- {role} "
+            print(f"audit_hot_path: OK    {source} "
                   f"({len(symbols)} undefined refs, all vetted)")
     if failures:
         return 1

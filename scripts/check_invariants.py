@@ -8,15 +8,18 @@ docs/static-analysis.md for the full rule prose). The rules:
   R2  std::thread / <thread> confined to src/parallel/
   R3  non-deterministic RNGs confined to src/util/rng
   R4  every src/<module>/<name>.cpp's header referenced from tests/
-  R5  condition_variable/future/promise confined to src/parallel/ + src/serve/
-  R6  the plan interpreter (src/xnor/exec.cpp) is an allocation-free zone
+  R5  condition_variable/future/promise confined to src/parallel/,
+      src/serve/ and src/net/
+  R6  the plan-replay hot zone (one table in invariants/rules.py): its
+      .cpp files hold no allocation tokens, none of its files directly
+      includes <mutex>, <iostream>, <functional> or socket headers, and
+      only src/xnor/exec.cpp may include the thread pool
   R7  obs primitives defined only in src/obs/; src/obs/metrics.hpp stays
       lock-free and allocation-free
   R8  every mutex is an annotated util::Mutex and guards at least one
       BCOP_GUARDED_BY member (waivable per-line with a documented reason:
       `// bcop-lint: allow(R8): <why>`)
-  R9  hot-TU include hygiene: src/xnor/exec.cpp and src/obs/metrics.hpp
-      may not directly include <mutex>, <iostream> or <functional>
+  R10 raw sockets and readiness syscalls confined to src/net/
 
 Every rule self-tests against pass/fail fixture trees in tests/lint/
 (`--self-test`, also wired into ctest as `lint_selftest`).
@@ -38,7 +41,7 @@ from invariants.selftest import run_self_test  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="structural invariant lint (rules R1..R9)")
+        description="structural invariant lint (rules R1-R8, R10)")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="tree to lint (default: the repo)")
     parser.add_argument("--rule", metavar="ID",

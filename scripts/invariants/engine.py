@@ -146,46 +146,28 @@ def token_confinement(rule_id: str, title: str, rationale: str,
     return Rule(rule_id, title, rationale, check)
 
 
-def forbidden_tokens_in_files(rule_id: str, title: str, rationale: str,
-                              pattern: re.Pattern[str],
-                              files: tuple[str, ...]) -> Rule:
-    """Forbid a token pattern inside specific must-exist files (R6).
-    Comment-stripped: the zone headers *document* the banned tokens."""
+def hot_zone(rule_id: str, title: str, rationale: str,
+             table: dict[str, tuple[re.Pattern[str] | None,
+                                    tuple[str, ...]]]) -> Rule:
+    """Forbid, per must-exist file, a token pattern (None: no tokens) and
+    direct `#include <hdr>` / `#include "hdr"` of named headers (R6).
+    Comment-stripped: the zone files *document* the banned tokens."""
 
     def check(tree: SourceTree) -> list[Violation]:
         out = []
-        for rel in files:
+        for rel, (tokens, headers) in sorted(table.items()):
             text = tree.read(rel)
             if text is None:
                 out.append(Violation(rule_id, rel, 0,
-                                     "token-free zone file is missing"))
+                                     "hot-zone file is missing"))
                 continue
-            for lineno, line in enumerate(text.splitlines(), 1):
-                if pattern.search(strip_comment(line)):
-                    out.append(Violation(rule_id, rel, lineno, line.strip()))
-        return out
-
-    return Rule(rule_id, title, rationale, check)
-
-
-def include_hygiene(rule_id: str, title: str, rationale: str,
-                    banned: dict[str, tuple[str, ...]]) -> Rule:
-    """Forbid direct `#include <hdr>` / `#include "hdr"` of named headers
-    per file (R9)."""
-
-    def check(tree: SourceTree) -> list[Violation]:
-        out = []
-        for rel, headers in sorted(banned.items()):
-            text = tree.read(rel)
-            if text is None:
-                out.append(Violation(rule_id, rel, 0,
-                                     "include-hygiene file is missing"))
-                continue
-            pattern = re.compile(
+            include = re.compile(
                 r"#\s*include\s*[<\"](" + "|".join(map(re.escape, headers))
                 + r")[>\"]")
             for lineno, line in enumerate(text.splitlines(), 1):
-                if pattern.search(strip_comment(line)):
+                code = strip_comment(line)
+                if ((tokens is not None and tokens.search(code))
+                        or include.search(code)):
                     out.append(Violation(rule_id, rel, lineno, line.strip()))
         return out
 

@@ -1,9 +1,9 @@
-"""The repo's invariant rules, R1..R10, as data.
+"""The repo's invariant rules, R1..R8 and R10, as data.
 
 Each rule is a Rule value built either from a declarative constructor in
-engine.py (token confinement, token-free zone, include hygiene) or from a
-bespoke check for the structural rules (R4 test coverage, R7 namespace
-confinement, R8 mutex annotation). Every rule has a pass/fail fixture
+engine.py (token confinement, the hot zone) or from a bespoke check for
+the structural rules (R4 test coverage, R7 namespace confinement, R8
+mutex annotation). Every rule has a pass/fail fixture
 pair under tests/lint/<id>/ exercised by `check_invariants.py
 --self-test`; prose lives in docs/static-analysis.md.
 """
@@ -36,11 +36,11 @@ SOCKET_USE = re.compile(
     r"|::socket\s*\(|::accept4?\s*\(|::epoll_(?:create1?|ctl|wait)\s*\("
 )
 
-# ---- R6/R7 token sets ------------------------------------------------------
+# ---- R6 hot zone and R7 token sets ----------------------------------------
 
-# Allocation tokens forbidden in the interpreter. std::vector is allowed
-# only as a reference type (`const std::vector<T>&` parameters); declaring
-# a vector/string value, constructing a Tensor/BitMatrix, or growing any
+# Allocation tokens forbidden in the hot zone. std::vector is allowed only
+# as a reference type (`const std::vector<T>&` parameters); declaring a
+# vector/string value, constructing a Tensor/BitMatrix, or growing any
 # container is an R6 violation.
 ALLOC_TOKENS = re.compile(
     r"\bnew\b|\bmalloc\b|\bcalloc\b|\brealloc\b"
@@ -48,18 +48,6 @@ ALLOC_TOKENS = re.compile(
     r"|std::vector\s*<[^>]*>\s*(?!&)\w|std::string\s"
     r"|\bTensor\s*\(|\bBitMatrix\s*\("
     r"|push_back|emplace_back|\.resize\s*\(|\.reserve\s*\("
-)
-# The interpreter, the residual-binarization replay kernels, the
-# span-kernel entry points they replay, and every kernel dispatch tier --
-# all audited at the object level too by scripts/audit_hot_path.py.
-ALLOC_FREE_FILES = (
-    "src/xnor/exec.cpp",
-    "src/xnor/exec_residual.cpp",
-    "src/tensor/bit_span.cpp",
-    "src/tensor/kernels/scalar.cpp",
-    "src/tensor/kernels/avx2.cpp",
-    "src/tensor/kernels/avx512.cpp",
-    "src/tensor/kernels/dispatch.cpp",
 )
 
 # R7a: opening the obs namespace (defining obs primitives) outside
@@ -77,28 +65,27 @@ LOCK_TOKENS = re.compile(
 )
 OBS_HOT_HEADER = "src/obs/metrics.hpp"
 
-# ---- R9 include table ------------------------------------------------------
-
 # Headers that drag locking, streams, type erasure or sockets into a TU.
-# The hot zone is exactly the R6 allocation-free files plus the recording
-# header, so the two rules cannot drift apart.
-HOT_BANNED_HEADERS = ("mutex", "iostream", "functional", "sys/socket.h",
-                      "poll.h")
+HOT_HEADERS = ("mutex", "iostream", "functional", "sys/socket.h", "poll.h")
 # detail::execute in exec.cpp is the one pool fan-out of inference (over a
-# batch's images); the residual replay steps, the span helpers and the
-# kernel tiers run serially over one image's rows, so a per-step
-# for_chunks must not grow back in them.
-SERIAL_FILES = (
-    "src/xnor/exec_residual.cpp",
-    "src/tensor/bit_span.cpp",
-    "src/tensor/kernels/scalar.cpp",
-    "src/tensor/kernels/avx2.cpp",
-    "src/tensor/kernels/avx512.cpp",
-)
-HOT_INCLUDE_TABLE = {
-    rel: HOT_BANNED_HEADERS + (("parallel/thread_pool.hpp",)
-                               if rel in SERIAL_FILES else ())
-    for rel in (*ALLOC_FREE_FILES, OBS_HOT_HEADER)}
+# batch's images); every other hot-zone file runs serially over one
+# image's rows, so a per-step for_chunks must not grow back in them.
+SERIAL_HEADERS = HOT_HEADERS + ("parallel/thread_pool.hpp",)
+# The hot zone, one table for both halves of R6: each file maps to the
+# allocation tokens and the direct includes it may not contain. Its .cpp
+# files are the plan-replay path that scripts/audit_hot_path.py also
+# audits at the object level; the recording header's allocation and
+# locking tokens are R7's.
+HOT_ZONE = {
+    "src/xnor/exec.cpp": (ALLOC_TOKENS, HOT_HEADERS),
+    "src/xnor/exec_residual.cpp": (ALLOC_TOKENS, SERIAL_HEADERS),
+    "src/tensor/bit_span.cpp": (ALLOC_TOKENS, SERIAL_HEADERS),
+    "src/tensor/kernels/scalar.cpp": (ALLOC_TOKENS, SERIAL_HEADERS),
+    "src/tensor/kernels/avx2.cpp": (ALLOC_TOKENS, SERIAL_HEADERS),
+    "src/tensor/kernels/avx512.cpp": (ALLOC_TOKENS, SERIAL_HEADERS),
+    "src/tensor/kernels/dispatch.cpp": (ALLOC_TOKENS, SERIAL_HEADERS),
+    OBS_HOT_HEADER: (None, SERIAL_HEADERS),
+}
 
 # ---- R8 patterns -----------------------------------------------------------
 
@@ -205,12 +192,17 @@ RULES: list[Rule] = [
         "every wait/notify path must be exercised by the TSan stress "
         "suite via ThreadPool / BatchingServer",
         COORD_USE, ("src/parallel/", "src/serve/", "src/net/")),
-    engine.forbidden_tokens_in_files(
-        "R6", "plan interpreter is an allocation-free zone",
+    engine.hot_zone(
+        "R6", "plan-replay hot zone: no allocation tokens, no locking, "
+        "stream, type-erasure or socket includes, and no thread pool "
+        "outside exec.cpp",
         "the allocating prologue belongs in plan.cpp / engine.cpp; "
         "tests/test_zero_alloc.cpp measures the same contract dynamically "
-        "and scripts/audit_hot_path.py proves it on the compiled object",
-        ALLOC_TOKENS, ALLOC_FREE_FILES),
+        "and scripts/audit_hot_path.py proves it on the compiled objects, "
+        "including what arrives transitively; the serial replay and "
+        "kernel-tier TUs must not reach the thread pool, which only "
+        "exec.cpp's per-image fan-out calls",
+        HOT_ZONE),
     Rule("R7", "obs primitives defined only in src/obs/; metrics.hpp "
          "lock-free and allocation-free",
          "recording must be safe to call from R6 zones and the "
@@ -219,14 +211,6 @@ RULES: list[Rule] = [
          "raw std::mutex is invisible to Clang's -Wthread-safety; an "
          "unannotated mutex documents nothing and checks nothing",
          _check_r8),
-    engine.include_hygiene(
-        "R9", "hot-TU include hygiene",
-        "the interpreter TU and the recording header must not pull in "
-        "locking, stream or type-erasure machinery even transitively "
-        "inlined -- the binary audit backs this up at the symbol level; "
-        "the serial replay and kernel-tier TUs must not reach the thread "
-        "pool, which only exec.cpp's per-image fan-out calls",
-        HOT_INCLUDE_TABLE),
     engine.token_confinement(
         "R10", "raw sockets and readiness syscalls confined to src/net/",
         "every byte of untrusted network input must enter through the "

@@ -1,37 +1,10 @@
 #include "obs/stage_profiler.hpp"
 
-#include "obs/registry.hpp"
-#include "util/check.hpp"
-
 namespace bcop::obs {
 
 StageProfiler& StageProfiler::global() {
   static StageProfiler profiler;
   return profiler;
-}
-
-const StageSlots* StageProfiler::slots_for(const std::string& key,
-                                           const char* const* slot_names,
-                                           int slots) {
-  BCOP_CHECK(slots > 0 && slots <= StageSlots::kMaxSlots,
-             "slots_for('%s'): %d slots outside [1, %d]", key.c_str(), slots,
-             StageSlots::kMaxSlots);
-  util::MutexLock lock(mutex_);
-  auto it = slots_.find(key);
-  if (it != slots_.end()) {
-    BCOP_CHECK(it->second.slots == slots,
-               "slots_for('%s'): slot count changed %d -> %d", key.c_str(),
-               it->second.slots, slots);
-    return &it->second;
-  }
-  StageSlots& block = slots_[key];
-  Registry& reg = Registry::global();
-  for (int i = 0; i < slots; ++i)
-    block.slot_ns[i] =
-        &reg.histogram("bcop_exec_" + key + "_" + slot_names[i] + "_ns");
-  block.replays = &reg.counter("bcop_exec_" + key + "_replays_total");
-  block.slots = slots;
-  return &block;
 }
 
 }  // namespace bcop::obs

@@ -4,14 +4,15 @@
 // analogue is a per-step latency histogram for every plan the interpreter
 // replays. The split mirrors the engine's own compile/execute contract:
 //
-//   compile path  -- ExecutionPlan::compile asks slots_for() for a
-//                    StageSlots block keyed by the plan's input shape.
-//                    Registration allocates (names, registry nodes); that
-//                    is fine, plan compilation already allocates.
+//   compile path  -- ExecutionPlan::compile registers one StageSlots block
+//                    per plan, keyed by the plan's input shape, through the
+//                    Registry's find-or-create. Registration allocates
+//                    (names, registry nodes); that is fine, plan
+//                    compilation already allocates.
 //   execute path  -- the interpreter checks one relaxed atomic flag, and
 //                    when it is set brackets each step with obs::now_ns()
-//                    and records into the pre-resolved histogram pointer.
-//                    No locks, no allocation (rules R6 + R7).
+//                    and records into the plan's pre-resolved histogram
+//                    pointers. No locks, no allocation (rules R6 + R7).
 //
 // The hooks are always compiled in; recording is toggled at runtime with
 // set_enabled(). Metric names look like
@@ -21,23 +22,18 @@
 #pragma once
 
 #include <atomic>
-#include <map>
-#include <mutex>
-#include <string>
 
 #include "obs/metrics.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace bcop::obs {
 
-/// Pre-resolved recording slots for one plan-shape key: one histogram per
-/// stage slot plus a replay counter. Pointees live in the global Registry
-/// for the process lifetime, so plans may hold the block by pointer.
+/// Pre-resolved recording slots of one plan: one histogram per stage slot
+/// plus a replay counter. Pointees live in the global Registry for the
+/// process lifetime, so a plan holds the block by value.
 struct StageSlots {
   static constexpr int kMaxSlots = 16;
   LatencyHistogram* slot_ns[kMaxSlots] = {};
   Counter* replays = nullptr;
-  int slots = 0;
 };
 
 class StageProfiler {
@@ -56,23 +52,8 @@ class StageProfiler {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Find-or-create the slot block for `key` (e.g. "b8_in32x32x3") with
-  /// one histogram per entry of `slot_names` (metric name
-  /// `bcop_exec_<key>_<slot>_ns`) plus a `bcop_exec_<key>_replays_total`
-  /// counter. Compile-path only: takes a lock and allocates on first use.
-  /// The returned pointer is stable for the process lifetime. Re-requests
-  /// with the same key must pass the same slot count.
-  const StageSlots* slots_for(const std::string& key,
-                              const char* const* slot_names, int slots)
-      BCOP_EXCLUDES(mutex_);
-
  private:
   std::atomic<bool> enabled_{true};
-  util::Mutex mutex_;
-  // Guards the map structure only: returned StageSlots blocks are
-  // node-stable, fully initialized before the pointer escapes the lock,
-  // and immutable afterwards (their pointees are lock-free primitives).
-  std::map<std::string, StageSlots> slots_ BCOP_GUARDED_BY(mutex_);
 };
 
 }  // namespace bcop::obs

@@ -1,13 +1,12 @@
 // Span helpers. ALLOCATION-FREE ZONE: the interpreter replays
-// pack_rows and flatten_pixels, so this TU must not allocate, lock or
-// throw -- contract violations abort through BCOP_CHECK (a throw here
-// would drag __cxa_throw/operator delete references into the hot object;
+// flatten_pixels, so this TU must not allocate, lock or throw -- contract
+// violations abort through BCOP_CHECK (a throw here would drag
+// __cxa_throw/operator delete references into the hot object;
 // scripts/audit_hot_path.py audits the compiled artifact for exactly
-// that, and rules R6/R9 lint the source). Everything here runs serially
-// on the calling thread: R9 keeps the thread pool out of this TU.
+// that, and rule R6 lints the source). Everything here runs serially on
+// the calling thread: R6 keeps the thread pool out of this TU.
 #include "tensor/bit_span.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "tensor/bit_tensor.hpp"
@@ -22,26 +21,6 @@ BitSpan span_of(BitMatrix& m) {
 ConstBitSpan span_of(const BitMatrix& m) {
   return {m.rows() > 0 ? m.row(0) : nullptr, m.rows(), m.cols(),
           m.words_per_row()};
-}
-
-void pack_rows(const float* src, std::int64_t rows, std::int64_t cols,
-               BitSpan dst) {
-  BCOP_CHECK(dst.rows == rows && dst.cols == cols,
-             "pack_rows: dst [%lld, %lld] != src [%lld, %lld]",
-             static_cast<long long>(dst.rows), static_cast<long long>(dst.cols),
-             static_cast<long long>(rows), static_cast<long long>(cols));
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* s = src + r * cols;
-    std::uint64_t* w = dst.row(r);
-    for (std::int64_t word = 0; word < dst.wpr; ++word) {
-      std::uint64_t bits = 0;
-      const std::int64_t base = word * 64;
-      const std::int64_t n = std::min<std::int64_t>(64, cols - base);
-      for (std::int64_t i = 0; i < n; ++i)
-        bits |= static_cast<std::uint64_t>(s[base + i] >= 0.f) << i;
-      w[word] = bits;
-    }
-  }
 }
 
 void transpose_word_major(ConstBitSpan b, std::uint64_t* bt) {

@@ -65,11 +65,6 @@ inline std::int64_t words_for_bits(std::int64_t cols) {
 BitSpan span_of(BitMatrix& m);
 ConstBitSpan span_of(const BitMatrix& m);
 
-/// Pack `rows` float rows of `cols` values by sign (v >= 0 -> bit 1) into
-/// `dst`. Full-word stores: padding bits come out zero even on reused rows.
-void pack_rows(const float* src, std::int64_t rows, std::int64_t cols,
-               BitSpan dst);
-
 /// Word-major transpose of packed weight rows for the kernel GEMM
 /// (kernels::GemmCtx::bt): bt[w * b.rows + j] = b.row(j)[w]. `bt` must
 /// hold b.wpr * b.rows words. Runs once at plan-compile time; the GEMM

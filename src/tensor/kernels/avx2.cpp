@@ -1,5 +1,5 @@
 // AVX2 kernels. ALLOCATION-FREE ZONE: no allocation, locking or throwing
-// (lint R6/R9 + scripts/audit_hot_path.py audit this object).
+// (lint R6 + scripts/audit_hot_path.py audit this object).
 //
 // The whole implementation is guarded on __AVX2__ so the TU always
 // compiles: without the flag it exports a nullptr table and dispatch

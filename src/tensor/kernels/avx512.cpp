@@ -1,5 +1,5 @@
 // AVX-512 kernels. ALLOCATION-FREE ZONE: no allocation, locking or
-// throwing (lint R6/R9 + scripts/audit_hot_path.py audit this object).
+// throwing (lint R6 + scripts/audit_hot_path.py audit this object).
 //
 // Guarded on the full feature set the code needs -- F (512-bit vectors),
 // BW (byte/word ops), VPOPCNTDQ (vpopcntq) -- so the TU always compiles;

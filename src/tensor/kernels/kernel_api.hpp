@@ -7,15 +7,15 @@
 // nothing for wider registers to add, so it has one body (scalar.cpp) that
 // every table points at. Runtime CPUID detection picks the best
 // table once (src/tensor/kernels/dispatch.cpp) and ExecutionPlan::compile
-// freezes the chosen function pointers into every plan step, so the
-// interpreter replay stays branch-free: it calls whatever pointer the plan
-// recorded, never re-detects, never switches.
+// freezes the chosen table into the plan, so the interpreter replay stays
+// branch-free: it calls whatever table the plan recorded, never
+// re-detects, never switches.
 //
 // Every chunk function in every tier is allocation-free, lock-free and
 // throw-free by contract -- the tiers are audited at the object level by
-// scripts/audit_hot_path.py exactly like the interpreter TU, and rules
-// R6/R9 lint the sources (R9 also keeps the thread pool out of the tier
-// TUs: a kernel never fans out itself). The plan interpreter calls each
+// scripts/audit_hot_path.py exactly like the interpreter TU, and rule R6
+// lints the sources (it also keeps the thread pool out of the tier TUs:
+// a kernel never fans out itself). The plan interpreter calls each
 // chunk function directly over one image's rows; the tables are the only
 // XNOR GEMM and bit-im2row in the tree.
 //
@@ -91,7 +91,7 @@ struct Im2RowCtx {
 
 /// One tier's kernel set. Tables are static-storage constants inside each
 /// tier TU; a KernelTable pointer stays valid for the process lifetime, so
-/// plans may cache the individual function pointers.
+/// a plan holds its tier's table by pointer.
 struct KernelTable {
   KernelLevel level;
   KernelFn gemm;    // GemmCtx

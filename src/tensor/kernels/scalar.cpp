@@ -1,7 +1,7 @@
 // Scalar reference kernels. ALLOCATION-FREE ZONE: like every kernel tier,
 // this TU must not allocate, lock or throw -- scratch lives in fixed-size
 // stack tiles and contract failures abort through BCOP_CHECK. Enforced by
-// lint rules R6/R9 and the binary-level audit (scripts/audit_hot_path.py).
+// lint rule R6 and the binary-level audit (scripts/audit_hot_path.py).
 #include "tensor/kernels/scalar.hpp"
 
 #include <algorithm>

@@ -53,10 +53,12 @@ std::string AsciiTable::render() const {
     for (std::size_t c = 0; c < ncol; ++c) {
       const std::string& cell = r[c];
       const std::size_t pad = width[c] - cell.size();
+      s += ' ';
       if (align_right_ok && right[c])
-        s += " " + std::string(pad, ' ') + cell + " |";
+        s.append(pad, ' ').append(cell);
       else
-        s += " " + cell + std::string(pad, ' ') + " |";
+        s.append(cell).append(pad, ' ');
+      s += " |";
     }
     return s + "\n";
   };

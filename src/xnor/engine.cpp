@@ -281,7 +281,7 @@ void XnorNetwork::forward_batch(const Tensor& input, Workspace& ws,
   const ExecutionPlan& plan = plan_for(input.shape(), levels);
   ws.prepare(plan);
   if (out.shape() != plan.output_shape()) out = Tensor(plan.output_shape());
-  detail::execute(plan, stages_, input.data(), ws, out.data());
+  detail::execute(plan, input.data(), ws, out.data());
 }
 
 Tensor XnorNetwork::forward_batch(const Tensor& input,

@@ -108,11 +108,11 @@ class XnorNetwork {
   /// Assemble directly from stages (used by the bitstream loader).
   XnorNetwork(std::string name, std::vector<Stage> stages);
 
-  // Copies get a fresh (empty) plan cache; moves keep it -- cached plans
-  // reference stages by index, so they stay valid across moves. A
-  // moved-from network must be reassigned before serving again: plan_for
-  // aborts (BCOP_CHECK) on a null cache instead of lazily reviving it,
-  // which was an unlocked check-then-act race.
+  // Copies get a fresh (empty) plan cache; moves keep it -- a plan owns
+  // everything it replays and refers to no stage, so it stays valid
+  // across moves. A moved-from network must be reassigned before serving
+  // again: plan_for aborts (BCOP_CHECK) on a null cache instead of lazily
+  // reviving it, which would be an unlocked check-then-act race.
   XnorNetwork(const XnorNetwork& other);
   XnorNetwork& operator=(const XnorNetwork& other);
   XnorNetwork(XnorNetwork&&) noexcept;
@@ -150,7 +150,8 @@ class XnorNetwork {
   /// The frozen execution plan for inputs of this exact shape (batch
   /// included). Compiled on first use, cached for the network's lifetime;
   /// safe to call from multiple threads. The reference stays valid as long
-  /// as the network (plans are cached in node-stable storage).
+  /// as the network (plans are cached in node-stable storage); a copy of
+  /// the plan outlives it.
   ///
   /// `levels` caps the residual depth M the plan evaluates: a network
   /// trained at M = 3 serves at M = 1 or 2 by simply dropping the higher

@@ -37,9 +37,9 @@ namespace {
 // ---- First conv: quantized pixels -> int32 accumulators. ----
 
 struct FirstConvCtx {
-  const float* q;  // one image's quantized pixel codes, HWC
-  const FirstConvStage* st;
-  std::int64_t w, c, wo;
+  const float* q;    // one image's quantized pixel codes, HWC
+  const float* wts;  // {-1,+1} weights, [K*K*Ci, Co]
+  std::int64_t k, co, w, c, wo;
 };
 
 // Eight float / int32 lanes (GCC vector extension). The backend lowers
@@ -71,9 +71,9 @@ template <int CO>
 void first_conv_rows_fixed(const FirstConvCtx& t, std::int64_t lo,
                            std::int64_t hi, std::int32_t* out) {
   static_assert(CO % 16 == 0, "channels are walked 16 at a time");
-  const float* wts = t.st->weights.data();
+  const float* wts = t.wts;
   const std::int64_t w = t.w, c = t.c, wo = t.wo;
-  const std::int64_t k = t.st->k, kc = k * c;
+  const std::int64_t k = t.k, kc = k * c;
   std::int64_t r = lo;
   while (r < hi) {
     const std::int64_t y = r / wo, x = r - y * wo;
@@ -133,9 +133,9 @@ void first_conv_rows_fixed(const FirstConvCtx& t, std::int64_t lo,
 /// and the accumulators stay on the stack for any channel count.
 void first_conv_rows_any(const FirstConvCtx& t, std::int64_t lo,
                          std::int64_t hi, std::int32_t* out) {
-  const float* wts = t.st->weights.data();
+  const float* wts = t.wts;
   const std::int64_t w = t.w, c = t.c, wo = t.wo;
-  const std::int64_t k = t.st->k, co = t.st->co, kc = k * c;
+  const std::int64_t k = t.k, co = t.co, kc = k * c;
   constexpr std::int64_t kTile = 256;
   float acc[kTile];
   for (std::int64_t r = lo; r < hi; ++r) {
@@ -164,7 +164,7 @@ void first_conv_rows_any(const FirstConvCtx& t, std::int64_t lo,
 
 void first_conv_rows(const FirstConvCtx& t, std::int64_t lo, std::int64_t hi,
                      std::int32_t* out) {
-  switch (t.st->co) {
+  switch (t.co) {
     case 16:
       first_conv_rows_fixed<16>(t, lo, hi, out);
       break;
@@ -218,7 +218,6 @@ struct Slice {
 /// the telemetry decision made once per call.
 struct Replay {
   const ExecutionPlan* plan;
-  const std::vector<Stage>* stages;
   const float* input;
   float* out;
   std::byte* arena;
@@ -251,20 +250,21 @@ void fire(const ExecutionPlan& plan, const PlanStep& st,
   const PreparedThresholds& prep = plan.prep(st.prep);
   tensor::kernels::ThreshCtx ctx{acc, prep.thr.data(), prep.inv.data(),
                                  BitSpan{dst, n, st.out_cols, st.out_wpr}};
-  st.thresh_fn(&ctx, 0, n);
+  plan.kernels().thresh(&ctx, 0, n);
 }
 
 /// Entry step of one image: quantize its pixels, then accumulate the first
 /// conv up to one output row at a time into a stack tile and fire the tile
 /// as it goes.
 void first_conv(const ExecutionPlan& plan, const PlanStep& st,
-                const FirstConvStage& fc, const Slice& s) {
+                const Slice& s) {
   // Recover the integer pixel codes (pixels are odd k'/255, see
   // facegen::MaskedFaceDataset::quantize_pixel).
   const std::int64_t numel = st.h * st.w * st.c;
   for (std::int64_t j = 0; j < numel; ++j)
     s.floats[j] = std::nearbyint(s.in[j] * 255.f);
-  const FirstConvCtx t{s.floats, &fc, st.w, st.c, st.wo};
+  const FirstConvCtx t{s.floats, plan.first_conv_weights(), st.k, st.co,
+                       st.w, st.c, st.wo};
   std::int32_t tile[kFirstConvTile];
   const std::int64_t px = std::min(st.wo, kFirstConvTile / st.co);
   for (std::int64_t y = 0; y < st.ho; ++y)
@@ -277,25 +277,10 @@ void first_conv(const ExecutionPlan& plan, const PlanStep& st,
 }
 
 /// Every step but kBinConv, on one image.
-void run_step(const ExecutionPlan& plan, const std::vector<Stage>& stages,
-              const PlanStep& st, const Slice& s) {
+void run_step(const ExecutionPlan& plan, const PlanStep& st, const Slice& s) {
   switch (st.kind) {
-    case StepKind::kFirstConv: {
-      // get_if, not get: the throwing std::get drags
-      // __cxa_throw/__cxa_allocate_exception/operator delete references
-      // into this TU (visible to scripts/audit_hot_path.py), and a kind
-      // mismatch here is a plan-compiler bug, not a recoverable error.
-      const auto* fc =
-          std::get_if<FirstConvStage>(&stages[static_cast<std::size_t>(st.stage)]);
-      BCOP_CHECK(fc != nullptr, "plan step %lld: stage is not a FirstConvStage",
-                 static_cast<long long>(st.stage));
-      first_conv(plan, st, *fc, s);
-      break;
-    }
-    case StepKind::kPackInput:
-      tensor::pack_rows(s.in, st.out_rows, st.out_cols,
-                        {s.half[st.dst_half], st.out_rows, st.out_cols,
-                         st.out_wpr});
+    case StepKind::kFirstConv:
+      first_conv(plan, st, s);
       break;
     case StepKind::kBinConv:  // replayed phase by phase in replay_chunk
       break;
@@ -324,24 +309,6 @@ void run_step(const ExecutionPlan& plan, const std::vector<Stage>& stages,
       for (std::int64_t j = 0; j < st.acc_len; ++j)
         s.out[j] = static_cast<float>(s.acc[j]) * st.out_scale;
       break;
-    case StepKind::kUnpack:
-      // Sum of signed per-plane values: g_m/256 for a scaled plane (exact
-      // dyadic floats, any summation order), 1 for an unscaled one.
-      for (std::int64_t r = 0; r < st.in_rows; ++r) {
-        float* o = s.out + r * st.in_cols;
-        for (std::int64_t j = 0; j < st.in_cols; ++j) o[j] = 0.f;
-        for (std::int64_t m = 0; m < st.levels_in; ++m) {
-          const std::uint64_t* row =
-              s.half[st.src_half] + (m * st.in_rows + r) * st.in_wpr;
-          const float q =
-              st.in_scaled
-                  ? static_cast<float>(st.in_scale_bits[m]) * (1.f / 256.f)
-                  : 1.f;
-          for (std::int64_t j = 0; j < st.in_cols; ++j)
-            o[j] += ((row[j >> 6] >> (j & 63)) & 1ull) ? q : -q;
-        }
-      }
-      break;
   }
 }
 
@@ -365,7 +332,7 @@ void replay_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
   for (const PlanStep& st : plan.steps()) {
     if (st.kind != StepKind::kBinConv) {
       phase(static_cast<int>(st.kind), [&](const Slice& s) {
-        run_step(plan, *rp.stages, st, s);
+        run_step(plan, st, s);
       });
       continue;
     }
@@ -386,18 +353,18 @@ void replay_chunk(void* raw, std::int64_t lo, std::int64_t hi) {
 
 }  // namespace
 
-void execute(const ExecutionPlan& plan, const std::vector<Stage>& stages,
-             const float* input, Workspace& ws, float* out) {
+void execute(const ExecutionPlan& plan, const float* input, Workspace& ws,
+             float* out) {
   BCOP_CHECK(ws.capacity() >= plan.arena_bytes(),
              "workspace holds %zu bytes but the plan needs %zu -- call "
              "Workspace::prepare(plan) first",
              ws.capacity(), plan.arena_bytes());
-  Replay rp{&plan, &stages, input, out, ws.base()};
+  Replay rp{&plan, input, out, ws.base()};
   // One flag read per call; when recording, each step adds two clock
   // reads and one relaxed fetch_add -- measured at < 1% of the replay
   // (docs/observability.md), far below the coarse step kernels it brackets.
-  if (plan.obs_slots() != nullptr && obs::StageProfiler::global().enabled()) {
-    rp.slots = plan.obs_slots();
+  if (obs::StageProfiler::global().enabled()) {
+    rp.slots = &plan.obs_slots();
     rp.slots->replays->add(1);
   }
   const SlotTimer call(rp.slots, kObsSlotExecute);

@@ -3,8 +3,8 @@
 // buffers are Workspace arena slices at plan-frozen offsets, scratch is
 // fixed-size stack tiles. Every function here runs serially over one
 // image's rows: detail::execute's per-image fan-out is the only
-// parallelism, and lint rule R9 keeps the thread pool out of this TU.
-// Enforced by lint rules R6/R9 and scripts/audit_hot_path.py, measured by
+// parallelism, and lint rule R6 keeps the thread pool out of this TU.
+// Enforced by lint rule R6 and scripts/audit_hot_path.py, measured by
 // tests/test_zero_alloc.cpp at every level cap.
 #include "xnor/exec_residual.hpp"
 
@@ -41,7 +41,7 @@ struct ResidualFireCtx {
 /// threshold kernels.
 template <int L>
 void fire_rows(const ResidualFireCtx& t, std::int64_t rows) {
-  static_assert(L == 2 || L == 3, "one level fires through thresh_fn");
+  static_assert(L == 2 || L == 3, "one level fires through kernels().thresh");
   constexpr int kBanks = (1 << L) - 1;
   const std::int64_t cols = t.cols, wpr = t.wpr;
   for (std::int64_t r = 0; r < rows; ++r) {
@@ -103,6 +103,7 @@ void lap(std::uint64_t& sum, std::uint64_t& t) {
 void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
                    const std::uint64_t* src, std::uint64_t* patch,
                    std::int32_t* acc, GemmPhaseNs* ns) {
+  const tensor::kernels::KernelTable& kt = plan.kernels();
   const ConstBitSpan in{src, st.in_rows, st.in_cols, st.in_wpr};
   const std::int64_t in_plane = st.in_rows * st.in_wpr;
   tensor::kernels::GemmCtx gemm{in, plan.wmat(st.wmat), st.co, acc};
@@ -113,7 +114,7 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
   }
   if (st.kind != StepKind::kBinConv) {
     gemm.plane_stride = in_plane;
-    st.gemm_fn(&gemm, 0, st.in_rows);
+    kt.gemm(&gemm, 0, st.in_rows);
     return;
   }
   // Conv: the GEMM reads the patch region, plane m at row m * patch_rows
@@ -135,10 +136,10 @@ void residual_gemm(const ExecutionPlan& plan, const PlanStep& st,
           {in.data + m * in_plane, in.rows, in.cols, in.wpr},
           {rows.data + m * gemm.plane_stride, rows.rows, rows.cols, rows.wpr},
           st.h, st.w, st.c, st.k, st.ho, st.wo};
-      st.im2row_fn(&plane, r0, r1);
+      kt.im2row(&plane, r0, r1);
     }
     if (ns != nullptr) lap(ns->gather, t);
-    st.gemm_fn(&gemm, r0, r1);
+    kt.gemm(&gemm, r0, r1);
     if (ns != nullptr) lap(ns->gemm, t);
   }
 }

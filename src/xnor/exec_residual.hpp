@@ -10,14 +10,13 @@
 // rows -- detail::execute fans out over images, never inside a step. Same
 // contract as exec.cpp: ALLOCATION-FREE ZONE -- every buffer is a
 // Workspace arena slice at a plan-frozen offset and scratch lives in
-// fixed-size stack tiles. Enforced by lint rules R6/R9, audited at the
+// fixed-size stack tiles. Enforced by lint rule R6, audited at the
 // object level by scripts/audit_hot_path.py, and measured end to end by
 // tests/test_zero_alloc.cpp.
 #pragma once
 
 #include <cstdint>
 
-#include "xnor/engine.hpp"
 #include "xnor/plan.hpp"
 
 namespace bcop::xnor::detail {

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/stage_profiler.hpp"
+#include "obs/registry.hpp"
 #include "tensor/bit_span.hpp"
 #include "tensor/im2row.hpp"
 #include "tensor/kernels/dispatch.hpp"
@@ -114,17 +114,12 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     plan.wmats_.push_back(std::move(bt));
     return static_cast<std::int64_t>(plan.wmats_.size()) - 1;
   };
-  // Resolve the dispatch tier ONCE per compile and freeze its kernel
-  // pointers into every step -- the interpreter replays them with no tier
-  // branch, and a plan never mixes tiers even if the override flips
-  // between compiles.
-  const tensor::kernels::KernelTable& kt = tensor::kernels::active_table();
-  plan.kernel_level_ = kt.level;
+  // Resolve the dispatch tier ONCE per compile: the interpreter replays
+  // this table with no tier branch, and a plan never mixes tiers even if
+  // the override flips between compiles.
+  plan.kernels_ = &tensor::kernels::active_table();
 
-  auto emit = [&](PlanStep st) {
-    st.gemm_fn = kt.gemm;
-    st.thresh_fn = kt.thresh;
-    st.im2row_fn = kt.im2row;
+  auto emit = [&](const PlanStep& st) {
     if (st.dst_half >= 0)
       half_bytes[st.dst_half] = std::max(
           half_bytes[st.dst_half],
@@ -161,23 +156,29 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     flat = true;
   };
 
-  // --- Entry: bring the caller's float tensor into the bit domain. ---
-  std::size_t i0 = 0;
-  if (const auto* fc = std::get_if<FirstConvStage>(&stages[0])) {
-    if (input.rank() != 4)
-      fail("FirstConv entry needs [N, H, W, C] input, got " + input.str());
-    if (input[3] != fc->ci)
-      fail("input has " + std::to_string(input[3]) + " channels, FirstConv expects " +
-           std::to_string(fc->ci));
-    h = input[1];
-    w = input[2];
-    c = input[3];
+  // --- Entry: the quantized first conv brings the caller's float pixels
+  // into the bit domain. ---
+  const auto* fc = std::get_if<FirstConvStage>(&stages[0]);
+  if (fc == nullptr)
+    fail("stage 0 is a " + stage_kind(stages[0]) +
+         ", not the FirstConv a classifier plan starts with");
+  if (input.rank() != 4)
+    fail("FirstConv entry needs [N, H, W, C] input, got " + input.str());
+  if (input[3] != fc->ci)
+    fail("input has " + std::to_string(input[3]) + " channels, FirstConv expects " +
+         std::to_string(fc->ci));
+  if (fc->weights.numel() != fc->k * fc->k * fc->ci * fc->co)
+    fail("FirstConv weights hold " + std::to_string(fc->weights.numel()) +
+         " values, not K*K*Ci*Co");
+  h = input[1];
+  w = input[2];
+  c = input[3];
+  {
     const std::int64_t ho = tensor::conv_out_dim(h, fc->k);
     const std::int64_t wo = tensor::conv_out_dim(w, fc->k);
     if (ho <= 0 || wo <= 0) fail("FirstConv kernel larger than input");
     PlanStep st;
     st.kind = StepKind::kFirstConv;
-    st.stage = 0;
     st.prep = add_prep_banks(fc->thresholds, fc->residual, 0, st.levels_out);
     st.k = fc->k;
     st.h = h;
@@ -197,45 +198,18 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
            " output channels, more than the " +
            std::to_string(detail::kFirstConvTile) + " its firing tile holds");
     float_bytes = static_cast<std::size_t>(h * w * c) * sizeof(float);
+    plan.first_weights_.assign(fc->weights.data(),
+                               fc->weights.data() + fc->weights.numel());
     emit(st);
     set_stream(fc->residual, st.levels_out);
     plan.stage_shapes_.push_back({h, w, c, ho, wo, fc->co});
     h = ho;
     w = wo;
     c = fc->co;
-    i0 = 1;
-  } else {
-    PlanStep st;
-    st.kind = StepKind::kPackInput;
-    if (std::get_if<BinConvStage>(&stages[0])) {
-      if (input.rank() != 4)
-        fail("conv entry needs [N, H, W, C] input, got " + input.str());
-      h = input[1];
-      w = input[2];
-      c = input[3];
-      st.out_rows = h * w;
-      st.out_cols = c;
-    } else if (std::get_if<BinDenseStage>(&stages[0])) {
-      h = w = 1;
-      c = input.numel() / batch;
-      flat = true;
-      st.out_rows = 1;
-      st.out_cols = c;
-    } else {
-      fail("leading " + stage_kind(stages[0]) +
-           " stage is unsupported -- stage lists must start with a conv or "
-           "dense layer");
-    }
-    st.h = h;
-    st.w = w;
-    st.c = c;
-    st.out_wpr = words_for_bits(st.out_cols);
-    st.dst_half = 0;
-    emit(st);
   }
 
   // --- Bit-domain body. ---
-  for (std::size_t i = i0; i < stages.size(); ++i) {
+  for (std::size_t i = 1; i < stages.size(); ++i) {
     const Stage& stage = stages[i];
     if (terminal)
       fail("stage " + std::to_string(i) + " (" + stage_kind(stage) +
@@ -254,7 +228,6 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       if (ho <= 0 || wo <= 0) fail("conv kernel larger than input");
       PlanStep st;
       st.kind = StepKind::kBinConv;
-      st.stage = static_cast<std::int64_t>(i);
       st.prep = add_prep_banks(cv->thresholds, cv->residual, i, st.levels_out);
       st.wmat = add_wmat(cv->weights);
       stamp_input(st);
@@ -329,7 +302,6 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
              std::to_string(c));
       PlanStep st;
       st.kind = d->has_threshold ? StepKind::kBinDense : StepKind::kLogits;
-      st.stage = static_cast<std::int64_t>(i);
       st.wmat = add_wmat(d->weights);
       st.h = st.w = 1;
       st.c = c;
@@ -367,22 +339,10 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     plan.stage_shapes_.push_back(ss);
   }
 
-  if (!terminal) {
-    // Partial network (no classifier): surface the {-1,+1} state as floats
-    // in the shape the stage list implies.
-    PlanStep st;
-    st.kind = StepKind::kUnpack;
-    st.h = h;
-    st.w = w;
-    st.c = c;
-    st.in_rows = flat ? 1 : h * w;
-    st.in_cols = c;
-    st.in_wpr = words_for_bits(c);
-    st.src_half = cur;
-    stamp_input(st);
-    emit(st);
-    plan.output_ = flat ? Shape{batch, c} : Shape{batch, h, w, c};
-  }
+  if (!terminal)
+    fail("stage list ends at stage " + std::to_string(stages.size() - 1) +
+         " (" + stage_kind(stages.back()) +
+         ") without the classifier layer (a dense stage with no threshold)");
 
   plan.batch_ = batch;
   plan.image_inputs_ = input.numel() / batch;
@@ -405,9 +365,10 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
   off += align64(float_bytes);
   plan.slice_bytes_ = off;
 
-  // Resolve the telemetry slots for this plan shape once, here on the
-  // allocating compile path, so the interpreter only dereferences.
-  std::string key = "b" + std::to_string(batch) + "_in";
+  // Register the telemetry slots for this plan shape once, here on the
+  // allocating compile path, so the interpreter only dereferences. The
+  // registry's find-or-create hands every plan of one key the same series.
+  std::string key = "bcop_exec_b" + std::to_string(batch) + "_in";
   for (int d = 1; d < input.rank(); ++d) {
     if (d > 1) key += "x";
     key += std::to_string(input[d]);
@@ -415,8 +376,12 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
   // Truncated residual plans profile separately from the full-depth plan
   // of the same shape -- their per-stage costs differ by design.
   if (levels > 0) key += "_l" + std::to_string(levels);
-  plan.obs_slots_ = obs::StageProfiler::global().slots_for(
-      key, detail::kObsSlotNames, detail::kObsSlotCount);
+  obs::Registry& reg = obs::Registry::global();
+  static_assert(detail::kObsSlotCount <= obs::StageSlots::kMaxSlots);
+  for (int i = 0; i < detail::kObsSlotCount; ++i)
+    plan.obs_slots_.slot_ns[i] = &reg.histogram(
+        key + "_" + detail::kObsSlotNames[i] + "_ns");
+  plan.obs_slots_.replays = &reg.counter(key + "_replays_total");
   return plan;
 }
 

@@ -6,7 +6,8 @@
 // and freezes everything the hot loop would otherwise recompute or
 // reallocate: one image's per-step geometry, packed-row layouts,
 // accumulator lengths, branch-free threshold banks (PreparedThresholds),
-// word-major pre-transposed weight matrices, and byte offsets into one
+// the first conv's {-1,+1} weights, word-major pre-transposed binary
+// weights, one kernel tier, the telemetry slots, and byte offsets into one
 // image's ping-pong arena slice. The arena holds one such slice per image
 // of the batch, so images replay independently (in parallel, with no
 // barrier between steps). Workspace owns that arena -- aligned, grow-only,
@@ -15,10 +16,10 @@
 // lint rule R6 keeps allocation out of the interpreter in
 // src/xnor/exec.cpp).
 //
-// Lifetime: a plan borrows the network it was compiled from (weight
-// matrices of FirstConv stages are read through stage indices), so the
-// XnorNetwork must outlive the plan. XnorNetwork::plan_for() ties the two
-// together by caching plans inside the network.
+// A plan is a self-contained classifier program, like one FINN MVTU
+// chain: a quantized first conv in, float logits out. It owns every
+// weight, threshold bank, kernel pointer and telemetry slot it replays,
+// so it stays valid after the network it was compiled from is gone.
 #pragma once
 
 #include <cstddef>
@@ -26,30 +27,24 @@
 #include <memory>
 #include <vector>
 
+#include "obs/stage_profiler.hpp"
 #include "tensor/kernels/kernel_api.hpp"
 #include "tensor/shape.hpp"
 #include "xnor/folding.hpp"
-
-// Per-plan telemetry block, resolved at compile() (obs/stage_profiler.hpp).
-namespace bcop::obs { struct StageSlots; }
 
 namespace bcop::xnor {
 
 class XnorNetwork;
 
-/// What one interpreter step does. Steps are not 1:1 with stages: the
-/// float/bit entry is explicit (FirstConv or PackInput), implicit flattens
-/// before dense layers become real Flatten steps, and partial networks end
-/// with an Unpack step.
+/// What one interpreter step does. Steps are not 1:1 with stages:
+/// implicit flattens before dense layers become real Flatten steps.
 enum class StepKind : std::uint8_t {
-  kFirstConv,  // quantize + conv + threshold -> packed bits (entry only)
-  kPackInput,  // pack float activations by sign (entry only)
+  kFirstConv,  // quantize + conv + threshold -> packed bits (entry)
   kBinConv,    // bit im2row -> XNOR GEMM -> thresholds
   kPool,       // 2x2 boolean-OR pool
   kFlatten,    // pixel bit-fields -> one flat row per image
   kBinDense,   // XNOR GEMM -> thresholds
   kLogits,     // XNOR GEMM -> float logits (terminal)
-  kUnpack,     // packed bits -> {-1,+1} floats (terminal, partial nets)
 };
 
 /// One interpreter step with its frozen geometry -- one image's: every
@@ -59,7 +54,6 @@ enum class StepKind : std::uint8_t {
 /// scratch regions within a slice live on the plan.
 struct PlanStep {
   StepKind kind;
-  std::int64_t stage = -1;  // index into XnorNetwork::stages(), -1 if none
   std::int64_t prep = -1;   // index into plan-owned PreparedThresholds
   std::int64_t wmat = -1;   // index into plan-owned pre-transposed weights
   std::int64_t k = 0;       // conv kernel size
@@ -84,13 +78,6 @@ struct PlanStep {
   std::int32_t in_scale_bits[3] = {0, 0, 0};
   bool in_scaled = false;
   float out_scale = 1.f;  // kLogits value scale (1/256 for scaled inputs)
-  // Kernel chunk functions frozen at compile time from the dispatch tier
-  // that was active then (tensor/kernels/dispatch.hpp). The interpreter
-  // replays these pointers directly -- no per-call tier branch, and an
-  // override flipped after compile cannot skew a plan mid-flight.
-  tensor::kernels::KernelFn gemm_fn = nullptr;
-  tensor::kernels::KernelFn thresh_fn = nullptr;
-  tensor::kernels::KernelFn im2row_fn = nullptr;
 };
 
 /// Per-*stage* shape metadata (aligned with XnorNetwork::stages()), for
@@ -105,13 +92,13 @@ class Workspace;
 
 class ExecutionPlan {
  public:
-  ExecutionPlan() = default;
-
   /// Freeze the dataflow of `net` for inputs of shape `input` (batch is
-  /// input[0]). Throws std::runtime_error with a descriptive message for
-  /// stage lists the interpreter does not support (e.g. float-domain
-  /// Pool/Flatten before the first binary stage, or stages after the
-  /// classifier). `net` must outlive the returned plan.
+  /// input[0]). The stage list must be a classifier: a FirstConv, then
+  /// binary convs, pools, flattens and dense layers, ending in the
+  /// threshold-free classifier layer. Anything else -- another leading
+  /// stage, a list without the classifier, stages after it, mismatched
+  /// geometry -- throws std::runtime_error naming the offending stage. The
+  /// plan copies what it replays, so `net` may be destroyed afterwards.
   ///
   /// `levels` caps the residual binarization depth M laid out by the
   /// plan: 0 keeps every trained level, 1..3 truncate deeper stages to M
@@ -137,6 +124,8 @@ class ExecutionPlan {
   const std::uint64_t* wmat(std::int64_t i) const {
     return wmats_[static_cast<std::size_t>(i)].data();
   }
+  /// The first conv's {-1,+1} weights, [K*K*Ci, Co] row-major.
+  const float* first_conv_weights() const { return first_weights_.data(); }
 
   /// Total arena bytes a Workspace must provide: batch() slices of
   /// slice_bytes() each, image i's at byte i * slice_bytes(). The offsets
@@ -158,30 +147,35 @@ class ExecutionPlan {
   /// levels); part of the plan-cache key.
   std::int64_t levels() const { return levels_; }
 
-  /// Telemetry slots resolved at compile time, keyed by this plan's input
-  /// shape (see obs::StageProfiler). Null only for a default-constructed
-  /// plan; the interpreter records into them while
-  /// StageProfiler::enabled() is set.
-  const obs::StageSlots* obs_slots() const { return obs_slots_; }
+  /// Telemetry slots registered at compile time, keyed by this plan's
+  /// input shape (see obs::StageProfiler); the interpreter records into
+  /// them while StageProfiler::enabled() is set.
+  const obs::StageSlots& obs_slots() const { return obs_slots_; }
 
-  /// The dispatch tier whose kernel pointers this plan froze at compile
-  /// time (serving artifacts and benches report it per plan).
-  tensor::kernels::KernelLevel kernel_level() const { return kernel_level_; }
+  /// The dispatch tier's kernel table, frozen at compile time
+  /// (tensor/kernels/dispatch.hpp). The interpreter calls its pointers
+  /// directly -- no per-call tier branch, and an override flipped after
+  /// compile cannot skew a plan mid-flight.
+  const tensor::kernels::KernelTable& kernels() const { return *kernels_; }
+  /// The tier of kernels() (serving artifacts and benches report it).
+  tensor::kernels::KernelLevel kernel_level() const { return kernels_->level; }
 
  private:
+  ExecutionPlan() = default;  // only compile() makes plans
+
   tensor::Shape input_, output_;
   std::vector<PlanStep> steps_;
   std::vector<PreparedThresholds> preps_;
   std::vector<std::vector<std::uint64_t>> wmats_;
+  std::vector<float> first_weights_;
   std::vector<StageShape> stage_shapes_;
   std::int64_t batch_ = 0, image_inputs_ = 0, image_outputs_ = 0;
   std::size_t slice_bytes_ = 0;
   std::size_t off_half_[2] = {0, 0};
   std::size_t off_patch_ = 0, off_acc_ = 0, off_floats_ = 0;
   std::int64_t levels_ = 0;
-  const obs::StageSlots* obs_slots_ = nullptr;
-  tensor::kernels::KernelLevel kernel_level_ =
-      tensor::kernels::KernelLevel::kScalar;
+  obs::StageSlots obs_slots_;
+  const tensor::kernels::KernelTable* kernels_ = nullptr;
 };
 
 /// Grow-only arena backing plan execution. One workspace serves any number

@@ -1,2 +1,3 @@
-// Fixture: AVX2 kernel tier, token-free.
+// Fixture: seeded violation -- a kernel tier pulls in <functional>.
+#include <functional>
 void gemm_chunk_avx2(void*, long lo, long hi) { (void)lo; (void)hi; }

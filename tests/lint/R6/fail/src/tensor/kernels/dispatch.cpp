@@ -1,3 +1,4 @@
-// Fixture: kernel dispatch, token-free (atomics only).
+// Fixture: seeded violation -- kernel dispatch pulls in <mutex>.
 #include <atomic>
+#include <mutex>
 std::atomic<int> g_level{-1};

@@ -1,4 +1,5 @@
-// Fixture: residual replay kernels with no allocation tokens.
-void scale_acc(int* acc, const int* part, int g, int n) {
+// Fixture: the residual replay TU with clean direct includes.
+#include <cstdint>
+void scale_acc(std::int32_t* acc, const std::int32_t* part, int g, int n) {
   for (int i = 0; i < n; ++i) acc[i] += g * part[i];
 }

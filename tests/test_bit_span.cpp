@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "tensor/bit_span.hpp"
@@ -14,6 +13,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/im2row.hpp"
 #include "tensor/kernels/scalar.hpp"
+#include "test_stage_lists.hpp"
 #include "util/rng.hpp"
 #include "xnor/exec.hpp"
 #include "xnor/exec_residual.hpp"
@@ -61,17 +61,6 @@ TEST(BitSpan, SpanOfMatrixSharesStorageAndGeometry) {
   EXPECT_FALSE(m.get(1, 1));
   ConstBitSpan cs = span_of(static_cast<const BitMatrix&>(m));
   EXPECT_EQ(cs.row(1)[0], 0x5ull);
-}
-
-TEST(BitSpan, PackRowsMatchesPackMatrixOnDirtyBuffer) {
-  bcop::util::Rng rng(7);
-  for (const std::int64_t cols : {5, 64, 131}) {
-    const std::int64_t rows = 4;
-    const auto src = random_signs(rows * cols, rng);
-    DirtyBits dirty(rows, cols);
-    pack_rows(src.data(), rows, cols, dirty.span);
-    expect_same_bits(dirty.span, pack_matrix(src.data(), rows, cols));
-  }
 }
 
 TEST(BitSpan, PretransposedGemmMatchesBinaryGemm) {
@@ -182,24 +171,17 @@ TEST(BitSpanDeathTest, Im2rowShapeMismatchAborts) {
   // replay itself checks that its arena fits the plan's im2row and GEMM
   // regions.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  bcop::xnor::BinConvStage cv;
-  cv.k = 3;
-  cv.ci = 3;
-  cv.co = 8;
-  cv.weights = BitMatrix(cv.co, cv.k * cv.k * cv.ci);
-  cv.thresholds.t.assign(8, 0);
-  cv.thresholds.flip.assign(8, 0);
-  std::vector<bcop::xnor::Stage> stages;
-  stages.emplace_back(std::move(cv));
-  const bcop::xnor::XnorNetwork net("unprepared", std::move(stages));
+  using namespace bcop::testhelpers;
+  // 5x5x3 -> first conv 3x3x8 -> binary conv 1x1x8 -> classifier.
+  const auto net =
+      network(first_conv(3, 3, 8), bin_conv(3, 8, 8), classifier(8, 4));
   const auto plan =
       bcop::xnor::ExecutionPlan::compile(net, Shape{1, 5, 5, 3});
   ASSERT_GT(plan.arena_bytes(), 0u);
   const std::vector<float> in(5 * 5 * 3, 1.f);
   std::vector<float> out(static_cast<std::size_t>(plan.image_outputs()));
   bcop::xnor::Workspace ws;  // never prepared
-  EXPECT_DEATH(bcop::xnor::detail::execute(plan, net.stages(), in.data(), ws,
-                                           out.data()),
+  EXPECT_DEATH(bcop::xnor::detail::execute(plan, in.data(), ws, out.data()),
                "call Workspace::prepare\\(plan\\) first");
 }
 

@@ -2,16 +2,14 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tensor/bit_span.hpp"
 #include "tensor/bit_tensor.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels/scalar.hpp"
+#include "test_stage_lists.hpp"
 #include "util/rng.hpp"
-#include "xnor/engine.hpp"
-#include "xnor/plan.hpp"
 
 namespace {
 
@@ -123,23 +121,13 @@ TEST(BinaryGemm, MatchesFloatGemm) {
 // The kernel GEMM trusts its context; ExecutionPlan::compile is where a
 // dense layer's K is checked against the features that reach it.
 TEST(BinaryGemm, KMismatchThrows) {
-  bcop::xnor::BinDenseStage d;
-  d.in = 64;
-  d.out = 4;
-  d.weights = BitMatrix(d.out, d.in);
-  d.has_threshold = false;
-  std::vector<bcop::xnor::Stage> stages;
-  stages.emplace_back(std::move(d));
-  const bcop::xnor::XnorNetwork net("k_mismatch", std::move(stages));
-  try {
-    (void)bcop::xnor::ExecutionPlan::compile(net, Shape{1, 32});
-    ADD_FAILURE() << "compiled a 64-input dense layer fed 32 features";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "dense stage 0 expects 64 input features, got 32"),
-              std::string::npos)
-        << e.what();
-  }
+  using namespace bcop::testhelpers;
+  // A 3x3 first conv turns a 4x4x2 image into 2x2x8 = 32 features.
+  const std::string error = compile_error(
+      network(first_conv(3, 2, 8), classifier(64, 4)), Shape{1, 4, 4, 2});
+  EXPECT_NE(error.find("dense stage 1 expects 64 input features, got 32"),
+            std::string::npos)
+      << error;
 }
 
 TEST(AppendBits, ConcatenationMatchesDirectPack) {

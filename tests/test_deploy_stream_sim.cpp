@@ -12,14 +12,14 @@ deploy::PerfReport synthetic_pipeline(std::vector<std::int64_t> services) {
   deploy::PerfReport perf;
   for (std::size_t i = 0; i < services.size(); ++i) {
     deploy::LayerPerf lp;
-    lp.name = "S" + std::to_string(i);
+    lp.name.append("S").append(std::to_string(i));
     lp.compute_cycles = services[i];
     lp.effective_cycles = services[i];
     perf.layers.push_back(lp);
     perf.initiation_interval = std::max(perf.initiation_interval, services[i]);
     perf.pipeline_latency_cycles += services[i];
   }
-  perf.bottleneck = "?";
+  perf.bottleneck.append("?");
   return perf;
 }
 

@@ -2,16 +2,14 @@
 
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tensor/bit_span.hpp"
 #include "tensor/bit_tensor.hpp"
 #include "tensor/im2row.hpp"
 #include "tensor/kernels/scalar.hpp"
+#include "test_stage_lists.hpp"
 #include "util/rng.hpp"
-#include "xnor/engine.hpp"
-#include "xnor/plan.hpp"
 
 namespace {
 
@@ -145,31 +143,20 @@ TEST(BitIm2Row, MatchesFloatIm2RowForAnyChannelCount) {
 // The kernel trusts its context; ExecutionPlan::compile is where a conv's
 // channel count and kernel size are checked against its input.
 TEST(BitIm2Row, ShapeMismatchThrows) {
-  const auto compile_error = [](std::int64_t ci, const Shape& input) {
-    bcop::xnor::BinConvStage cv;
-    cv.k = 3;
-    cv.ci = ci;
-    cv.co = 8;
-    cv.weights = BitMatrix(cv.co, cv.k * cv.k * ci);
-    cv.thresholds.t.assign(8, 0);
-    cv.thresholds.flip.assign(8, 0);
-    std::vector<bcop::xnor::Stage> stages;
-    stages.emplace_back(std::move(cv));
-    const bcop::xnor::XnorNetwork net("im2row_mismatch", std::move(stages));
-    try {
-      (void)bcop::xnor::ExecutionPlan::compile(net, input);
-    } catch (const std::runtime_error& e) {
-      return std::string(e.what());
-    }
-    return std::string("compiled");
-  };
-  // Channel count disagrees with the input (C = 3, the conv claims 4).
-  const std::string channels = compile_error(4, Shape{1, 5, 5, 3});
-  EXPECT_NE(channels.find("conv stage 0 expects 4 input channels, got 3"),
+  using namespace bcop::testhelpers;
+  // Channel count disagrees with the input: the first conv makes 5x5x3,
+  // the binary conv claims 4 channels.
+  const std::string channels =
+      compile_error(network(first_conv(3, 3, 3), bin_conv(3, 4, 8),
+                            classifier(72, 4)),
+                    Shape{1, 7, 7, 3});
+  EXPECT_NE(channels.find("conv stage 1 expects 4 input channels, got 3"),
             std::string::npos)
       << channels;
-  // 3x3 kernel does not fit a 2x2 input.
-  const std::string kernel = compile_error(3, Shape{1, 2, 2, 3});
+  // A 3x3 kernel does not fit the first conv's 2x2 output.
+  const std::string kernel = compile_error(
+      network(first_conv(3, 3, 3), bin_conv(3, 3, 8), classifier(8, 4)),
+      Shape{1, 4, 4, 3});
   EXPECT_NE(kernel.find("conv kernel larger than input"), std::string::npos)
       << kernel;
 }

@@ -195,7 +195,7 @@ TEST(NetParser, HeaderLimitsAreEnforced) {
 
   std::string many = "GET / HTTP/1.1\r\n";
   for (int i = 0; i < 20; ++i)
-    many += "H" + std::to_string(i) + ": v\r\n";
+    many.append("H").append(std::to_string(i)).append(": v\r\n");
   many += "\r\n";
   EXPECT_EQ(parse_exact(many, limits, out), ParseStatus::kHeadersTooLarge);
 }

@@ -1,10 +1,11 @@
-// ExecutionPlan / Workspace unit tests: the compile() geometry, the plan
-// cache, arena sizing/alignment, the detail::execute entry point, and the
-// partial-network (Unpack) path.
+// ExecutionPlan / Workspace unit tests: the compile() geometry and the
+// stage lists it accepts, the plan cache, arena sizing/alignment, the
+// detail::execute entry point, and plans that outlive their network.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,6 +13,7 @@
 
 #include "core/architecture.hpp"
 #include "tensor/tensor.hpp"
+#include "test_stage_lists.hpp"
 #include "util/rng.hpp"
 #include "xnor/engine.hpp"
 #include "xnor/exec.hpp"
@@ -120,31 +122,41 @@ TEST(ExecutionPlanTest, DetailExecuteMatchesForwardBatch) {
   Workspace ws;
   ws.prepare(plan);
   Tensor out(plan.output_shape());
-  xnor::detail::execute(plan, net.stages(), x.data(), ws, out.data());
+  xnor::detail::execute(plan, x.data(), ws, out.data());
 
   ASSERT_EQ(out.shape(), expected.shape());
   for (std::int64_t i = 0; i < out.numel(); ++i)
     ASSERT_EQ(out[i], expected[i]) << "logit " << i;
 }
 
-TEST(ExecutionPlanTest, PartialNetworkUnpacksBits) {
-  nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 5);
-  const XnorNetwork full = XnorNetwork::fold(model);
-  // First conv stage only: the plan must end in an Unpack step and surface
-  // the bit state as {-1,+1} floats in NHWC geometry.
-  std::vector<xnor::Stage> head(full.stages().begin(),
-                                full.stages().begin() + 1);
-  const XnorNetwork partial("head", std::move(head));
-
-  const Tensor x = random_images(2, 99);
-  const ExecutionPlan& plan = partial.plan_for(x.shape());
-  EXPECT_EQ(plan.steps().back().kind, StepKind::kUnpack);
-  EXPECT_EQ(plan.output_shape(), (Shape{2, 30, 30, 16}));
-
-  const Tensor y = partial.forward_batch(x);
-  ASSERT_EQ(y.shape(), plan.output_shape());
-  for (std::int64_t i = 0; i < y.numel(); ++i)
-    ASSERT_TRUE(y[i] == 1.f || y[i] == -1.f) << "element " << i;
+// compile() accepts classifier programs only: a FirstConv entry, a binary
+// body, the threshold-free dense exit. Any other stage list is an error
+// that names the offending stage.
+TEST(ExecutionPlanTest, RejectsStageListsThatAreNotClassifiers) {
+  using namespace testhelpers;
+  const Shape image{1, 5, 5, 3};
+  struct Case {
+    const char* what;
+    XnorNetwork net;
+    Shape input;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"binary conv entry", network(bin_conv(3, 3, 8), classifier(72, 4)),
+       image, "stage 0 is a BinConv, not the FirstConv"},
+      {"dense entry", network(classifier(75, 4)), Shape{1, 75},
+       "stage 0 is a BinDense, not the FirstConv"},
+      {"first conv only", network(first_conv(3, 3, 8)), image,
+       "stage list ends at stage 0 (FirstConv) without the classifier"},
+  };
+  for (const Case& c : cases) {
+    const std::string error = compile_error(c.net, c.input);
+    EXPECT_NE(error.find(c.error), std::string::npos) << c.what << ": " << error;
+  }
+  // The same first conv with a classifier behind it compiles.
+  EXPECT_EQ(compile_error(network(first_conv(3, 3, 8), classifier(72, 4)),
+                          image),
+            "compiled");
 }
 
 // --- Residual binarization (docs/residual-binarization.md) -------------
@@ -343,9 +355,37 @@ TEST(ExecutionPlanResidual, DetailExecuteMatchesForwardBatchAtEveryCap) {
     Workspace ws;
     ws.prepare(plan);
     Tensor out(plan.output_shape());
-    xnor::detail::execute(plan, net.stages(), x.data(), ws, out.data());
+    xnor::detail::execute(plan, x.data(), ws, out.data());
     for (std::int64_t i = 0; i < out.numel(); ++i)
       ASSERT_EQ(out[i], expected[i]) << "cap " << cap << " logit " << i;
+  }
+}
+
+// A plan owns every weight, threshold bank, kernel table and telemetry
+// slot it replays: destroying the network it was compiled from changes no
+// logit. Under ASan a leftover borrow of the network is a
+// heap-use-after-free.
+TEST(ExecutionPlanResidual, PlansReplayAfterTheirNetworkIsDestroyed) {
+  nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 29,
+                                         /*residual_levels=*/3);
+  auto net = std::make_unique<XnorNetwork>(XnorNetwork::fold(model));
+  const Tensor x = random_images(2, 31);
+  std::vector<ExecutionPlan> plans;
+  std::vector<Tensor> before;
+  for (const std::int64_t cap : {0, 1}) {
+    plans.push_back(ExecutionPlan::compile(*net, x.shape(), cap));
+    before.push_back(net->forward_batch(x, cap));
+  }
+  net.reset();
+  Workspace ws;
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    ws.prepare(plans[p]);
+    Tensor out(plans[p].output_shape());
+    xnor::detail::execute(plans[p], x.data(), ws, out.data());
+    ASSERT_EQ(out.shape(), before[p].shape());
+    for (std::int64_t i = 0; i < out.numel(); ++i)
+      ASSERT_EQ(out[i], before[p][i]) << "cap " << plans[p].levels()
+                                      << " logit " << i;
   }
 }
 
