@@ -165,8 +165,8 @@ int main(int argc, char** argv) {
   }
 
   const std::string out = args.get("out", "bench_artifacts/capacity.json");
-  std::filesystem::create_directories(
-      std::filesystem::path(out).parent_path());
+  const std::filesystem::path dir = std::filesystem::path(out).parent_path();
+  if (!dir.empty()) std::filesystem::create_directories(dir);
   FILE* f = std::fopen(out.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());

@@ -4,8 +4,9 @@
 // The paper's accelerator reaches its headline FPS (Table II) only with a
 // full pipeline -- a stream of frames. This bench shows the CPU analogue:
 // XnorNetwork::forward_batch amortizes packing and weight traffic over the
-// batch, and the serve::BatchingServer turns independent requests into such
-// batches under a bounded latency budget. Reported per prototype:
+// batch, and a one-replica serve::Router (its BatchingServer) turns
+// independent requests into such batches under a bounded latency budget.
+// Reported per prototype:
 //   - single-image FPS (XnorNetwork::forward, the pre-batching baseline)
 //   - batched FPS for batch sizes 1..32 (one XNOR GEMM per layer per batch)
 //   - steady-state heap allocations per forward_batch call on the explicit
@@ -39,7 +40,7 @@
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/stage_profiler.hpp"
-#include "serve/batcher.hpp"
+#include "serve/router.hpp"
 #include "tensor/kernels/dispatch.hpp"
 #include "util/allocmeter.hpp"
 #include "util/args.hpp"
@@ -119,8 +120,9 @@ int main(int argc, char** argv) {
     const std::string out_path =
         args.get("out", "bench_artifacts/serving_throughput.json");
 
-    std::filesystem::create_directories(
-        std::filesystem::path(out_path).parent_path());
+    const std::filesystem::path dir =
+        std::filesystem::path(out_path).parent_path();
+    if (!dir.empty()) std::filesystem::create_directories(dir);
     // The tier every plan in this run freezes: override/env/CPUID-resolved
     // once here, recorded in the artifact so FPS trend lines are
     // attributable to the kernel tier that produced them.
@@ -194,7 +196,9 @@ int main(int argc, char** argv) {
       }
 
       // Coalescing server: back-to-back submissions, per-request latency.
-      serve::BatcherConfig cfg;
+      serve::RouterConfig rcfg;
+      rcfg.replicas = 1;
+      serve::BatcherConfig& cfg = rcfg.batcher;
       cfg.workers = 2;
       cfg.max_batch = 16;
       cfg.max_latency = std::chrono::microseconds(2000);
@@ -202,15 +206,17 @@ int main(int argc, char** argv) {
       double server_fps = 0, p50 = 0, p99 = 0;
       std::int64_t server_batches = 0;
       {
-        serve::BatchingServer server(predictor, cfg);
+        serve::Router server(predictor, rcfg);
         std::vector<std::future<core::Predictor::Result>> futures;
         std::vector<Clock::time_point> submitted;
         std::vector<double> latencies_ms;
         const auto ts = Clock::now();
+        const tensor::Tensor image = warmup.reshaped(tensor::Shape{32, 32, 3});
         for (std::int64_t i = 0; i < server_requests; ++i) {
           submitted.push_back(Clock::now());
-          tensor::Tensor image = warmup.reshaped(tensor::Shape{32, 32, 3});
-          futures.push_back(server.try_submit(image).future);
+          auto future = server.try_submit(image);
+          if (!future) throw std::runtime_error("server request shed");
+          futures.push_back(std::move(*future));
         }
         for (std::int64_t i = 0; i < server_requests; ++i) {
           futures[static_cast<std::size_t>(i)].get();

@@ -26,8 +26,9 @@ int main(int argc, char** argv) {
         core::ArchitectureId::kNCnv,
         examples::model_path(core::ArchitectureId::kNCnv));
     xnor::XnorNetwork folded = xnor::XnorNetwork::fold(model);
-    std::filesystem::create_directories(
-        std::filesystem::path(artifact).parent_path());
+    const std::filesystem::path dir =
+        std::filesystem::path(artifact).parent_path();
+    if (!dir.empty()) std::filesystem::create_directories(dir);
     xnor::save_bitstream(folded, artifact);
     const auto artifact_bytes = std::filesystem::file_size(artifact);
     std::printf("exported %s: %ju bytes (%.1f KiB); network payload %.1f "

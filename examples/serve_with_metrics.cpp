@@ -1,9 +1,10 @@
 // Operating the batching server with the observability layer: the demo
 // behind docs/observability.md.
 //
-// Drives a serve::BatchingServer with bursts of rendered faces and then
-// reads the process-wide obs::Registry back out -- the same counters,
-// gauges and latency histograms an operator would scrape in production:
+// Drives a one-replica serve::Router with bursts of rendered faces and
+// then reads the process-wide obs::Registry back out -- the same counters,
+// gauges and latency histograms an operator would scrape in production
+// (each bcop_serve_* series also has its bcop_serve_replica0_* twin):
 //
 //   bcop_serve_submitted_total / bcop_serve_batches_total   traffic
 //   bcop_serve_queue_depth                                  backlog gauge
@@ -19,9 +20,9 @@
 // training phase.
 //
 // Knobs: --arch cnv|ncnv|ucnv, --bursts N, --burst-size N, --workers N,
-// --max-batch N, --max-latency-us N. Try --workers 0 (synchronous mode:
-// every batch is size 1, coalesce wait 0) against the default to see the
-// coalescing histograms move.
+// --max-batch N, --max-latency-us N. Try --max-latency-us 0 (no coalescing
+// window: a batch ships as soon as a worker is free) against the default
+// to see the coalescing histograms move.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -37,7 +38,7 @@
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/stage_profiler.hpp"
-#include "serve/batcher.hpp"
+#include "serve/router.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -90,7 +91,9 @@ int main(int argc, char** argv) {
     if (format != "prom" && format != "json")
       throw std::invalid_argument("--format must be prom or json");
 
-    serve::BatcherConfig cfg;
+    serve::RouterConfig rcfg;
+    rcfg.replicas = 1;
+    serve::BatcherConfig& cfg = rcfg.batcher;
     cfg.workers = static_cast<unsigned>(args.get_int("workers", 2));
     cfg.max_batch = args.get_int("max-batch", 16);
     cfg.max_latency =
@@ -102,7 +105,7 @@ int main(int argc, char** argv) {
     // plan interpreter's cost does not depend on the weight values.
     const core::Predictor predictor(core::build_bnn(arch, /*seed=*/7));
     obs::StageProfiler::global().set_enabled(true);
-    serve::BatchingServer server(predictor, cfg);
+    serve::Router router(predictor, rcfg);
 
     util::Rng rng(0x0b5e);
     std::printf("serving %s: %d bursts x %d requests "
@@ -119,9 +122,14 @@ int main(int argc, char** argv) {
             rng.uniform_int(0, facegen::kNumClasses - 1));
         const auto rendered =
             facegen::render_face(facegen::sample_attributes(cls, rng));
-        tensor::Tensor image =
+        const tensor::Tensor image =
             facegen::MaskedFaceDataset::image_to_tensor(rendered.image);
-        futures.push_back(server.try_submit(image).future);
+        // One [S, S, C] request: drop image_to_tensor's batch axis.
+        auto future = router.try_submit(image.reshaped(
+            tensor::Shape{image.shape()[1], image.shape()[2],
+                          image.shape()[3]}));
+        if (!future) throw std::runtime_error("request shed");
+        futures.push_back(std::move(*future));
       }
       for (auto& f : futures) f.get();
       std::printf("\n--- after burst %d/%d ---\n", burst + 1, bursts);

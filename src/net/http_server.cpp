@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -319,6 +320,18 @@ void HttpServer::handle_classify(Connection& conn, const ParsedRequest& req) {
     }
   } else if (body.size() == f32_bytes_) {
     std::memcpy(image.data(), body.data(), f32_bytes_);
+    // The contract is [-1, 1]: NaN and Inf would become undefined int32
+    // pixel codes in the first conv, and any value past +-1 leaves the
+    // accumulator range the thresholds were folded for. NaN fails both
+    // compares.
+    const float* px = image.data();
+    if (!std::all_of(px, px + image.numel(),
+                     [](float v) { return v >= -1.f && v <= 1.f; })) {
+      respond(conn, 400, "application/json",
+              error_body("f32 classify values must be finite and in [-1, 1]"),
+              req.keep_alive);
+      return;
+    }
   } else {
     respond(conn, 400, "application/json",
             error_body("classify payload must be " +

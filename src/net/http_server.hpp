@@ -40,8 +40,8 @@
 // The classify payload is the raw [S, S, 3] image, either S*S*3 bytes of
 // interleaved RGB u8 (mapped onto the same 8-bit grid as
 // facegen::MaskedFaceDataset::quantize_pixel) or S*S*3 float32
-// little-endian values already in [-1, 1]. Anything else is 400; larger
-// than the float payload is 413.
+// little-endian values in [-1, 1] (a NaN, an infinity or any value outside
+// is 400). Anything else is 400; larger than the float payload is 413.
 #pragma once
 
 #include <atomic>

@@ -28,17 +28,6 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// [S, S, C] of a request image; [1, S, S, C] is the same request.
-Shape request_shape(const Tensor& image) {
-  const Shape& s = image.shape();
-  if (s.rank() == 4 && s[0] == 1) return Shape{s[1], s[2], s[3]};
-  BCOP_CHECK(s.rank() == 3,
-             "BatchingServer::try_submit: image must be [S, S, C] or "
-             "[1, S, S, C], got %s",
-             s.str().c_str());
-  return s;
-}
-
 }  // namespace
 
 const char* to_string(ServerState state) {
@@ -51,9 +40,9 @@ const char* to_string(ServerState state) {
 }
 
 /// Server telemetry (naming scheme in docs/observability.md). The global
-/// bcop_serve_* family is registered once on first server construction; a
-/// Router replica additionally owns a bcop_serve_replica<N>_* family.
-/// Recording is lock-free either way -- a handful of relaxed atomics.
+/// bcop_serve_* family is registered once on first replica construction;
+/// each replica also owns a bcop_serve_replica<N>_* family. Recording is
+/// a handful of relaxed atomics.
 struct BatchingServer::Metrics {
   obs::Counter& submitted;
   obs::Counter& rejected;
@@ -83,25 +72,29 @@ struct BatchingServer::Metrics {
 template <typename Fn>
 void BatchingServer::each_metrics(Fn&& fn) const {
   fn(Metrics::global());
-  if (replica_metrics_) fn(*replica_metrics_);
+  fn(*replica_metrics_);
 }
 
 BatchingServer::BatchingServer(const Predictor& prototype,
-                               BatcherConfig config, Router* router)
-    : config_(std::move(config)),
-      router_(router),
+                               const BatcherConfig& config, int index,
+                               Router* fast)
+    : config_(config),
+      router_(fast),
+      image_shape_(prototype.network().expected_input_shape()),
+      replica_metrics_(std::make_unique<Metrics>(
+          Metrics::make("bcop_serve_replica" + std::to_string(index)))),
       model_(std::make_unique<const Predictor>(prototype.replicate())),
       pool_(config_.workers) {
   BCOP_CHECK(config_.max_batch >= 1, "max_batch %lld must be >= 1",
              static_cast<long long>(config_.max_batch));
   BCOP_CHECK(config_.queue_capacity >= 1, "queue_capacity %lld must be >= 1",
              static_cast<long long>(config_.queue_capacity));
-  const Shape want = prototype.network().expected_input_shape();
-  if (want.rank() == 3) image_shape_ = want;
+  BCOP_CHECK(config_.workers >= 1, "workers %u must be >= 1",
+             config_.workers);
+  BCOP_CHECK(image_shape_.rank() == 3,
+             "served model must take a rank-3 [S, S, C] input, got rank %d",
+             static_cast<int>(image_shape_.rank()));
   Metrics::global();  // register before traffic so exports always list them
-  if (config_.replica_id >= 0)
-    replica_metrics_ = std::make_unique<Metrics>(Metrics::make(
-        "bcop_serve_replica" + std::to_string(config_.replica_id)));
   start_workers();
 }
 
@@ -138,17 +131,12 @@ void BatchingServer::drain_admin() {
 void BatchingServer::swap_model(const Predictor& prototype) {
   MutexLock admin(admin_mutex_);
   const Shape want = prototype.network().expected_input_shape();
-  Shape have;
-  {
-    MutexLock lock(mutex_);
-    have = model_->network().expected_input_shape();
-  }
   // A different input shape would turn every queued-for-later request into
   // a contract failure; refuse while the current generation still serves.
-  if (want != have)
+  if (want != image_shape_)
     throw std::invalid_argument("BatchingServer::swap_model: model input " +
                                 want.str() + " does not match the served " +
-                                have.str());
+                                image_shape_.str());
   std::unique_ptr<const Predictor> next =
       std::make_unique<const Predictor>(prototype.replicate());
   drain_admin();
@@ -166,20 +154,16 @@ void BatchingServer::swap_model(const Predictor& prototype) {
 BatchingServer::Admitted BatchingServer::admit(
     Tensor& image, std::int64_t max_depth,
     std::promise<Predictor::Result>* handed) {
-  const Shape s = request_shape(image);
+  BCOP_CHECK(image.shape() == image_shape_,
+             "BatchingServer: image %s does not match the served input %s",
+             image.shape().str().c_str(), image_shape_.str().c_str());
   Admitted out;
   UniqueLock lock(mutex_);
-  if (image_shape_.rank() == 0) image_shape_ = s;
-  BCOP_CHECK(s == image_shape_,
-             "BatchingServer::try_submit: image %s does not match the served "
-             "model input %s",
-             s.str().c_str(), image_shape_.str().c_str());
   if (state_.load(std::memory_order_relaxed) != ServerState::kServing)
     return out;  // kUnavailable: nothing counted, image untouched
-  const bool sync = config_.workers == 0;
   std::int64_t limit = config_.queue_capacity;
   if (max_depth >= 0) limit = std::min(limit, max_depth);
-  if (!sync && static_cast<std::int64_t>(queue_.size()) >= limit) {
+  if (static_cast<std::int64_t>(queue_.size()) >= limit) {
     if (handed == nullptr) each_metrics([](Metrics& m) { m.rejected.add(1); });
     out.admission = Admission::kShed;
     return out;
@@ -194,12 +178,6 @@ BatchingServer::Admitted BatchingServer::admit(
   request.max_depth = max_depth;
   out.admission = Admission::kAccepted;
   ++stats_.requests;
-  if (sync) {
-    const std::optional<Predictor::Result> result = classify_inline(request);
-    lock.unlock();
-    if (result) resolve(request, *result);
-    return out;
-  }
   queue_.push_back(std::move(request));
   // The gauge moves with the queue mutation it mirrors, inside the
   // critical section, so a snapshot never sees a pushed request with an
@@ -209,37 +187,6 @@ BatchingServer::Admitted BatchingServer::admit(
   each_metrics([](Metrics& m) { m.submitted.add(1); });
   cv_work_.notify_one();
   return out;
-}
-
-void BatchingServer::resolve(Request& request,
-                             const Predictor::Result& result) {
-  if (router_ != nullptr && result.margin < router_->config().margin_threshold)
-    router_->escalate(request, result);
-  else
-    request.promise.set_value(result);
-}
-
-std::optional<Predictor::Result> BatchingServer::classify_inline(
-    Request& request) {
-  ++stats_.batches;
-  stats_.max_batch_seen = std::max<std::int64_t>(stats_.max_batch_seen, 1);
-  each_metrics([](Metrics& m) {
-    m.submitted.add(1);
-    m.batches.add(1);
-    m.batch_size.record(1);
-    m.coalesce_wait_ns.record(0);
-  });
-  std::optional<Predictor::Result> result;
-  try {
-    const Shape& s = image_shape_;
-    result = model_->classify_batch(
-        request.image.reshaped(Shape{1, s[0], s[1], s[2]})).front();
-  } catch (...) {
-    request.promise.set_exception(std::current_exception());
-  }
-  const std::uint64_t ns = ns_since(request.enqueued);
-  each_metrics([ns](Metrics& m) { m.e2e_latency_ns.record(ns); });
-  return result;
 }
 
 std::int64_t BatchingServer::generation() const {
@@ -262,7 +209,6 @@ void BatchingServer::worker_loop() {
   for (;;) {
     std::deque<Request> batch;
     const Predictor* model = nullptr;
-    Shape image_shape;
     {
       UniqueLock lock(mutex_);
       const auto serving = [this] {
@@ -296,15 +242,13 @@ void BatchingServer::worker_loop() {
       stats_.max_batch_seen = std::max(stats_.max_batch_seen, take);
       if (take > 1) stats_.coalesced += take;
       model = model_.get();
-      image_shape = image_shape_;
     }
-    run_batch(batch, *model, image_shape, buffers);
+    run_batch(batch, *model, buffers);
   }
 }
 
 void BatchingServer::run_batch(std::deque<Request>& batch,
                                const Predictor& model,
-                               const Shape& image_shape,
                                WorkerState& buffers) {
   const auto b = static_cast<std::int64_t>(batch.size());
   // How long the oldest member waited for the batch to ship: the cost of
@@ -315,7 +259,7 @@ void BatchingServer::run_batch(std::deque<Request>& batch,
     m.batch_size.record(static_cast<std::uint64_t>(b));
     m.coalesce_wait_ns.record(wait_ns);
   });
-  const Shape& s = image_shape;
+  const Shape& s = image_shape_;
   const Shape batch_shape{b, s[0], s[1], s[2]};
   // Reuse the worker's coalescing buffer; it only reallocates when the
   // batch size changes (steady traffic at a fixed size is allocation-free).
@@ -335,7 +279,14 @@ void BatchingServer::run_batch(std::deque<Request>& batch,
   }
   for (std::int64_t i = 0; i < b; ++i) {
     Request& request = batch[static_cast<std::size_t>(i)];
-    resolve(request, buffers.results[static_cast<std::size_t>(i)]);
+    const Predictor::Result& result =
+        buffers.results[static_cast<std::size_t>(i)];
+    // A fast replica hands a low-margin answer back to its Router.
+    if (router_ != nullptr &&
+        result.margin < router_->config().margin_threshold)
+      router_->escalate(request, result);
+    else
+      request.promise.set_value(result);
     const std::uint64_t e2e_ns = ns_since(request.enqueued);
     each_metrics([e2e_ns](Metrics& m) { m.e2e_latency_ns.record(e2e_ns); });
   }

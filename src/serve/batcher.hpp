@@ -1,6 +1,7 @@
 // Request-coalescing inference server: the software analogue of the
-// paper's streaming accelerator pipeline, and the fleet member a
-// serve::Router replicates.
+// paper's streaming accelerator pipeline, and the replica a serve::Router
+// places requests on. Only the Router builds, admits to, drains and
+// swaps a replica; everyone else reads it.
 //
 // The FINN-style FPGA design reaches its ~6400 FPS (n-CNV, Table II) by
 // keeping every stage of the pipeline busy on a stream of frames; the CPU
@@ -8,12 +9,13 @@
 // over many images amortizes packing, dispatch and weight traffic. This
 // module turns independent single-image requests into such batches:
 //
-//   try_submit() --> bounded request queue --> worker pool --> classify_batch
+//   Router::try_submit --> admit() --> bounded request queue
+//                                        --> worker pool --> classify_batch
 //
 // Workers take up to `max_batch` queued requests at once; when fewer are
 // waiting, they hold the batch open until the oldest request has waited
 // `max_latency`, trading a bounded latency increase for throughput (the
-// knob documented in docs/serving.md). The queue is bounded: try_submit()
+// knob documented in docs/serving.md). The queue is bounded: admission
 // never blocks -- at `queue_capacity` (or the caller's tighter watermark)
 // it sheds, so overload costs a rejection instead of unbounded memory.
 //
@@ -40,15 +42,15 @@
 // A tiered Router's fast replica (RouterConfig::fast_replicas) does not
 // fulfil an answer whose margin is below the Router's margin_threshold:
 // it hands that request's own image and promise back to the Router, on
-// the worker that computed the answer (or, synchronous, on the submitting
-// thread once the queue mutex is released). No copy, no wait on a future.
+// the worker that computed the answer. No copy, no wait on a future.
 //
 // The server exports telemetry into the process-wide obs::Registry
-// (docs/observability.md): bcop_serve_{submitted,rejected,batches}_total
-// counters, a bcop_serve_queue_depth gauge, and batch_size /
-// coalesce_wait_ns / e2e_latency_ns histograms. Recording is lock-free
-// and rides the existing request path; stats() remains the in-process
-// aggregate view.
+// (docs/observability.md), once into the fleet-wide bcop_serve_* family
+// and once into its own bcop_serve_replica<N>_* family:
+// {submitted,rejected,batches}_total counters, a queue_depth gauge, and
+// batch_size / coalesce_wait_ns / e2e_latency_ns histograms. Recording is
+// lock-free and rides the existing request path; stats() remains the
+// in-process aggregate view.
 #pragma once
 
 #include <atomic>
@@ -59,7 +61,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -75,21 +76,14 @@ class Router;
 struct BatcherConfig {
   /// Largest coalesced batch handed to classify_batch.
   std::int64_t max_batch = 16;
-  /// Bounded queue depth; try_submit() sheds while this many requests wait.
+  /// Bounded queue depth; admission sheds while this many requests wait.
   std::int64_t queue_capacity = 64;
   /// How long a worker may hold an underfull batch open waiting for more
   /// requests, measured from the oldest member's enqueue time. 0 disables
   /// coalescing waits (every batch ships as soon as a worker is free).
   std::chrono::microseconds max_latency{2000};
-  /// Worker tasks. 0 = synchronous mode: try_submit() classifies inline
-  /// and returns a ready future (single-core hosts, tests).
+  /// Worker tasks, >= 1.
   unsigned workers = 2;
-  /// >= 0: this server is replica N of a serve::Router, and every metric
-  /// it records lands in a bcop_serve_replica<N>_* family *in addition to*
-  /// the process-wide bcop_serve_* family (so fleet-level dashboards and
-  /// the 503<->rejected ledger keep working unchanged). -1: standalone
-  /// server, global family only.
-  int replica_id = -1;
 };
 
 struct ServerStats {
@@ -110,58 +104,11 @@ const char* to_string(ServerState state);
 
 class BatchingServer {
  public:
-  /// How one admission attempt ended.
-  enum class Admission {
-    kAccepted,     // future returned; bcop_serve*_submitted_total counted
-    kShed,         // over watermark/capacity; bcop_serve*_rejected_total
-                   // counted once -- terminal for the caller
-    kUnavailable,  // not serving (draining/stopped); nothing counted and
-                   // the image is intact, so a Router can place it elsewhere
-  };
-
-  struct Admitted {
-    Admission admission = Admission::kUnavailable;
-    std::future<core::Predictor::Result> future;  // valid() iff kAccepted
-  };
-
-  /// Clone `prototype` (Predictor::replicate: fresh plan cache) and start
-  /// serving it. The prototype is only read during the call. A non-null
-  /// `router` makes this one of its fast replicas: low-margin answers are
-  /// handed back to it (see the header comment).
-  BatchingServer(const core::Predictor& prototype, BatcherConfig config,
-                 Router* router = nullptr);
   /// Drains (every accepted future resolves), then joins.
   ~BatchingServer();
 
   BatchingServer(const BatchingServer&) = delete;
   BatchingServer& operator=(const BatchingServer&) = delete;
-
-  /// Non-blocking admission of one [S, S, C] image (or [1, S, S, C]): a
-  /// caller that must never park (an HTTP worker holding hundreds of
-  /// connections) gets a future, a shed or "not serving", never a wait.
-  /// Sheds when the queue already holds min(queue_capacity, max_depth)
-  /// requests (max_depth < 0 means "queue_capacity alone"; 0 sheds
-  /// everything); synchronous servers (workers == 0) never shed. The image
-  /// is moved from only on kAccepted. A mis-shaped image is a caller bug
-  /// and fails a BCOP_CHECK -- the same contract classify_batch enforces.
-  Admitted try_submit(tensor::Tensor& image, std::int64_t max_depth = -1)
-      BCOP_EXCLUDES(mutex_) {
-    return admit(image, max_depth, nullptr);
-  }
-
-  /// Stop admitting, let the workers answer (or hand back to the Router)
-  /// every accepted request, join them: kServing -> kDraining -> kStopped.
-  /// Blocks until drained.
-  /// Idempotent; the destructor calls it. Concurrent drain/swap calls
-  /// serialize.
-  void drain() BCOP_EXCLUDES(admin_mutex_, mutex_);
-
-  /// Zero-downtime model replacement: drain(), serve a fresh clone of
-  /// `prototype`, restart the workers and bump generation(). Throws
-  /// std::invalid_argument -- before draining, so the current generation
-  /// keeps serving -- when `prototype` expects a different input shape.
-  void swap_model(const core::Predictor& prototype)
-      BCOP_EXCLUDES(admin_mutex_, mutex_);
 
   ServerState state() const { return state_.load(std::memory_order_acquire); }
   /// Models served so far: 1 after construction, +1 per swap_model.
@@ -175,9 +122,26 @@ class BatchingServer {
 
  private:
   friend class Router;
+  /// Test-only access to admit(), whose kUnavailable contract the Router's
+  /// retry relies on (tests/test_serve_router.cpp).
+  friend struct ReplicaTestPeer;
+
+  /// How one admission attempt ended.
+  enum class Admission {
+    kAccepted,     // future returned; bcop_serve*_submitted_total counted
+    kShed,         // over watermark/capacity; bcop_serve*_rejected_total
+                   // counted once -- terminal for the caller
+    kUnavailable,  // not serving (draining/stopped); nothing counted and
+                   // the image is intact, so the Router can place it elsewhere
+  };
+
+  struct Admitted {
+    Admission admission = Admission::kUnavailable;
+    std::future<core::Predictor::Result> future;  // valid() iff kAccepted
+  };
 
   struct Request {
-    tensor::Tensor image;  // [S, S, C] or [1, S, S, C]
+    tensor::Tensor image;  // [S, S, C]
     std::promise<core::Predictor::Result> promise;
     std::chrono::steady_clock::time_point enqueued;
     std::int64_t max_depth = -1;  // its watermark; an escalation reuses it
@@ -194,44 +158,60 @@ class BatchingServer {
     std::vector<core::Predictor::Result> results;
   };
 
-  /// The obs series this server records (global bcop_serve_* family plus,
-  /// for Router replicas, the per-replica bcop_serve_replica<N>_* family).
-  /// Defined in batcher.cpp; recording is lock-free either way.
+  /// The obs series one family records (defined in batcher.cpp);
+  /// recording is lock-free.
   struct Metrics;
 
-  /// try_submit, and the Router's placement of a hand-off: a non-null
-  /// `handed` promise moves into the queue on kAccepted (no future is
-  /// made), and shedding it counts no rejection -- the Router degrades it.
+  /// Replica `index` of a Router: clone `prototype` (Predictor::replicate:
+  /// fresh plan cache) and start serving it. The prototype is only read
+  /// during the call and must take a rank-3 [S, S, C] input. A non-null
+  /// `fast` makes this one of that Router's fast replicas: low-margin
+  /// answers are handed back to it (see the header comment).
+  BatchingServer(const core::Predictor& prototype, const BatcherConfig& config,
+                 int index, Router* fast);
+
+  /// Non-blocking admission of one [S, S, C] image: a future, a shed or
+  /// "not serving", never a wait. Sheds when the queue already holds
+  /// min(queue_capacity, max_depth) requests (max_depth < 0 means
+  /// "queue_capacity alone"; 0 sheds everything). The image is moved from
+  /// only on kAccepted. A non-null `handed` promise (the Router placing a
+  /// hand-off) moves into the queue on kAccepted (no future is made), and
+  /// shedding it counts no rejection -- the Router degrades it. An image
+  /// of another shape is a caller bug and fails a BCOP_CHECK -- the same
+  /// contract classify_batch enforces.
   Admitted admit(tensor::Tensor& image, std::int64_t max_depth,
                  std::promise<core::Predictor::Result>* handed)
       BCOP_EXCLUDES(mutex_);
-  /// Fulfil `request` with `result`, or hand it back to router_.
-  void resolve(Request& request, const core::Predictor::Result& result)
-      BCOP_EXCLUDES(mutex_);
+  /// Stop admitting, let the workers answer (or hand back to the Router)
+  /// every accepted request, join them: kServing -> kDraining -> kStopped.
+  /// Blocks until drained. Idempotent; the destructor calls it. Concurrent
+  /// drain/swap calls serialize.
+  void drain() BCOP_EXCLUDES(admin_mutex_, mutex_);
+  /// Zero-downtime model replacement: drain(), serve a fresh clone of
+  /// `prototype`, restart the workers and bump generation(). Throws
+  /// std::invalid_argument -- before draining, so the current generation
+  /// keeps serving -- when `prototype` expects a different input shape.
+  void swap_model(const core::Predictor& prototype)
+      BCOP_EXCLUDES(admin_mutex_, mutex_);
   void start_workers();
   void drain_admin() BCOP_REQUIRES(admin_mutex_) BCOP_EXCLUDES(mutex_);
   void worker_loop() BCOP_EXCLUDES(mutex_);
   void run_batch(std::deque<Request>& batch, const core::Predictor& model,
-                 const tensor::Shape& image_shape, WorkerState& buffers)
-      BCOP_EXCLUDES(mutex_);
-  /// Synchronous (workers == 0) path: classify on the calling thread,
-  /// under the lock so a concurrent swap cannot free the model mid-call.
-  /// A throw lands in the request's promise and yields nullopt.
-  std::optional<core::Predictor::Result> classify_inline(Request& request)
-      BCOP_REQUIRES(mutex_);
+                 WorkerState& buffers) BCOP_EXCLUDES(mutex_);
 
-  /// Apply `fn` to the global metrics family and, when this server is a
-  /// replica, to its per-replica family too (defined in batcher.cpp).
+  /// Apply `fn` to the global metrics family, then to this replica's
+  /// (defined in batcher.cpp).
   template <typename Fn>
   void each_metrics(Fn&& fn) const;
 
   const BatcherConfig config_;
   /// The tiered Router this fast replica hands low-margin answers to.
   Router* const router_;
-  /// Per-replica metric family (bcop_serve_replica<N>_*); null unless
-  /// config_.replica_id >= 0. The pointees are registry-owned and
-  /// reference-stable; recording is relaxed atomics only.
-  std::unique_ptr<Metrics> replica_metrics_;
+  /// The one request shape: the served model's [S, S, C] input.
+  const tensor::Shape image_shape_;
+  /// This replica's bcop_serve_replica<N>_* family. The pointees are
+  /// registry-owned and reference-stable; recording is relaxed atomics.
+  const std::unique_ptr<Metrics> replica_metrics_;
 
   /// Serializes lifecycle operations (drain/swap_model/destruction) so
   /// two administrators cannot interleave a teardown with a restart.
@@ -248,9 +228,6 @@ class BatchingServer {
   /// reseats it only after the workers of the old generation have joined.
   std::unique_ptr<const core::Predictor> model_ BCOP_GUARDED_BY(mutex_);
   std::int64_t generation_ BCOP_GUARDED_BY(mutex_) = 1;
-  /// Locked-in [S, S, C] request shape: the folded network's expected
-  /// input when inferable, otherwise the first submitted image's shape.
-  tensor::Shape image_shape_ BCOP_GUARDED_BY(mutex_);
 
   // Declared last: destroyed first would deadlock, so ~BatchingServer
   // drains and waits for the workers before members go away.

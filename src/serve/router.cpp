@@ -63,11 +63,11 @@ Router::Router(const Predictor& prototype, RouterConfig config)
   const auto n = static_cast<unsigned>(config_.replicas);
   replicas_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    BatcherConfig bc = config_.batcher;
-    bc.replica_id = static_cast<int>(i);
     const bool is_fast = static_cast<int>(i) < config_.fast_replicas;
-    replicas_.push_back(std::make_unique<BatchingServer>(
-        is_fast ? *fast : prototype_, bc, is_fast ? this : nullptr));
+    // The replica's constructor is private to the Router: no make_unique.
+    replicas_.push_back(std::unique_ptr<BatchingServer>(
+        new BatchingServer(is_fast ? *fast : prototype_, config_.batcher,
+                           static_cast<int>(i), is_fast ? this : nullptr)));
   }
 }
 
@@ -79,10 +79,11 @@ Router::~Router() {
 }
 
 void Router::swap_model(int i, const Predictor& prototype) {
+  BatchingServer& r = *replicas_[static_cast<std::size_t>(i)];
   if (i < config_.fast_replicas)
-    replica(i).swap_model(capped_at_one_level(prototype));
+    r.swap_model(capped_at_one_level(prototype));
   else
-    replica(i).swap_model(prototype);
+    r.swap_model(prototype);
 }
 
 BatchingServer::Admitted Router::place(
@@ -175,7 +176,7 @@ bool Router::sheds(std::int64_t max_depth) const {
     const BatchingServer& r = *replicas_[i];
     if (r.state() != ServerState::kServing) continue;
     serving = true;
-    if (r.config().workers == 0 || r.queue_depth() < limit) return false;
+    if (r.queue_depth() < limit) return false;
   }
   return true;
 }

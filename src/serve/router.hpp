@@ -7,7 +7,7 @@
 // bounded queue and worker pool -- and places each request on the
 // *least-loaded serving* replica:
 //
-//   try_submit --> scan serving replicas (queue_depth) --> best.try_submit
+//   try_submit --> scan serving replicas (queue_depth) --> best.admit
 //                      ^                                        |
 //                      +---- kUnavailable: retry next best -----+
 //
@@ -67,12 +67,11 @@ namespace bcop::serve {
 
 struct RouterConfig {
   /// Replica count, 1..64 (the placement scan tracks visited replicas in
-  /// a 64-bit mask). Each replica is a BatchingServer built from
-  /// `batcher` with replica_id forced to its index.
+  /// a 64-bit mask). Replica i is a BatchingServer built from `batcher`
+  /// that records into bcop_serve_replica<i>_* as well as bcop_serve_*.
   int replicas = 2;
-  /// Per-replica server template. queue_capacity/max_batch/max_latency/
-  /// workers apply to EACH replica (fleet capacity is replicas x
-  /// queue_capacity); replica_id is overwritten per replica.
+  /// Per-replica server template: every field applies to EACH replica
+  /// (fleet capacity is replicas x queue_capacity).
   BatcherConfig batcher;
   /// Replicas [0, fast_replicas) serve a replicate() of the prototype
   /// capped with set_serve_levels(1) (swap_model re-applies the cap); the
@@ -97,27 +96,27 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Non-blocking fleet admission: place on the least-loaded serving
-  /// replica (a fast one while any serves), retrying past mid-swap
-  /// replicas. nullopt = shed (503 path);
-  /// exactly one bcop_serve_rejected_total increment has happened, either
-  /// inside the shedding replica or -- when no replica is serving -- in
-  /// the Router itself. `max_depth` is the per-replica watermark handed
-  /// to BatchingServer::try_submit.
+  /// The one admission call, non-blocking: place an [S, S, C] image (the
+  /// prototype's expected_input_shape(); the replica offered any other
+  /// shape fails a BCOP_CHECK) on the least-loaded serving replica (a fast
+  /// one while any serves), retrying past mid-swap replicas. A replica
+  /// sheds when its queue already holds min(queue_capacity, max_depth)
+  /// requests (max_depth < 0: queue_capacity alone; 0 sheds everything).
+  /// nullopt = shed (503 path); exactly one bcop_serve_rejected_total
+  /// increment has happened, either inside the shedding replica or --
+  /// when no replica is serving -- in the Router itself.
   std::optional<std::future<core::Predictor::Result>> try_submit(
       tensor::Tensor image, std::int64_t max_depth = -1);
 
   int size() const { return static_cast<int>(replicas_.size()); }
-  BatchingServer& replica(int i) {
-    return *replicas_[static_cast<std::size_t>(i)];
-  }
+  /// Read-only view of replica `i`: state, generation, depth, stats.
   const BatchingServer& replica(int i) const {
     return *replicas_[static_cast<std::size_t>(i)];
   }
 
   /// Drain replica `i` (blocks until its queue empties); traffic keeps
   /// flowing through the rest of the fleet.
-  void drain(int i) { replica(i).drain(); }
+  void drain(int i) { replicas_[static_cast<std::size_t>(i)]->drain(); }
   /// Hot-swap replica `i` onto (a fresh clone of) `prototype` with zero
   /// fleet downtime: drain, re-clone, resume serving. Throws
   /// std::invalid_argument, leaving the replica serving its current

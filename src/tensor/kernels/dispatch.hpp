@@ -3,8 +3,8 @@
 //
 // Selection happens once per process (cached in atomics, re-resolvable
 // when the override changes) and is consumed at *plan-compile* time:
-// ExecutionPlan::compile records the chosen table's function pointers into
-// every plan step, so the interpreter replay never consults this module.
+// ExecutionPlan::compile freezes one pointer to the chosen table in the
+// plan, so the interpreter replay never consults this module.
 //
 // Tier resolution order:
 //   1. the programmatic override (set_level_override -- tests and tools),

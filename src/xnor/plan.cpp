@@ -70,10 +70,21 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
   // stage's `thresholds`, then the first 2^Lo - 2 extra banks -- a strict
   // prefix of the (level, pattern) layout, so a truncated plan reuses the
   // trained banks untouched. Returns the base index (the PlanStep's
-  // `prep`); the effective output depth Lo is min(trained, cap).
+  // `prep`); the effective output depth Lo is min(trained, cap). Every
+  // bank must hold one threshold and one flip per output channel: the
+  // threshold kernels read `channels` entries of each.
   auto add_prep_banks = [&](const ThresholdSpec& bank0,
                             const ResidualSpec& spec, std::size_t stage_idx,
-                            std::int64_t& levels_out) {
+                            std::int64_t channels, std::int64_t& levels_out) {
+    const auto check_bank = [&](const ThresholdSpec& bank, std::size_t b) {
+      if (bank.channels() != channels ||
+          static_cast<std::int64_t>(bank.flip.size()) != channels)
+        fail("stage " + std::to_string(stage_idx) + " (" +
+             stage_kind(stages[stage_idx]) + ") threshold bank " +
+             std::to_string(b) + " holds " + std::to_string(bank.t.size()) +
+             " thresholds and " + std::to_string(bank.flip.size()) +
+             " flips for " + std::to_string(channels) + " output channels");
+    };
     levels_out = spec.levels;
     if (levels > 0) levels_out = std::min(levels_out, levels);
     if (spec.levels > 1 &&
@@ -87,6 +98,9 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
         static_cast<std::int64_t>(spec.scale_bits.size()) != spec.levels)
       fail("stage " + std::to_string(stage_idx) +
            " scale-bit arity does not match its level count");
+    check_bank(bank0, 0);
+    for (std::size_t b = 0; b < spec.extra_banks.size(); ++b)
+      check_bank(spec.extra_banks[b], b + 1);
     const std::int64_t base = add_prep(bank0);
     for (std::int64_t b = 0; b < (std::int64_t{1} << levels_out) - 2; ++b)
       add_prep(spec.extra_banks[static_cast<std::size_t>(b)]);
@@ -179,7 +193,8 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
     if (ho <= 0 || wo <= 0) fail("FirstConv kernel larger than input");
     PlanStep st;
     st.kind = StepKind::kFirstConv;
-    st.prep = add_prep_banks(fc->thresholds, fc->residual, 0, st.levels_out);
+    st.prep = add_prep_banks(fc->thresholds, fc->residual, 0, fc->co,
+                             st.levels_out);
     st.k = fc->k;
     st.h = h;
     st.w = w;
@@ -228,7 +243,8 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       if (ho <= 0 || wo <= 0) fail("conv kernel larger than input");
       PlanStep st;
       st.kind = StepKind::kBinConv;
-      st.prep = add_prep_banks(cv->thresholds, cv->residual, i, st.levels_out);
+      st.prep = add_prep_banks(cv->thresholds, cv->residual, i, cv->co,
+                               st.levels_out);
       st.wmat = add_wmat(cv->weights);
       stamp_input(st);
       st.k = cv->k;
@@ -313,7 +329,8 @@ ExecutionPlan ExecutionPlan::compile(const XnorNetwork& net,
       st.src_half = cur;
       stamp_input(st);
       if (d->has_threshold) {
-        st.prep = add_prep_banks(d->thresholds, d->residual, i, st.levels_out);
+        st.prep = add_prep_banks(d->thresholds, d->residual, i, d->out,
+                                 st.levels_out);
         st.out_rows = 1;
         st.out_cols = d->out;
         st.out_wpr = words_for_bits(d->out);

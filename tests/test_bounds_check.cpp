@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
 #include "core/architecture.hpp"
 #include "core/predictor.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/binary_conv2d.hpp"
 #include "nn/init.hpp"
+#include "nn/sign_activation.hpp"
 #include "parallel/thread_pool.hpp"
-#include "serve/batcher.hpp"
+#include "serve/router.hpp"
 #include "tensor/bit_tensor.hpp"
 #include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
@@ -97,12 +101,25 @@ TEST(CheckMacroDeathTest, ClassifyBatchRejectsWrongImageShape) {
 TEST(CheckMacroDeathTest, BatchingServerRejectsDegenerateConfig) {
   const bcop::core::Predictor p(
       bcop::core::build_bnn(bcop::core::ArchitectureId::kMicroCnv, 31));
-  bcop::serve::BatcherConfig bad;
-  bad.max_batch = 0;
-  EXPECT_DEATH(bcop::serve::BatchingServer(p, bad), "max_batch");
-  bad.max_batch = 4;
-  bad.queue_capacity = 0;
-  EXPECT_DEATH(bcop::serve::BatchingServer(p, bad), "queue_capacity");
+  bcop::serve::RouterConfig bad;
+  bad.replicas = 1;
+  bad.batcher.max_batch = 0;
+  EXPECT_DEATH(bcop::serve::Router(p, bad), "max_batch");
+  bad.batcher.max_batch = 4;
+  bad.batcher.queue_capacity = 0;
+  EXPECT_DEATH(bcop::serve::Router(p, bad), "queue_capacity");
+  bad.batcher.queue_capacity = 4;
+  bad.batcher.workers = 0;
+  EXPECT_DEATH(bcop::serve::Router(p, bad), "workers");
+  // No Flatten: the request shape cannot be inferred from the topology.
+  bcop::util::Rng rng(32);
+  bcop::nn::Sequential conv_only;
+  conv_only.emplace<bcop::nn::BinaryConv2d>(3, 3, 8, rng);
+  conv_only.emplace<bcop::nn::BatchNorm>(8);
+  conv_only.emplace<bcop::nn::SignActivation>();
+  const bcop::core::Predictor no_shape(std::move(conv_only));
+  EXPECT_DEATH(bcop::serve::Router(no_shape, bcop::serve::RouterConfig{}),
+               "rank-3");
 }
 
 // --- BCOP_DCHECK: bounds checks under BCOP_BOUNDS_CHECK=ON ----------------

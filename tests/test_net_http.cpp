@@ -7,9 +7,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/architecture.hpp"
 #include "core/predictor.hpp"
@@ -281,6 +283,38 @@ TEST(NetHttp, WrongSizeBodyIs400WithoutTouchingTheEngine) {
   ASSERT_TRUE(c.request("POST", "/v1/classify", "ten bytes.", resp));
   EXPECT_EQ(resp.status, 400);
   EXPECT_EQ(s.engine_submissions(), before);
+}
+
+// An f32 payload must hold finite values in [-1, 1]. NaN, Inf and values
+// past +-1 are answered 400 before admission, and the same connection then
+// still serves a valid f32 payload with the in-process answer.
+TEST(NetHttp, OutOfRangeF32PayloadIs400WithoutTouchingTheEngine) {
+  LiveServer s(170);
+  const auto f32_body = [](const float* values) {
+    std::string body(kF32Bytes, '\0');
+    std::memcpy(body.data(), values, kF32Bytes);
+    return body;
+  };
+  const std::uint64_t before = s.engine_submissions();
+  auto c = s.client();
+  net::HttpResponse resp;
+  for (const float v : {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(), 1e30f, 1.5f}) {
+    const std::vector<float> values(kU8Bytes, v);
+    ASSERT_TRUE(c.request("POST", "/v1/classify", f32_body(values.data()),
+                          resp))
+        << v;
+    EXPECT_EQ(resp.status, 400) << v;
+  }
+  EXPECT_EQ(s.engine_submissions(), before);
+
+  const std::string payload = u8_payload(171);
+  const Tensor valid = u8_to_tensor(payload);
+  ASSERT_TRUE(
+      c.request("POST", "/v1/classify", f32_body(valid.data()), resp));
+  EXPECT_EQ(resp.status, 200);
+  EXPECT_EQ(answer_fields(resp.body),
+            answer_fields(classify_at(s.predictor, payload, 0)));
 }
 
 TEST(NetHttp, MalformedRequestLineIs400AndCloses) {

@@ -2,7 +2,7 @@
 // geometry, quantile accuracy against a sorted-sample oracle, registry
 // identity/validation, exporter golden output from a hand-built snapshot,
 // and the end-to-end wiring of the StageProfiler (plan interpreter) and
-// the BatchingServer's metrics, and the server metric table of
+// a one-replica Router's metrics, and the server metric table of
 // docs/observability.md against the live registry. Concurrency hammering
 // lives in tests/test_obs_stress.cpp for the TSan configuration.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
 #include "obs/stage_profiler.hpp"
-#include "serve/batcher.hpp"
 #include "serve/router.hpp"
 #include "util/rng.hpp"
 #include "xnor/engine.hpp"
@@ -374,9 +373,10 @@ TEST(ObsStageProfiler, DisableStopsRecording) {
   EXPECT_EQ(replays.value(), before + 1);
 }
 
-// Synchronous server mode (workers=0) makes the serve-side metrics
-// deterministic: every admission is one batch of one, and with no queue
-// there is nothing to shed.
+// Awaiting each future before the next admission makes the serve-side
+// metrics deterministic: every admission is one batch of one, and with a
+// queue that is empty at each admission nothing sheds. Tearing the fleet
+// down joins its workers, so every recording has landed before the checks.
 TEST(ObsServe, SynchronousServerCounts) {
   auto& reg = obs::Registry::global();
   obs::Counter& submitted = reg.counter("bcop_serve_submitted_total");
@@ -392,12 +392,13 @@ TEST(ObsServe, SynchronousServerCounts) {
 
   const core::Predictor p(
       core::build_bnn(core::ArchitectureId::kMicroCnv, 7));
-  serve::BatcherConfig cfg;
-  cfg.workers = 0;
-  serve::BatchingServer server(p, cfg);
-  for (int i = 0; i < 5; ++i) {
-    tensor::Tensor image(tensor::Shape{32, 32, 3});
-    server.try_submit(image, /*max_depth=*/0).future.get();
+  serve::RouterConfig cfg;
+  cfg.replicas = 1;
+  cfg.batcher.workers = 1;
+  {
+    serve::Router router(p, cfg);
+    for (int i = 0; i < 5; ++i)
+      router.try_submit(tensor::Tensor(tensor::Shape{32, 32, 3}))->get();
   }
 
   EXPECT_EQ(submitted.value(), submitted0 + 5);
@@ -419,7 +420,7 @@ TEST(ObsDocs, ServerMetricTableMatchesLiveRegistry) {
   serve::RouterConfig cfg;
   cfg.replicas = 2;
   cfg.fast_replicas = 1;
-  cfg.batcher.workers = 0;
+  cfg.batcher.workers = 1;
   serve::Router router(p, cfg);
   auto future = router.try_submit(tensor::Tensor(tensor::Shape{32, 32, 3}));
   ASSERT_TRUE(future.has_value());

@@ -15,7 +15,7 @@
 #include "obs/registry.hpp"
 #include "obs/stage_profiler.hpp"
 #include "parallel/thread_pool.hpp"
-#include "serve/batcher.hpp"
+#include "serve/router.hpp"
 
 namespace {
 
@@ -108,18 +108,21 @@ TEST(ObsStress, ServerTelemetryUnderLoad) {
   const core::Predictor predictor(
       core::build_bnn(core::ArchitectureId::kMicroCnv, 21));
   constexpr int kRequests = 96;
-  serve::BatcherConfig cfg;
-  cfg.workers = 2;
-  cfg.max_batch = 8;
-  cfg.max_latency = std::chrono::microseconds(500);
-  cfg.queue_capacity = kRequests;  // the whole burst fits: nothing sheds
+  serve::RouterConfig cfg;
+  cfg.replicas = 1;
+  cfg.batcher.workers = 2;
+  cfg.batcher.max_batch = 8;
+  cfg.batcher.max_latency = std::chrono::microseconds(500);
+  cfg.batcher.queue_capacity = kRequests;  // the whole burst fits: no shed
   std::int64_t server_batches = 0;
   {
-    serve::BatchingServer server(predictor, cfg);
+    serve::Router server(predictor, cfg);
     std::vector<std::future<core::Predictor::Result>> futures;
     for (int i = 0; i < kRequests; ++i) {
-      tensor::Tensor image(tensor::Shape{32, 32, 3});
-      futures.push_back(server.try_submit(image).future);
+      auto future = server.try_submit(
+          tensor::Tensor(tensor::Shape{32, 32, 3}));
+      ASSERT_TRUE(future.has_value()) << i;
+      futures.push_back(std::move(*future));
       if (i % 16 == 0) reg.snapshot();  // reader racing the recorders
     }
     for (auto& f : futures) f.get();

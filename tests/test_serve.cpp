@@ -1,12 +1,14 @@
 // Serving-layer tests: batch invariance of the bit-domain batched path
 // (classifying images together must give exactly the same answers as
 // classifying them alone) and functional coverage of the request-coalescing
-// BatchingServer. Heavier concurrency hammering lives in
-// test_serve_stress.cpp so it can run under ThreadSanitizer.
+// BatchingServer, driven through a one-replica Router (its only admission
+// call). Heavier concurrency hammering lives in test_serve_stress.cpp so it
+// can run under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <future>
+#include <optional>
 #include <vector>
 
 #include "core/architecture.hpp"
@@ -16,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
 #include "serve/batcher.hpp"
+#include "serve/router.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -35,21 +38,30 @@ Tensor random_batch(std::int64_t n, util::Rng& rng) {
   return batch;
 }
 
+/// Row `n` of `batch` as one [S, S, C] request image.
 Tensor nth_image(const Tensor& batch, std::int64_t n) {
   const std::int64_t stride = batch.numel() / batch.shape()[0];
-  Tensor image(Shape{1, batch.shape()[1], batch.shape()[2], batch.shape()[3]});
+  Tensor image(Shape{batch.shape()[1], batch.shape()[2], batch.shape()[3]});
   std::memcpy(image.data(), batch.data() + n * stride,
               static_cast<std::size_t>(stride) * sizeof(float));
   return image;
 }
 
+/// A fleet of one BatchingServer built from `cfg`.
+serve::RouterConfig one_replica(const serve::BatcherConfig& cfg) {
+  serve::RouterConfig rcfg;
+  rcfg.replicas = 1;
+  rcfg.batcher = cfg;
+  return rcfg;
+}
+
 /// Admit `image` and return its future; the tests below size their queues
 /// so nothing sheds.
-std::future<core::Predictor::Result> submit(serve::BatchingServer& server,
+std::future<core::Predictor::Result> submit(serve::Router& server,
                                             Tensor image) {
-  serve::BatchingServer::Admitted a = server.try_submit(image);
-  EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kAccepted);
-  return std::move(a.future);
+  auto future = server.try_submit(std::move(image));
+  EXPECT_TRUE(future.has_value());
+  return std::move(future).value();
 }
 
 void expect_same_result(const core::Predictor::Result& a,
@@ -77,7 +89,8 @@ TEST(Serve, BatchInvarianceForOddSizes) {
     const auto together = p.classify_batch(batch);
     ASSERT_EQ(together.size(), static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) {
-      const auto alone = p.classify_batch(nth_image(batch, i));
+      const auto alone =
+          p.classify_batch(nth_image(batch, i).reshaped(Shape{1, 32, 32, 3}));
       ASSERT_EQ(alone.size(), 1u);
       expect_same_result(together[static_cast<std::size_t>(i)], alone[0], i);
     }
@@ -118,7 +131,7 @@ TEST(Serve, ServerMatchesDirectClassification) {
   serve::BatcherConfig cfg;
   cfg.workers = 2;
   cfg.max_batch = 4;
-  serve::BatchingServer server(p, cfg);
+  serve::Router server(p, one_replica(cfg));
   std::vector<std::future<core::Predictor::Result>> futures;
   for (std::int64_t i = 0; i < kRequests; ++i)
     futures.push_back(submit(server, nth_image(batch, i)));
@@ -132,41 +145,6 @@ TEST(Serve, ServerMatchesDirectClassification) {
   EXPECT_LE(stats.max_batch_seen, cfg.max_batch);
 }
 
-TEST(Serve, SynchronousModeClassifiesInline) {
-  const core::Predictor p = make_predictor(8);
-  util::Rng rng(9);
-  const Tensor batch = random_batch(3, rng);
-  const auto direct = p.classify_batch(batch);
-
-  serve::BatcherConfig cfg;
-  cfg.workers = 0;
-  serve::BatchingServer server(p, cfg);
-  for (std::int64_t i = 0; i < 3; ++i) {
-    auto future = submit(server, nth_image(batch, i));
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "workers=0 must resolve synchronously";
-    expect_same_result(future.get(), direct[static_cast<std::size_t>(i)], i);
-  }
-  const serve::ServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests, 3);
-  EXPECT_EQ(stats.batches, 3);
-  EXPECT_EQ(stats.coalesced, 0);
-}
-
-TEST(Serve, SubmitAcceptsRank3AndSingletonRank4) {
-  const core::Predictor p = make_predictor(10);
-  util::Rng rng(11);
-  const Tensor batch = random_batch(1, rng);
-
-  serve::BatcherConfig cfg;
-  cfg.workers = 1;
-  serve::BatchingServer server(p, cfg);
-  auto a = submit(server, batch);  // [1, 32, 32, 3]
-  auto b = submit(server, batch.reshaped(Shape{32, 32, 3}));
-  expect_same_result(a.get(), b.get(), 0);
-}
-
 // A mis-shaped image fails the same contract check classify_batch
 // enforces, instead of becoming a fourth admission outcome every caller
 // must handle. The server is built inside each death statement so the
@@ -177,15 +155,15 @@ TEST(Serve, SubmitRejectsMismatchedImages) {
   serve::BatcherConfig cfg;
   cfg.workers = 1;
   const auto admit = [&](Shape shape) {
-    serve::BatchingServer server(p, cfg);
-    Tensor image(shape);
-    server.try_submit(image);
+    serve::Router server(p, one_replica(cfg));
+    server.try_submit(Tensor(shape));
   };
   // Wrong spatial size for the served u-CNV (wants 32x32x3).
   EXPECT_DEATH(admit(Shape{8, 8, 3}), "does not match");
-  // A real batch is not a request.
-  EXPECT_DEATH(admit(Shape{2, 32, 32, 3}), "must be");
-  EXPECT_DEATH(admit(Shape{32, 32}), "must be");
+  // A batch is not a request, not even a batch of one.
+  EXPECT_DEATH(admit(Shape{2, 32, 32, 3}), "does not match");
+  EXPECT_DEATH(admit(Shape{1, 32, 32, 3}), "does not match");
+  EXPECT_DEATH(admit(Shape{32, 32}), "does not match");
 }
 
 // try_submit under capacity: a future that resolves to the same answer as
@@ -198,14 +176,11 @@ TEST(Serve, TrySubmitAdmitsUnderCapacity) {
 
   serve::BatcherConfig cfg;
   cfg.workers = 1;
-  serve::BatchingServer server(p, cfg);
+  serve::Router server(p, one_replica(cfg));
   for (std::int64_t i = 0; i < 3; ++i) {
-    Tensor image = nth_image(batch, i);
-    serve::BatchingServer::Admitted a = server.try_submit(image);
-    ASSERT_EQ(a.admission, serve::BatchingServer::Admission::kAccepted)
-        << "image " << i;
-    EXPECT_TRUE(image.empty()) << "an accepted image is moved into the queue";
-    expect_same_result(a.future.get(), direct[static_cast<std::size_t>(i)], i);
+    auto future = server.try_submit(nth_image(batch, i));
+    ASSERT_TRUE(future.has_value()) << "image " << i;
+    expect_same_result(future->get(), direct[static_cast<std::size_t>(i)], i);
   }
   EXPECT_EQ(server.stats().requests, 3);
 }
@@ -221,15 +196,12 @@ TEST(Serve, TrySubmitShedsAtWatermarkAndCountsRejections) {
 
   serve::BatcherConfig cfg;
   cfg.workers = 1;
-  serve::BatchingServer server(p, cfg);
+  serve::Router server(p, one_replica(cfg));
   obs::Counter& rejected =
       obs::Registry::global().counter("bcop_serve_rejected_total");
   const std::uint64_t before = rejected.value();
-  for (int i = 0; i < 5; ++i) {
-    serve::BatchingServer::Admitted a = server.try_submit(image, 0);
-    EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kShed);
-    EXPECT_FALSE(a.future.valid());
-  }
+  for (int i = 0; i < 5; ++i)
+    EXPECT_FALSE(server.try_submit(image, 0).has_value());
   EXPECT_EQ(rejected.value() - before, 5u);
   EXPECT_EQ(server.stats().requests, 0) << "shed requests never enqueue";
 
@@ -247,34 +219,18 @@ TEST(Serve, TrySubmitRejectsMismatchedImages) {
   serve::BatcherConfig cfg;
   cfg.workers = 1;
   const auto admit = [&](Shape shape) {
-    serve::BatchingServer server(p, cfg);
-    Tensor image(shape);
-    server.try_submit(image, 0);
+    serve::Router server(p, one_replica(cfg));
+    server.try_submit(Tensor(shape), 0);
   };
   EXPECT_DEATH(admit(Shape{8, 8, 3}), "does not match");
-  EXPECT_DEATH(admit(Shape{2, 32, 32, 3}), "must be");
-}
-
-// Synchronous mode has no queue to shed from: even a zero watermark is
-// accepted, classified inline and resolved immediately.
-TEST(Serve, TrySubmitSynchronousModeResolvesInline) {
-  const core::Predictor p = make_predictor(35);
-  util::Rng rng(36);
-  Tensor image = nth_image(random_batch(1, rng), 0);
-  serve::BatcherConfig cfg;
-  cfg.workers = 0;
-  serve::BatchingServer server(p, cfg);
-  serve::BatchingServer::Admitted a = server.try_submit(image, 0);
-  ASSERT_EQ(a.admission, serve::BatchingServer::Admission::kAccepted);
-  EXPECT_EQ(a.future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
+  EXPECT_DEATH(admit(Shape{2, 32, 32, 3}), "does not match");
 }
 
 TEST(Serve, QueueDepthReflectsPendingRequests) {
   const core::Predictor p = make_predictor(37);
   serve::BatcherConfig cfg;
   cfg.workers = 1;
-  serve::BatchingServer server(p, cfg);
+  serve::Router server(p, one_replica(cfg));
   EXPECT_EQ(server.queue_depth(), 0);
   // After draining every submitted request the depth returns to zero (a
   // non-zero transient is timing-dependent, so only the fixed points are
@@ -287,33 +243,25 @@ TEST(Serve, QueueDepthReflectsPendingRequests) {
 }
 
 // Lifecycle is never an exception: after drain(), try_submit() neither
-// throws nor hands out a future. It reports kUnavailable with the image
-// intact and counts nothing, so a Router can place the request elsewhere
-// and books the 503 itself. Threaded and synchronous servers agree.
+// throws nor hands out a future. A fleet with no serving replica reports
+// nullopt, and the Router books exactly one rejection for it.
 TEST(Serve, SubmitAfterShutdownReturnsRejectedFuture) {
   const core::Predictor p = make_predictor(40);
   util::Rng rng(41);
   obs::Counter& rejected =
       obs::Registry::global().counter("bcop_serve_rejected_total");
-  for (unsigned workers : {1u, 0u}) {
-    serve::BatcherConfig cfg;
-    cfg.workers = workers;
-    serve::BatchingServer server(p, cfg);
-    server.drain();
+  serve::BatcherConfig cfg;
+  cfg.workers = 1;
+  serve::Router server(p, one_replica(cfg));
+  server.drain(0);
 
-    Tensor image = nth_image(random_batch(1, rng), 0);
-    const float first = image[0];
-    const std::uint64_t before = rejected.value();
-    serve::BatchingServer::Admitted a;
-    EXPECT_NO_THROW(a = server.try_submit(image)) << "workers=" << workers;
-    EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kUnavailable)
-        << "workers=" << workers;
-    EXPECT_FALSE(a.future.valid()) << "workers=" << workers;
-    ASSERT_EQ(image.numel(), 32 * 32 * 3) << "image must not be moved-from";
-    EXPECT_EQ(image[0], first);
-    EXPECT_EQ(rejected.value(), before) << "workers=" << workers;
-    EXPECT_EQ(server.stats().requests, 0) << "workers=" << workers;
-  }
+  const Tensor image = nth_image(random_batch(1, rng), 0);
+  const std::uint64_t before = rejected.value();
+  std::optional<std::future<core::Predictor::Result>> future;
+  EXPECT_NO_THROW(future = server.try_submit(image));
+  EXPECT_FALSE(future.has_value());
+  EXPECT_EQ(rejected.value() - before, 1u);
+  EXPECT_EQ(server.stats().requests, 0);
 }
 
 // drain() is idempotent and the destructor tolerates an explicit call
@@ -322,10 +270,10 @@ TEST(Serve, ShutdownIsIdempotent) {
   const core::Predictor p = make_predictor(42);
   serve::BatcherConfig cfg;
   cfg.workers = 2;
-  serve::BatchingServer server(p, cfg);
-  server.drain();
-  server.drain();  // second call must be a no-op, not a hang or crash
-  EXPECT_EQ(server.state(), serve::ServerState::kStopped);
+  serve::Router server(p, one_replica(cfg));
+  server.drain(0);
+  server.drain(0);  // second call must be a no-op, not a hang or crash
+  EXPECT_EQ(server.replica(0).state(), serve::ServerState::kStopped);
 }
 
 // Every future accepted before drain() still resolves: shutdown drains.
@@ -336,11 +284,11 @@ TEST(Serve, ShutdownDrainsAcceptedRequests) {
   serve::BatcherConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 2;
-  serve::BatchingServer server(p, cfg);
+  serve::Router server(p, one_replica(cfg));
   std::vector<std::future<core::Predictor::Result>> futures;
   for (std::int64_t i = 0; i < 6; ++i)
     futures.push_back(submit(server, nth_image(batch, i)));
-  server.drain();
+  server.drain(0);
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
 }
 
@@ -368,7 +316,7 @@ TEST(Serve, ServerAgreesWithClassifyOnFaces) {
   const core::Predictor p = make_predictor(13);
   serve::BatcherConfig cfg;
   cfg.workers = 2;
-  serve::BatchingServer server(p, cfg);
+  serve::Router server(p, one_replica(cfg));
   std::vector<util::Image> faces;
   std::vector<std::future<core::Predictor::Result>> futures;
   for (int i = 0; i < 4; ++i) {
@@ -378,7 +326,8 @@ TEST(Serve, ServerAgreesWithClassifyOnFaces) {
             facegen::sample_attributes(static_cast<facegen::MaskClass>(i), rng))
             .image);
     futures.push_back(submit(
-        server, facegen::MaskedFaceDataset::image_to_tensor(faces.back())));
+        server, facegen::MaskedFaceDataset::image_to_tensor(faces.back())
+                    .reshaped(Shape{32, 32, 3})));
   }
   for (int i = 0; i < 4; ++i)
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().label,

@@ -19,6 +19,22 @@
 #include "serve/router.hpp"
 #include "util/rng.hpp"
 
+namespace bcop::serve {
+
+/// Test-only access to a replica's admit(): no public call reaches a
+/// non-serving replica deterministically, because the Router's placement
+/// scan skips it.
+struct ReplicaTestPeer {
+  using Admission = BatchingServer::Admission;
+  static BatchingServer::Admitted admit(const BatchingServer& replica,
+                                        tensor::Tensor& image) {
+    // The Router owns its replicas as non-const objects.
+    return const_cast<BatchingServer&>(replica).admit(image, -1, nullptr);
+  }
+};
+
+}  // namespace bcop::serve
+
 namespace {
 
 using namespace bcop;
@@ -37,13 +53,14 @@ Tensor random_image(util::Rng& rng) {
   return image;
 }
 
-/// Synchronous replicas (workers == 0) make placement deterministic: the
-/// queue depth is always zero, so every decision is the tie-break, and
-/// stats update before try_submit returns.
+/// One worker per replica, and each test awaits every future before its
+/// next submit, so placement is deterministic: a resolved future leaves
+/// its queue empty again, every decision is the tie-break, and stats
+/// update before try_submit returns.
 serve::RouterConfig sync_config(int replicas) {
   serve::RouterConfig cfg;
   cfg.replicas = replicas;
-  cfg.batcher.workers = 0;
+  cfg.batcher.workers = 1;
   return cfg;
 }
 
@@ -53,7 +70,6 @@ TEST(Router, ConstructsFleetWithAllReplicasServing) {
   ASSERT_EQ(router.size(), 3);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(router.replica(i).state(), serve::ServerState::kServing);
-    EXPECT_EQ(router.replica(i).config().replica_id, i);
     EXPECT_EQ(router.replica(i).generation(), 1);
   }
   EXPECT_EQ(router.queue_depth(), 0);
@@ -147,7 +163,9 @@ TEST(Router, SwapModelBumpsGenerationAndKeepsAnswering) {
   serve::Router router(p, sync_config(2));
   util::Rng rng(11);
   const Tensor image = random_image(rng);
-  ASSERT_TRUE(router.try_submit(image).has_value());
+  auto first = router.try_submit(image);
+  ASSERT_TRUE(first.has_value());
+  first->get();
 
   router.swap_model(0, next);
   EXPECT_EQ(router.replica(0).state(), serve::ServerState::kServing);
@@ -217,9 +235,8 @@ TEST(Router, ReplicaUnavailableLeavesImageIntact) {
   util::Rng rng(17);
   Tensor image = random_image(rng);
   const float first = image[0];
-  serve::BatchingServer::Admitted result =
-      router.replica(0).try_submit(image, -1);
-  EXPECT_EQ(result.admission, serve::BatchingServer::Admission::kUnavailable);
+  const auto result = serve::ReplicaTestPeer::admit(router.replica(0), image);
+  EXPECT_EQ(result.admission, serve::ReplicaTestPeer::Admission::kUnavailable);
   EXPECT_FALSE(result.future.valid());
   ASSERT_EQ(image.numel(), 32 * 32 * 3) << "image must not be moved-from";
   EXPECT_EQ(image[0], first);
@@ -252,9 +269,10 @@ TEST(Router, PerReplicaMetricFamiliesRecord) {
 
 // --- Confidence tiering -----------------------------------------------------
 // One fast replica (cap M = 1) and one full-depth replica over a µ-CNV
-// trained at M = 3. Synchronous replicas (workers == 0) make every future
-// ready when try_submit returns and every counter settled, so escalation
-// and the exactly-once accounting become plain assertions.
+// trained at M = 3. Awaiting each future before the next submit, and
+// draining the fast replica (which joins the workers that escalate)
+// before reading the escalation counter, makes escalation and the
+// exactly-once accounting plain assertions.
 
 core::Predictor make_residual_predictor(std::uint64_t seed) {
   return core::Predictor(
@@ -342,6 +360,7 @@ TEST(Tiered, LowMarginEscalatesToFullDepthExactlyOnce) {
   EXPECT_TRUE(depths_distinguished)
       << "M = 1 and M = 3 scores never differed, so the test cannot tell "
          "the tiers apart";
+  router.drain(0);  // an escalation counts after the hand-off is placed
   EXPECT_EQ(c.escalated.value() - c.escalated0, 6u)
       << "each low-margin request escalates exactly once";
   EXPECT_EQ(c.degraded.value() - c.degraded0, 0u);
@@ -381,9 +400,7 @@ TEST(Tiered, EscalationShedDegradesToLowTierAnswer) {
 // the exactly-once rejection ledger, same as an untiered Router.
 TEST(Tiered, LowTierShedIsClientVisibleAndCountedOnce) {
   const core::Predictor p = make_residual_predictor(46);
-  serve::RouterConfig cfg = sync_tiered(2.f);
-  cfg.batcher.workers = 1;  // threaded, so a max_depth-0 watermark sheds
-  serve::Router router(p, cfg);
+  serve::Router router(p, sync_tiered(2.f));
   TieredCounters c;
   util::Rng rng(47);
   for (int i = 0; i < 3; ++i)
@@ -403,7 +420,6 @@ TEST(Tiered, LowTierShedIsClientVisibleAndCountedOnce) {
 TEST(Tiered, TeardownEscalatesQueuedRequests) {
   const core::Predictor p = make_residual_predictor(48);
   serve::RouterConfig cfg = sync_tiered(2.f);
-  cfg.batcher.workers = 1;
   cfg.batcher.max_latency = std::chrono::seconds(1);
   auto router = std::make_unique<serve::Router>(p, cfg);
   TieredCounters c;

@@ -1,4 +1,5 @@
-// Concurrency hammering for the BatchingServer, written to run under
+// Concurrency hammering for the BatchingServer (one replica behind its
+// Router, the only admission call), written to run under
 // ThreadSanitizer (the `stress` ctest label; see docs/static-analysis.md).
 // Client threads come from parallel::ThreadPool -- repo rule R2 keeps raw
 // std::thread out of test code too.
@@ -15,6 +16,7 @@
 #include "obs/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/batcher.hpp"
+#include "serve/router.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -30,13 +32,21 @@ Tensor random_image(util::Rng& rng) {
   return image;
 }
 
+/// A fleet of one BatchingServer built from `cfg`.
+serve::RouterConfig one_replica(const serve::BatcherConfig& cfg) {
+  serve::RouterConfig rcfg;
+  rcfg.replicas = 1;
+  rcfg.batcher = cfg;
+  return rcfg;
+}
+
 /// Admit `image` and return its future; the tests size their queues so a
 /// closed-loop client never sheds.
-std::future<core::Predictor::Result> submit(serve::BatchingServer& server,
+std::future<core::Predictor::Result> submit(serve::Router& server,
                                             Tensor image) {
-  serve::BatchingServer::Admitted a = server.try_submit(image);
-  EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kAccepted);
-  return std::move(a.future);
+  auto future = server.try_submit(std::move(image));
+  EXPECT_TRUE(future.has_value());
+  return std::move(future).value();
 }
 
 // Several client threads race submissions against a smaller worker pool.
@@ -64,7 +74,7 @@ TEST(ServeStress, ConcurrentClientsGetCorrectAnswers) {
   cfg.max_batch = 8;
   cfg.queue_capacity = 16;
   cfg.max_latency = std::chrono::microseconds(1000);
-  serve::BatchingServer server(predictor, cfg);
+  serve::Router server(predictor, one_replica(cfg));
 
   const int kClients = 4;
   const int kPerClient = 25;
@@ -102,7 +112,7 @@ TEST(ServeStress, CoalescingWindowMergesBurst) {
   cfg.max_batch = 4;
   cfg.queue_capacity = 8;
   cfg.max_latency = std::chrono::microseconds(2'000'000);
-  serve::BatchingServer server(predictor, cfg);
+  serve::Router server(predictor, one_replica(cfg));
 
   std::vector<std::future<core::Predictor::Result>> futures;
   for (int i = 0; i < 4; ++i)
@@ -129,10 +139,13 @@ TEST(ServeStress, TinyQueueShedsWithoutLoss) {
   cfg.max_batch = 2;
   cfg.queue_capacity = 2;
   cfg.max_latency = std::chrono::microseconds(0);
-  serve::BatchingServer server(predictor, cfg);
+  serve::Router server(predictor, one_replica(cfg));
   obs::Counter& rejected =
       obs::Registry::global().counter("bcop_serve_rejected_total");
+  obs::Counter& unrouted =
+      obs::Registry::global().counter("bcop_serve_router_unrouted_total");
   const std::uint64_t rejected0 = rejected.value();
+  const std::uint64_t unrouted0 = unrouted.value();
 
   const int kClients = 4;
   const int kPerClient = 10;
@@ -145,12 +158,11 @@ TEST(ServeStress, TinyQueueShedsWithoutLoss) {
       for (int i = 0; i < kPerClient; ++i) {
         Tensor image = random_image(rng);
         for (;;) {
-          serve::BatchingServer::Admitted a = server.try_submit(image);
-          if (a.admission == serve::BatchingServer::Admission::kAccepted) {
-            a.future.get();
+          auto future = server.try_submit(image);
+          if (future.has_value()) {
+            future->get();
             break;
           }
-          EXPECT_EQ(a.admission, serve::BatchingServer::Admission::kShed);
           shed.fetch_add(1);
         }
         answered.fetch_add(1);
@@ -161,6 +173,7 @@ TEST(ServeStress, TinyQueueShedsWithoutLoss) {
   EXPECT_EQ(answered.load(), kClients * kPerClient);
   EXPECT_EQ(server.stats().requests, kClients * kPerClient);
   EXPECT_EQ(rejected.value() - rejected0, shed.load());
+  EXPECT_EQ(unrouted.value(), unrouted0) << "every refusal was a shed";
 }
 
 }  // namespace

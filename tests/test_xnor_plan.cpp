@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/architecture.hpp"
@@ -306,6 +307,60 @@ TEST(ExecutionPlanTest, RejectsFirstConvWiderThanItsTile) {
                 std::string::npos)
           << e.what();
     }
+  }
+}
+
+// A threshold bank shorter (or longer) than its stage's output channels
+// would make the threshold kernel read past it, and a bitstream's THRS
+// section may hold any length: compile() names the stage and the bank.
+TEST(ExecutionPlanTest, RejectsThresholdBanksThatDoNotMatchTheirStage) {
+  nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 21,
+                                         /*residual_levels=*/3);
+  const XnorNetwork net = XnorNetwork::fold(model);
+  const Shape input{1, 32, 32, 3};
+  ASSERT_EQ(testhelpers::compile_error(net, input), "compiled");
+  std::size_t conv = 0, dense = 0;
+  for (std::size_t i = 0; i < net.stages().size(); ++i) {
+    const xnor::Stage& s = net.stages()[i];
+    if (conv == 0 && std::holds_alternative<xnor::BinConvStage>(s)) conv = i;
+    const auto* d = std::get_if<xnor::BinDenseStage>(&s);
+    if (dense == 0 && d != nullptr && d->has_threshold) dense = i;
+  }
+  ASSERT_GT(conv, 0u);
+  ASSERT_GT(dense, 0u);
+  ASSERT_EQ(xnor::stage_residual(net.stages()[conv])->levels, 3);
+  // Bank `b` of a stage: 0 is its `thresholds`, b >= 1 extra_banks[b - 1].
+  const auto bank = [](xnor::Stage& s, std::size_t b) -> xnor::ThresholdSpec& {
+    xnor::ThresholdSpec* bank0 = nullptr;
+    xnor::ResidualSpec* residual = nullptr;
+    std::visit(
+        [&](auto& st) {
+          if constexpr (requires { st.residual; }) {
+            bank0 = &st.thresholds;
+            residual = &st.residual;
+          }
+        },
+        s);
+    return b == 0 ? *bank0 : residual->extra_banks[b - 1];
+  };
+  const struct {
+    std::size_t stage, bank;
+    const char* error;
+  } cuts[] = {
+      {0, 0, "stage 0 (FirstConv) threshold bank 0 holds 1 thresholds"},
+      {conv, 0, "(BinConv) threshold bank 0 holds 1 thresholds"},
+      {dense, 0, "(BinDense) threshold bank 0 holds 1 thresholds"},
+      {conv, 3, "(BinConv) threshold bank 3 holds 1 thresholds"},
+  };
+  for (const auto& cut : cuts) {
+    std::vector<xnor::Stage> stages = net.stages();
+    xnor::ThresholdSpec& b = bank(stages[cut.stage], cut.bank);
+    b.t.resize(1);
+    b.flip.resize(1);
+    const std::string error = testhelpers::compile_error(
+        XnorNetwork("cut_bank", std::move(stages)), input);
+    EXPECT_NE(error.find(cut.error), std::string::npos)
+        << "stage " << cut.stage << " bank " << cut.bank << ": " << error;
   }
 }
 
