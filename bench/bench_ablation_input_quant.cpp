@@ -8,6 +8,7 @@
 
 #include "bench_util.hpp"
 #include "core/evaluator.hpp"
+#include "core/fold.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 #include "xnor/engine.hpp"
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
     const int per_class = args.get_int("test-per-class", 250);
 
     nn::Sequential model = bench::load_model(core::ArchitectureId::kNCnv);
-    xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+    xnor::XnorNetwork net = core::fold(model);
     const auto eval_set = bench::make_eval_set(per_class);
 
     std::printf("Ablation: input quantization bit-width (n-CNV, %d test "

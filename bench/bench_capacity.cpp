@@ -27,10 +27,14 @@
 // a,b,.. --rate-start R --rate-step F --max-probes N --duration-ms N
 // --connections N --watermark N --http-workers N --seed S
 // --out PATH --smoke (one 1x1 shape, 300 ms probes, for CI wiring).
+// Replica counts must lie in 1..64 and every other count be >= 1; an
+// out-of-range value is a usage error (a message naming the flag, exit 1).
 #include <sched.h>
 
 #include <cstdio>
+#include <exception>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -50,14 +54,19 @@ using namespace bcop;
 
 namespace {
 
-std::vector<int> parse_int_list(const std::string& csv) {
+/// The comma-separated counts of --`key` (default `def`), each a whole
+/// integer in [lo, hi] (util::parse_int_in).
+std::vector<int> int_list_in(const util::Args& args, const std::string& key,
+                             const std::string& def, int lo,
+                             int hi = std::numeric_limits<int>::max()) {
+  const std::string csv = args.get(key, def);
   std::vector<int> out;
   std::size_t pos = 0;
   while (pos < csv.size()) {
     const std::size_t comma = csv.find(',', pos);
     const std::string item =
         csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!item.empty()) out.push_back(std::stoi(item));
+    if (!item.empty()) out.push_back(util::parse_int_in(key, item, lo, hi));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -92,9 +101,8 @@ bool probe_passes(const net::LoadGenReport& r, double slo_ms,
          r.err_5xx == 0 && r.shed_fraction <= max_shed && r.p99_ms <= slo_ms;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole sweep; main() turns a usage error into exit 1.
+int run(int argc, char** argv) {
   const util::Args args(argc, argv, {"smoke"});
   const bool smoke = args.get_flag("smoke");
   const double slo_ms = args.get_double("slo-ms", 50.0);
@@ -107,9 +115,13 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42));
   const std::vector<int> replica_counts =
-      parse_int_list(args.get("replicas-list", smoke ? "1" : "1,2,4"));
+      int_list_in(args, "replicas-list", smoke ? "1" : "1,2,4", 1, 64);
   const std::vector<int> worker_counts =
-      parse_int_list(args.get("workers-list", smoke ? "1" : "1,2"));
+      int_list_in(args, "workers-list", smoke ? "1" : "1,2", 1);
+  const auto http_workers =
+      static_cast<unsigned>(args.get_int_in("http-workers", 2, 1));
+  const auto connections =
+      static_cast<unsigned>(args.get_int_in("connections", 8, 1));
 
   // Untrained weights: XNOR-popcount latency is weight-independent, so
   // capacity numbers are representative without a training phase.
@@ -129,7 +141,7 @@ int main(int argc, char** argv) {
       rcfg.batcher.workers = shape.workers;
       serve::Router router(predictor, rcfg);
       net::HttpServerConfig hcfg;
-      hcfg.workers = static_cast<unsigned>(args.get_int("http-workers", 2));
+      hcfg.workers = http_workers;
       hcfg.shed_watermark = args.get_int("watermark", 48);
       net::HttpServer http(router, hcfg);
 
@@ -139,8 +151,7 @@ int main(int argc, char** argv) {
         cfg.port = http.port();
         cfg.rate = rate;
         cfg.duration = std::chrono::milliseconds(duration_ms);
-        cfg.connections =
-            static_cast<unsigned>(args.get_int("connections", 8));
+        cfg.connections = connections;
         cfg.seed = seed + static_cast<std::uint64_t>(p);
         std::printf("[%dx%u] probing %.0f req/s ...\n", replicas,
                     shape.workers, rate);
@@ -216,4 +227,15 @@ int main(int argc, char** argv) {
   }
   std::printf("OK: all probes accounted for every request\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_capacity: %s\n", e.what());
+    return 1;
+  }
 }

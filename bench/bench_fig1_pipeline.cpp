@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "core/fold.hpp"
 #include "deploy/pipeline.hpp"
 #include "facegen/renderer.hpp"
 #include "util/table.hpp"
@@ -22,7 +23,7 @@ int main() {
          {core::ArchitectureId::kCnv, core::ArchitectureId::kNCnv,
           core::ArchitectureId::kMicroCnv}) {
       nn::Sequential model = core::build_bnn(arch, 7);
-      xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+      xnor::XnorNetwork net = core::fold(model);
       deploy::StreamingPipeline pipeline(net, core::layer_specs(arch));
       std::printf("%s\n", pipeline.describe().c_str());
 

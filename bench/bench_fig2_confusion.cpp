@@ -4,6 +4,7 @@
 
 #include "bench_util.hpp"
 #include "core/evaluator.hpp"
+#include "core/fold.hpp"
 #include "util/args.hpp"
 #include "xnor/engine.hpp"
 
@@ -15,7 +16,7 @@ int main(int argc, char** argv) {
     const int per_class = args.get_int("test-per-class", 500);
 
     nn::Sequential model = bench::load_model(core::ArchitectureId::kCnv);
-    xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+    xnor::XnorNetwork net = core::fold(model);
     const auto eval_set = bench::make_eval_set(per_class);
     const auto cm = core::Evaluator::evaluate_xnor(net, eval_set);
 

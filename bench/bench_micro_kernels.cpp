@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "deploy/pipeline.hpp"
 #include "facegen/dataset.hpp"
 #include "facegen/renderer.hpp"
@@ -85,7 +86,7 @@ BENCHMARK(BM_RenderFace);
 void BM_FoldNCnv(benchmark::State& state) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kNCnv, 8);
   for (auto _ : state) {
-    xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+    xnor::XnorNetwork net = core::fold(model);
     benchmark::DoNotOptimize(&net);
   }
 }
@@ -93,7 +94,7 @@ BENCHMARK(BM_FoldNCnv);
 
 void BM_XnorForwardNCnv(benchmark::State& state) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kNCnv, 9);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   util::Rng rng(10);
   const auto attrs =
       facegen::sample_attributes(facegen::MaskClass::kCorrect, rng);
@@ -200,7 +201,7 @@ const bool kKernelTierRowsRegistered = [] {
 
 void BM_PipelineRunNCnv(benchmark::State& state) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kNCnv, 13);
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  xnor::XnorNetwork net = core::fold(model);
   deploy::StreamingPipeline pipeline(
       net, core::layer_specs(core::ArchitectureId::kNCnv));
   util::Rng rng(14);

@@ -36,6 +36,7 @@
 
 #include "core/architecture.hpp"
 #include "core/evaluator.hpp"
+#include "core/fold.hpp"
 #include "core/trainer.hpp"
 #include "facegen/dataset.hpp"
 #include "tensor/kernels/dispatch.hpp"
@@ -172,7 +173,7 @@ int main(int argc, char** argv) {
       tcfg.epochs = epochs;
       tcfg.eval_every = 0;
       core::Trainer(model, tcfg).fit(ds.train(), {});
-      const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+      const xnor::XnorNetwork net = core::fold(model);
 
       ArchResult ar;
       ar.arch = core::arch_name(arch);

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "util/table.hpp"
 #include "xnor/engine.hpp"
 
@@ -32,7 +33,7 @@ int main() {
       std::printf("%s", t.render().c_str());
 
       nn::Sequential model = core::build_bnn(arch, 7);
-      xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+      xnor::XnorNetwork net = core::fold(model);
       std::printf("trainable parameters: %lld | deployed footprint: %lld bits "
                   "(%.1f KiB) vs %.1f KiB at FP32 (x%.1f smaller)\n\n",
                   static_cast<long long>(model.parameter_count()),

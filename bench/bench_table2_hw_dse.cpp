@@ -8,6 +8,7 @@
 
 #include "bench_util.hpp"
 #include "core/evaluator.hpp"
+#include "core/fold.hpp"
 #include "deploy/resource.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
           deploy::estimate_resources(core::layer_specs(arch), offload);
 
       nn::Sequential model = bench::load_model(arch);
-      xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+      xnor::XnorNetwork net = core::fold(model);
       const double acc =
           core::Evaluator::evaluate_xnor(net, eval_set).accuracy();
       const double hard_acc =

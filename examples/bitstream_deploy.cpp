@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "core/fold.hpp"
 #include "example_util.hpp"
 #include "facegen/dataset.hpp"
 #include "facegen/renderer.hpp"
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
     nn::Sequential model = examples::load_or_train(
         core::ArchitectureId::kNCnv,
         examples::model_path(core::ArchitectureId::kNCnv));
-    xnor::XnorNetwork folded = xnor::XnorNetwork::fold(model);
+    xnor::XnorNetwork folded = core::fold(model);
     const std::filesystem::path dir =
         std::filesystem::path(artifact).parent_path();
     if (!dir.empty()) std::filesystem::create_directories(dir);

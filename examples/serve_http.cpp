@@ -3,10 +3,10 @@
 //   camera / curl --> net::HttpServer --> serve::Router --> replicas --> BNN
 //
 // Starts the HTTP/1.1 front-end (src/net) over a replica fleet (each
-// replica: its own engine clone, queue and worker pool; the Router places
-// each request on the least-loaded serving replica) and serves until the
-// requested duration elapses (or forever with --duration-s 0, until stdin
-// closes). Endpoints, payload format and shedding semantics are
+// replica: its own copy of the folded network, queue and worker pool; the
+// Router places each request on the least-loaded serving replica) and
+// serves until the requested duration elapses (or forever with
+// --duration-s 0, until stdin closes). Endpoints, payload format and shedding semantics are
 // documented in docs/networking.md; quick check:
 //
 //   # classify a raw 32x32x3 u8 image (3072 bytes)
@@ -17,9 +17,10 @@
 //
 // Knobs: --port N (default 8080), --arch cnv|ncnv|ucnv, --untrained
 // (skip load/quick-train; weights random, latency representative),
-// --replicas N, --workers N (per replica), --http-workers N, --watermark N
-// (503 above this per-replica queue depth; 0 sheds everything, -1
-// disables), --duration-s N.
+// --replicas N (1..64), --workers N (per replica, >= 1), --http-workers N
+// (>= 1), --watermark N (503 above this per-replica queue depth; 0 sheds
+// everything, -1 disables), --duration-s N. An out-of-range count or port
+// is a usage error: a message naming the flag, exit 1.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -58,13 +59,16 @@ int main(int argc, char** argv) {
     const core::Predictor predictor(std::move(model));
 
     serve::RouterConfig rcfg;
-    rcfg.replicas = static_cast<int>(args.get_int("replicas", 2));
-    rcfg.batcher.workers = static_cast<unsigned>(args.get_int("workers", 2));
+    rcfg.replicas = args.get_int_in("replicas", 2, 1, 64);
+    rcfg.batcher.workers =
+        static_cast<unsigned>(args.get_int_in("workers", 2, 1));
     serve::Router router(predictor, rcfg);
 
     net::HttpServerConfig hcfg;
-    hcfg.port = static_cast<std::uint16_t>(args.get_int("port", 8080));
-    hcfg.workers = static_cast<unsigned>(args.get_int("http-workers", 2));
+    hcfg.port = static_cast<std::uint16_t>(args.get_int_in("port", 8080, 0,
+                                                           65535));
+    hcfg.workers =
+        static_cast<unsigned>(args.get_int_in("http-workers", 2, 1));
     hcfg.shed_watermark = args.get_int("watermark", 48);
     net::HttpServer http(router, hcfg);
 

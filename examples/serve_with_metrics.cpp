@@ -20,10 +20,10 @@
 // training phase.
 //
 // Knobs: --arch cnv|ncnv|ucnv, --bursts N, --burst-size N, --workers N,
-// --max-batch N, --max-latency-us N. Try --max-latency-us 0 (no coalescing
+// --max-batch N (each >= 1), --max-latency-us N (>= 0; an out-of-range
+// value is a usage error, exit 1). Try --max-latency-us 0 (no coalescing
 // window: a batch ships as soon as a worker is free) against the default
 // to see the coalescing histograms move.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
   try {
     const util::Args args(argc, argv);
     const auto arch = parse_arch(args.get("arch", "ncnv"));
-    const int bursts = args.get_int("bursts", 3);
-    const int burst_size = args.get_int("burst-size", 32);
+    const int bursts = args.get_int_in("bursts", 3, 1);
+    const int burst_size = args.get_int_in("burst-size", 32, 1);
     const std::string format = args.get("format", "prom");
     const std::string out_path = args.get("out", "");
     if (format != "prom" && format != "json")
@@ -94,12 +94,12 @@ int main(int argc, char** argv) {
     serve::RouterConfig rcfg;
     rcfg.replicas = 1;
     serve::BatcherConfig& cfg = rcfg.batcher;
-    cfg.workers = static_cast<unsigned>(args.get_int("workers", 2));
-    cfg.max_batch = args.get_int("max-batch", 16);
+    cfg.workers = static_cast<unsigned>(args.get_int_in("workers", 2, 1));
+    cfg.max_batch = args.get_int_in("max-batch", 16, 1);
     cfg.max_latency =
-        std::chrono::microseconds(args.get_int("max-latency-us", 2000));
+        std::chrono::microseconds(args.get_int_in("max-latency-us", 2000, 0));
     // A whole burst fits in the queue, so try_submit never sheds here.
-    cfg.queue_capacity = std::max(1, burst_size);
+    cfg.queue_capacity = burst_size;
 
     // Untrained weights: the observability story is about timing, and the
     // plan interpreter's cost does not depend on the weight values.

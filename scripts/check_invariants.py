@@ -20,6 +20,7 @@ docs/static-analysis.md for the full rule prose). The rules:
       BCOP_GUARDED_BY member (waivable per-line with a documented reason:
       `// bcop-lint: allow(R8): <why>`)
   R10 raw sockets and readiness syscalls confined to src/net/
+  R11 `#include "nn/..."` confined to src/nn/, src/core/ and src/gradcam/
 
 Every rule self-tests against pass/fail fixture trees in tests/lint/
 (`--self-test`, also wired into ctest as `lint_selftest`).
@@ -41,7 +42,7 @@ from invariants.selftest import run_self_test  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="structural invariant lint (rules R1-R8, R10)")
+        description="structural invariant lint (rules R1-R8, R10, R11)")
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="tree to lint (default: the repo)")
     parser.add_argument("--rule", metavar="ID",

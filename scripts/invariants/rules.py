@@ -1,4 +1,4 @@
-"""The repo's invariant rules, R1..R8 and R10, as data.
+"""The repo's invariant rules, R1..R8, R10 and R11, as data.
 
 Each rule is a Rule value built either from a declarative constructor in
 engine.py (token confinement, the hot zone) or from a bespoke check for
@@ -35,6 +35,12 @@ SOCKET_USE = re.compile(
     r"|netinet/[^>]+|arpa/inet\.h|sys/un\.h|netdb\.h)>"
     r"|::socket\s*\(|::accept4?\s*\(|::epoll_(?:create1?|ctl|wait)\s*\("
 )
+
+# R11: the training graph's headers. Confined to the modules that build,
+# train, fold or explain a float model, so the engine, its plans, the
+# bitstream loader, the FINN model, serving and the network front-end all
+# build from the folded network alone -- core::fold is the one bridge.
+NN_INCLUDE = re.compile(r'#\s*include\s*"nn/')
 
 # ---- R6 hot zone and R7 token sets ----------------------------------------
 
@@ -217,4 +223,12 @@ RULES: list[Rule] = [
         "bounded parser and admission control in src/net/; a socket "
         "opened elsewhere is an unaudited ingress path",
         SOCKET_USE, ("src/net/",), comment_stripped=True),
+    engine.token_confinement(
+        "R11", "nn/ headers included only under src/nn/, src/core/ and "
+        "src/gradcam/",
+        "the folded xnor::XnorNetwork is the unit of deployment and "
+        "serving; core::fold is the one place a trained graph becomes one, "
+        "so xnor, deploy, serve and net never need the training layers",
+        NN_INCLUDE, ("src/nn/", "src/core/", "src/gradcam/"),
+        comment_stripped=True),
 ]

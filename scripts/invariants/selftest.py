@@ -10,7 +10,7 @@ and at least one on fail/, and every fail/ file marked "seeded violation"
 must be among the flagged ones -- a rule with no fixtures, a rule that
 flags clean code, or a rule that misses any of its seeded bugs all fail
 the self-test.
-A tenth pair, tests/lint/WAIVER/, exercises the waiver machinery itself:
+One more pair, tests/lint/WAIVER/, exercises the waiver machinery itself:
 pass/ carries a reasoned `bcop-lint: allow(R8): ...` (must suppress),
 fail/ a reasonless one (must be reported).
 """

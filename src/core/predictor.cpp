@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/fold.hpp"
 #include "facegen/dataset.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -11,34 +12,13 @@
 
 namespace bcop::core {
 
-Predictor::Predictor(nn::Sequential model) : model_(std::move(model)) {
-  net_ = xnor::XnorNetwork::fold(model_);
-  want_ = net_.expected_input_shape();
-}
+Predictor::Predictor(nn::Sequential model)
+    : model_(std::move(model)),
+      net_(fold(model_)),
+      want_(net_.expected_input_shape()) {}
 
 Predictor Predictor::from_file(const std::string& path) {
   return Predictor(nn::Sequential::load_file(path));
-}
-
-Predictor Predictor::replicate() const {
-  // XnorNetwork's copy semantics are what make this cheap and safe: the
-  // copy shares no mutable state with the original (its plan cache starts
-  // empty), so replicas never contend on plans. The float graph is not
-  // copied -- Sequential owns its layers via unique_ptr and the serving
-  // path never touches it.
-  Predictor clone;
-  clone.net_ = net_;
-  clone.want_ = want_;
-  clone.serve_levels_ = serve_levels_;
-  return clone;
-}
-
-void Predictor::set_serve_levels(std::int64_t levels) {
-  BCOP_CHECK(levels >= 0 && levels <= net_.max_levels(),
-             "set_serve_levels: cap %lld outside [0, %lld] for %s",
-             static_cast<long long>(levels),
-             static_cast<long long>(net_.max_levels()), net_.name().c_str());
-  serve_levels_ = levels;
 }
 
 std::vector<Predictor::Result> Predictor::classify_batch(
@@ -71,10 +51,15 @@ void Predictor::classify_batch(const tensor::Tensor& batch,
                static_cast<long long>(want[1]),
                static_cast<long long>(want[2]));
   }
-  net_.forward_batch(batch, ws, logits, serve_levels_);
+  net_.forward_batch(batch, ws, logits);
+  to_results(logits, results);
+}
+
+void Predictor::to_results(const tensor::Tensor& logits,
+                           std::vector<Result>& results) {
   const std::int64_t n = logits.shape()[0], classes = logits.shape()[1];
   BCOP_CHECK(classes == facegen::kNumClasses,
-             "classify_batch: model emits %lld classes, expected %d",
+             "to_results: model emits %lld classes, expected %d",
              static_cast<long long>(classes), facegen::kNumClasses);
   results.resize(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {

@@ -1,9 +1,12 @@
 // Public facade: classify a face image with a trained Binary-CoP model.
 //
 // The Predictor owns both views of a trained network: the float training
-// graph (needed for Grad-CAM) and the folded XNOR network (the deployment
-// path used for classification). This is what the examples and the gate /
-// crowd applications program against.
+// graph (needed for Grad-CAM) and the folded XNOR network (core::fold, the
+// deployment path used for classification). This is what the examples and
+// the gate / crowd applications program against. A serve::Router reads
+// network() during its constructor and swap_model only; each replica keeps
+// its own copy of the folded network and turns logits into Results with
+// to_results().
 #pragma once
 
 #include <array>
@@ -23,14 +26,6 @@ class Predictor {
 
   /// Load a model file written by nn::Sequential::save().
   static Predictor from_file(const std::string& path);
-
-  /// A deployment-only clone for scale-out serving: copies the folded
-  /// XNOR network (the copy starts with a fresh, empty plan cache, so each
-  /// replica's workers build and own their plans with zero cross-replica
-  /// sharing) but NOT the float training graph -- the clone's model() is
-  /// an empty Sequential and it cannot produce Grad-CAM maps. classify()
-  /// and classify_batch() behave identically to the original.
-  Predictor replicate() const;
 
   struct Result {
     facegen::MaskClass label = facegen::MaskClass::kCorrect;
@@ -54,42 +49,31 @@ class Predictor {
   /// against the folded topology (BCOP_CHECK aborts on mismatch).
   std::vector<Result> classify_batch(const tensor::Tensor& batch) const;
 
-  /// Allocation-free serving form of classify_batch: the folded network
-  /// executes its cached plan into `ws`, logits land in `logits` (only
-  /// reallocated on a shape change), and softmax/argmax are computed
-  /// in place into `results` (resized, but steady-state capacity is
-  /// reused). After a warm call with a repeated batch shape this performs
-  /// zero heap allocations -- the form the batching server workers use.
+  /// Allocation-free form of classify_batch: the folded network executes
+  /// its cached plan into `ws`, logits land in `logits` (only reallocated
+  /// on a shape change), and to_results() fills `results`. After a warm
+  /// call with a repeated batch shape this performs zero heap allocations.
   void classify_batch(const tensor::Tensor& batch, xnor::Workspace& ws,
                       tensor::Tensor& logits,
                       std::vector<Result>& results) const;
+
+  /// Softmax, argmax and margin of [N, kNumClasses] logits, one Result per
+  /// row, computed in place into `results` (resized, but steady-state
+  /// capacity is reused). classify_batch and the serving replicas share
+  /// it. Logits of another class count fail a BCOP_CHECK.
+  static void to_results(const tensor::Tensor& logits,
+                         std::vector<Result>& results);
 
   const nn::Sequential& model() const { return model_; }
   nn::Sequential& mutable_model() { return model_; }
   const xnor::XnorNetwork& network() const { return net_; }
 
-  /// Cap the residual binarization depth this predictor serves at
-  /// (XnorNetwork::plan_for semantics: 0 = every trained level, m in
-  /// [1, max_levels()] truncates the deeper planes and their threshold
-  /// banks). Classic M = 1 networks are unaffected by any value.
-  /// replicate() copies the cap, which is how a tiered serve::Router
-  /// (RouterConfig::fast_replicas) serves M = 1 fast replicas and
-  /// full-depth ones from one trained model. Not thread-safe against
-  /// concurrent classify calls: set it before serving starts.
-  void set_serve_levels(std::int64_t levels);
-  std::int64_t serve_levels() const { return serve_levels_; }
-
  private:
-  /// For replicate(): clones start empty and copy net_/want_ directly.
-  Predictor() = default;
-
   nn::Sequential model_;
   xnor::XnorNetwork net_;
   /// net_.expected_input_shape(), computed once at construction so the
   /// per-batch contract check stays allocation-free.
   tensor::Shape want_;
-  /// Residual level cap applied to every classify call (0 = full depth).
-  std::int64_t serve_levels_ = 0;
 };
 
 }  // namespace bcop::core

@@ -188,13 +188,10 @@ std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
 HttpServer::HttpServer(serve::Router& router, HttpServerConfig config)
     : router_(router),
       config_(config),
-      want_(router.prototype().network().expected_input_shape()),
+      want_(router.input_shape()),
       pool_(config.workers) {
   BCOP_CHECK(config_.workers >= 1, "HttpServer needs >= 1 worker, got %u",
              config_.workers);
-  BCOP_CHECK(want_.rank() == 3,
-             "served model must take a rank-3 [S, S, C] input, got rank %d",
-             static_cast<int>(want_.rank()));
   u8_bytes_ = static_cast<std::size_t>(want_.numel());
   f32_bytes_ = u8_bytes_ * sizeof(float);
   limits_.max_body = f32_bytes_;  // largest payload /v1/classify accepts

@@ -70,9 +70,8 @@ struct HttpServerConfig {
 
 class HttpServer {
  public:
-  /// Binds and starts serving immediately. The Router (and the prototype
-  /// predictor behind it) must outlive this object. Throws
-  /// std::runtime_error when the port cannot be bound.
+  /// Binds and starts serving immediately. The Router must outlive this
+  /// object. Throws std::runtime_error when the port cannot be bound.
   HttpServer(serve::Router& router, HttpServerConfig config);
   /// Stops accepting, closes every connection, joins the workers.
   ~HttpServer();

@@ -75,15 +75,16 @@ void BatchingServer::each_metrics(Fn&& fn) const {
   fn(*replica_metrics_);
 }
 
-BatchingServer::BatchingServer(const Predictor& prototype,
+BatchingServer::BatchingServer(const xnor::XnorNetwork& net,
                                const BatcherConfig& config, int index,
                                Router* fast)
     : config_(config),
       router_(fast),
-      image_shape_(prototype.network().expected_input_shape()),
+      levels_(fast != nullptr ? 1 : 0),
+      image_shape_(net.expected_input_shape()),
       replica_metrics_(std::make_unique<Metrics>(
           Metrics::make("bcop_serve_replica" + std::to_string(index)))),
-      model_(std::make_unique<const Predictor>(prototype.replicate())),
+      net_(net),
       pool_(config_.workers) {
   BCOP_CHECK(config_.max_batch >= 1, "max_batch %lld must be >= 1",
              static_cast<long long>(config_.max_batch));
@@ -128,23 +129,22 @@ void BatchingServer::drain_admin() {
   state_.store(ServerState::kStopped, std::memory_order_release);
 }
 
-void BatchingServer::swap_model(const Predictor& prototype) {
+void BatchingServer::swap_model(const xnor::XnorNetwork& net) {
   MutexLock admin(admin_mutex_);
-  const Shape want = prototype.network().expected_input_shape();
+  const Shape want = net.expected_input_shape();
   // A different input shape would turn every queued-for-later request into
   // a contract failure; refuse while the current generation still serves.
   if (want != image_shape_)
     throw std::invalid_argument("BatchingServer::swap_model: model input " +
                                 want.str() + " does not match the served " +
                                 image_shape_.str());
-  std::unique_ptr<const Predictor> next =
-      std::make_unique<const Predictor>(prototype.replicate());
+  xnor::XnorNetwork next = net;  // a copy starts with an empty plan cache
   drain_admin();
   {
     MutexLock lock(mutex_);
     // The old generation's workers have joined, so nothing references the
-    // old model; it is freed below, outside the lock.
-    std::swap(model_, next);
+    // old network; it is freed below, outside the lock.
+    std::swap(net_, next);
     ++generation_;
     state_.store(ServerState::kServing, std::memory_order_release);
   }
@@ -208,7 +208,7 @@ void BatchingServer::worker_loop() {
   WorkerState buffers;  // lives as long as the worker: arena grows, then holds
   for (;;) {
     std::deque<Request> batch;
-    const Predictor* model = nullptr;
+    const xnor::XnorNetwork* net = nullptr;
     {
       UniqueLock lock(mutex_);
       const auto serving = [this] {
@@ -241,14 +241,14 @@ void BatchingServer::worker_loop() {
       ++stats_.batches;
       stats_.max_batch_seen = std::max(stats_.max_batch_seen, take);
       if (take > 1) stats_.coalesced += take;
-      model = model_.get();
+      net = &net_;
     }
-    run_batch(batch, *model, buffers);
+    run_batch(batch, *net, buffers);
   }
 }
 
 void BatchingServer::run_batch(std::deque<Request>& batch,
-                               const Predictor& model,
+                               const xnor::XnorNetwork& net,
                                WorkerState& buffers) {
   const auto b = static_cast<std::int64_t>(batch.size());
   // How long the oldest member waited for the batch to ship: the cost of
@@ -270,8 +270,8 @@ void BatchingServer::run_batch(std::deque<Request>& batch,
                 batch[static_cast<std::size_t>(i)].image.data(),
                 static_cast<std::size_t>(stride) * sizeof(float));
   try {
-    model.classify_batch(buffers.input, buffers.ws, buffers.logits,
-                         buffers.results);
+    net.forward_batch(buffers.input, buffers.ws, buffers.logits, levels_);
+    Predictor::to_results(buffers.logits, buffers.results);
   } catch (...) {
     for (auto& request : batch)
       request.promise.set_exception(std::current_exception());
@@ -281,14 +281,16 @@ void BatchingServer::run_batch(std::deque<Request>& batch,
     Request& request = batch[static_cast<std::size_t>(i)];
     const Predictor::Result& result =
         buffers.results[static_cast<std::size_t>(i)];
+    // Sampled before the answer or the hand-off, like the batch counters
+    // above: a client whose future.get() returned observes its sample.
+    const std::uint64_t e2e_ns = ns_since(request.enqueued);
+    each_metrics([e2e_ns](Metrics& m) { m.e2e_latency_ns.record(e2e_ns); });
     // A fast replica hands a low-margin answer back to its Router.
     if (router_ != nullptr &&
         result.margin < router_->config().margin_threshold)
       router_->escalate(request, result);
     else
       request.promise.set_value(result);
-    const std::uint64_t e2e_ns = ns_since(request.enqueued);
-    each_metrics([e2e_ns](Metrics& m) { m.e2e_latency_ns.record(e2e_ns); });
   }
 }
 

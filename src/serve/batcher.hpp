@@ -10,7 +10,7 @@
 // module turns independent single-image requests into such batches:
 //
 //   Router::try_submit --> admit() --> bounded request queue
-//                                        --> worker pool --> classify_batch
+//      --> worker pool --> XnorNetwork::forward_batch --> to_results
 //
 // Workers take up to `max_batch` queued requests at once; when fewer are
 // waiting, they hold the batch open until the oldest request has waited
@@ -19,9 +19,9 @@
 // never blocks -- at `queue_capacity` (or the caller's tighter watermark)
 // it sheds, so overload costs a rejection instead of unbounded memory.
 //
-// Each server serves its own Predictor::replicate() clone (fresh plan
-// cache) and has a lifecycle that makes a model hot-swap zero-downtime
-// for the fleet around it:
+// Each server serves its own copy of the folded xnor::XnorNetwork (fresh
+// plan cache) at a level cap fixed by its role, and has a lifecycle that
+// makes a model hot-swap zero-downtime for the fleet around it:
 //
 //   kServing --> kDraining --> kStopped
 //      ^                          |
@@ -30,9 +30,9 @@
 // drain() flips kServing -> kDraining under the queue mutex, so a request
 // either enqueued before the flip (and is answered) or is turned away as
 // kUnavailable; the workers then empty the queue and exit. swap_model()
-// is drain() plus a fresh clone and a restart of the worker tasks on the
-// same pool. The worker join and the clone run outside the queue mutex,
-// so admission and depth probes never wait on a swap.
+// is drain() plus a fresh network copy and a restart of the worker tasks
+// on the same pool. The worker join and the copy run outside the queue
+// mutex, so admission and depth probes never wait on a swap.
 //
 // Concurrency is built strictly from parallel::ThreadPool (repo rule R2:
 // no raw threads outside src/parallel/): each worker is one
@@ -67,6 +67,7 @@
 #include "parallel/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 #include "util/thread_annotations.hpp"
+#include "xnor/engine.hpp"
 #include "xnor/plan.hpp"
 
 namespace bcop::serve {
@@ -74,7 +75,7 @@ namespace bcop::serve {
 class Router;
 
 struct BatcherConfig {
-  /// Largest coalesced batch handed to classify_batch.
+  /// Largest coalesced batch one forward_batch call serves.
   std::int64_t max_batch = 16;
   /// Bounded queue depth; admission sheds while this many requests wait.
   std::int64_t queue_capacity = 64;
@@ -88,7 +89,7 @@ struct BatcherConfig {
 
 struct ServerStats {
   std::int64_t requests = 0;      // total accepted
-  std::int64_t batches = 0;       // classify_batch invocations
+  std::int64_t batches = 0;       // forward_batch invocations
   std::int64_t coalesced = 0;     // requests that shared a batch (size > 1)
   std::int64_t max_batch_seen = 0;
 };
@@ -162,12 +163,12 @@ class BatchingServer {
   /// recording is lock-free.
   struct Metrics;
 
-  /// Replica `index` of a Router: clone `prototype` (Predictor::replicate:
-  /// fresh plan cache) and start serving it. The prototype is only read
-  /// during the call and must take a rank-3 [S, S, C] input. A non-null
-  /// `fast` makes this one of that Router's fast replicas: low-margin
-  /// answers are handed back to it (see the header comment).
-  BatchingServer(const core::Predictor& prototype, const BatcherConfig& config,
+  /// Replica `index` of a Router: copy `net` (fresh plan cache) and start
+  /// serving it. `net` is only read during the call and must take a
+  /// rank-3 [S, S, C] input. A non-null `fast` makes this one of that
+  /// Router's fast replicas: it serves at level cap 1 and hands low-margin
+  /// answers back to the Router (see the header comment).
+  BatchingServer(const xnor::XnorNetwork& net, const BatcherConfig& config,
                  int index, Router* fast);
 
   /// Non-blocking admission of one [S, S, C] image: a future, a shed or
@@ -177,8 +178,8 @@ class BatchingServer {
   /// only on kAccepted. A non-null `handed` promise (the Router placing a
   /// hand-off) moves into the queue on kAccepted (no future is made), and
   /// shedding it counts no rejection -- the Router degrades it. An image
-  /// of another shape is a caller bug and fails a BCOP_CHECK -- the same
-  /// contract classify_batch enforces.
+  /// of another shape is a caller bug and fails a BCOP_CHECK, so every
+  /// coalesced batch matches the served network.
   Admitted admit(tensor::Tensor& image, std::int64_t max_depth,
                  std::promise<core::Predictor::Result>* handed)
       BCOP_EXCLUDES(mutex_);
@@ -187,16 +188,16 @@ class BatchingServer {
   /// Blocks until drained. Idempotent; the destructor calls it. Concurrent
   /// drain/swap calls serialize.
   void drain() BCOP_EXCLUDES(admin_mutex_, mutex_);
-  /// Zero-downtime model replacement: drain(), serve a fresh clone of
-  /// `prototype`, restart the workers and bump generation(). Throws
-  /// std::invalid_argument -- before draining, so the current generation
-  /// keeps serving -- when `prototype` expects a different input shape.
-  void swap_model(const core::Predictor& prototype)
+  /// Zero-downtime model replacement: drain(), serve a fresh copy of
+  /// `net` (same level cap), restart the workers and bump generation().
+  /// Throws std::invalid_argument -- before draining, so the current
+  /// generation keeps serving -- when `net` expects a different input.
+  void swap_model(const xnor::XnorNetwork& net)
       BCOP_EXCLUDES(admin_mutex_, mutex_);
   void start_workers();
   void drain_admin() BCOP_REQUIRES(admin_mutex_) BCOP_EXCLUDES(mutex_);
   void worker_loop() BCOP_EXCLUDES(mutex_);
-  void run_batch(std::deque<Request>& batch, const core::Predictor& model,
+  void run_batch(std::deque<Request>& batch, const xnor::XnorNetwork& net,
                  WorkerState& buffers) BCOP_EXCLUDES(mutex_);
 
   /// Apply `fn` to the global metrics family, then to this replica's
@@ -207,6 +208,8 @@ class BatchingServer {
   const BatcherConfig config_;
   /// The tiered Router this fast replica hands low-margin answers to.
   Router* const router_;
+  /// Level cap of every batch (plan_for): 1 fast, 0 = every trained level.
+  const std::int64_t levels_;
   /// The one request shape: the served model's [S, S, C] input.
   const tensor::Shape image_shape_;
   /// This replica's bcop_serve_replica<N>_* family. The pointees are
@@ -224,9 +227,9 @@ class BatchingServer {
   std::atomic<ServerState> state_{ServerState::kServing};
   std::deque<Request> queue_ BCOP_GUARDED_BY(mutex_);
   ServerStats stats_ BCOP_GUARDED_BY(mutex_);
-  /// The served clone. Workers read it when they dequeue a batch; a swap
-  /// reseats it only after the workers of the old generation have joined.
-  std::unique_ptr<const core::Predictor> model_ BCOP_GUARDED_BY(mutex_);
+  /// The served network. Workers read it when they dequeue a batch; a swap
+  /// replaces it only after the workers of the old generation have joined.
+  xnor::XnorNetwork net_ BCOP_GUARDED_BY(mutex_);
   std::int64_t generation_ BCOP_GUARDED_BY(mutex_) = 1;
 
   // Declared last: destroyed first would deadlock, so ~BatchingServer

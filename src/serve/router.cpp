@@ -39,18 +39,8 @@ struct Router::Metrics {
   }
 };
 
-namespace {
-
-Predictor capped_at_one_level(const Predictor& prototype) {
-  Predictor fast = prototype.replicate();
-  fast.set_serve_levels(1);
-  return fast;
-}
-
-}  // namespace
-
 Router::Router(const Predictor& prototype, RouterConfig config)
-    : prototype_(prototype), config_(config) {
+    : config_(config) {
   BCOP_CHECK(config_.replicas >= 1 && config_.replicas <= 64,
              "Router: replicas %d must be in 1..64", config_.replicas);
   BCOP_CHECK(config_.fast_replicas >= 0 &&
@@ -58,16 +48,14 @@ Router::Router(const Predictor& prototype, RouterConfig config)
              "Router: fast_replicas %d must be in 0..replicas-1 (%d)",
              config_.fast_replicas, config_.replicas - 1);
   Metrics::get();  // register before traffic so exports always list them
-  std::optional<Predictor> fast;
-  if (config_.fast_replicas > 0) fast = capped_at_one_level(prototype_);
   const auto n = static_cast<unsigned>(config_.replicas);
   replicas_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     const bool is_fast = static_cast<int>(i) < config_.fast_replicas;
     // The replica's constructor is private to the Router: no make_unique.
-    replicas_.push_back(std::unique_ptr<BatchingServer>(
-        new BatchingServer(is_fast ? *fast : prototype_, config_.batcher,
-                           static_cast<int>(i), is_fast ? this : nullptr)));
+    replicas_.push_back(std::unique_ptr<BatchingServer>(new BatchingServer(
+        prototype.network(), config_.batcher, static_cast<int>(i),
+        is_fast ? this : nullptr)));
   }
 }
 
@@ -79,11 +67,7 @@ Router::~Router() {
 }
 
 void Router::swap_model(int i, const Predictor& prototype) {
-  BatchingServer& r = *replicas_[static_cast<std::size_t>(i)];
-  if (i < config_.fast_replicas)
-    r.swap_model(capped_at_one_level(prototype));
-  else
-    r.swap_model(prototype);
+  replicas_[static_cast<std::size_t>(i)]->swap_model(prototype.network());
 }
 
 BatchingServer::Admitted Router::place(

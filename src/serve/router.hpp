@@ -3,7 +3,7 @@
 // The FINN line of work scales throughput by replicating compute engines
 // and load-balancing streams across them; this is the CPU serving
 // analogue. A Router owns N serve::BatchingServer replicas -- each
-// serving its own clone of one prototype model with its own plan cache,
+// serving its own copy of one folded network with its own plan cache,
 // bounded queue and worker pool -- and places each request on the
 // *least-loaded serving* replica:
 //
@@ -29,7 +29,7 @@
 //
 // Confidence tiering (ReBNet: one trained M = 3 model serves any depth
 // from the same weights) is a per-replica level cap. With fast_replicas
-// = F > 0, replicas [0, F) serve the prototype capped at M = 1 and take
+// = F > 0, replicas [0, F) serve the network capped at M = 1 and take
 // client traffic; the rest serve it at full depth:
 //
 //   try_submit --> fast replicas (M = 1) --> margin >= threshold: answer
@@ -48,8 +48,8 @@
 // The Router itself is lock-free: the replica vector is immutable after
 // construction, placement state is one atomic round-robin counter, and
 // all lifecycle mutation lives inside the replicas. drain()/swap_model()
-// on one replica proceed while the others keep serving -- that is the
-// zero-downtime hot-swap path net::HttpServer exposes.
+// on one replica proceed while the others keep serving: a zero-downtime
+// hot-swap for whoever holds the Router (no network endpoint exposes it).
 #pragma once
 
 #include <atomic>
@@ -61,6 +61,7 @@
 
 #include "core/predictor.hpp"
 #include "serve/batcher.hpp"
+#include "tensor/shape.hpp"
 #include "tensor/tensor.hpp"
 
 namespace bcop::serve {
@@ -73,9 +74,9 @@ struct RouterConfig {
   /// Per-replica server template: every field applies to EACH replica
   /// (fleet capacity is replicas x queue_capacity).
   BatcherConfig batcher;
-  /// Replicas [0, fast_replicas) serve a replicate() of the prototype
-  /// capped with set_serve_levels(1) (swap_model re-applies the cap); the
-  /// rest serve it as given. 0 = an untiered fleet.
+  /// Replicas [0, fast_replicas) serve the network at level cap 1 (a
+  /// swapped-in model keeps it); the rest serve every trained level.
+  /// 0 = an untiered fleet.
   int fast_replicas = 0;
   /// A fast replica's answer escalates when its softmax margin is below
   /// this (0 never escalates; anything > 1 always does).
@@ -84,10 +85,8 @@ struct RouterConfig {
 
 class Router {
  public:
-  /// Builds `config.replicas` replicas, each serving its own
-  /// Predictor::replicate() clone of `prototype`. The prototype must
-  /// outlive the Router (front-ends read its input shape; swaps may
-  /// re-clone it).
+  /// Builds `config.replicas` replicas, each serving its own copy of
+  /// `prototype.network()`. The prototype is only read during the call.
   Router(const core::Predictor& prototype, RouterConfig config);
   /// Drains the fast replicas, then the full-depth ones, so every
   /// accepted future resolves exactly once.
@@ -96,9 +95,9 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// The one admission call, non-blocking: place an [S, S, C] image (the
-  /// prototype's expected_input_shape(); the replica offered any other
-  /// shape fails a BCOP_CHECK) on the least-loaded serving replica (a fast
+  /// The one admission call, non-blocking: place an [S, S, C] image
+  /// (input_shape(); the replica offered any other shape fails a
+  /// BCOP_CHECK) on the least-loaded serving replica (a fast
   /// one while any serves), retrying past mid-swap replicas. A replica
   /// sheds when its queue already holds min(queue_capacity, max_depth)
   /// requests (max_depth < 0: queue_capacity alone; 0 sheds everything).
@@ -117,8 +116,9 @@ class Router {
   /// Drain replica `i` (blocks until its queue empties); traffic keeps
   /// flowing through the rest of the fleet.
   void drain(int i) { replicas_[static_cast<std::size_t>(i)]->drain(); }
-  /// Hot-swap replica `i` onto (a fresh clone of) `prototype` with zero
-  /// fleet downtime: drain, re-clone, resume serving. Throws
+  /// Hot-swap replica `i` onto a fresh copy of `prototype.network()`
+  /// (read only during the call) with zero fleet downtime: drain, copy,
+  /// resume serving at the replica's level cap. Throws
   /// std::invalid_argument, leaving the replica serving its current
   /// model, when `prototype` expects a different input shape.
   void swap_model(int i, const core::Predictor& prototype);
@@ -134,7 +134,10 @@ class Router {
   /// Fleet-aggregated stats() across replicas and their generations.
   ServerStats stats() const;
 
-  const core::Predictor& prototype() const { return prototype_; }
+  /// The [S, S, C] image shape every replica admits; a swap keeps it.
+  const tensor::Shape& input_shape() const {
+    return replicas_.front()->image_shape_;
+  }
   const RouterConfig& config() const { return config_; }
 
  private:
@@ -152,7 +155,6 @@ class Router {
   void escalate(BatchingServer::Request& request,
                 const core::Predictor::Result& low);
 
-  const core::Predictor& prototype_;
   const RouterConfig config_;
   /// Immutable after construction -- placement reads it lock-free.
   std::vector<std::unique_ptr<BatchingServer>> replicas_;

@@ -1,6 +1,7 @@
 #include "util/args.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace bcop::util {
 
@@ -38,11 +39,34 @@ int Args::get_int(const std::string& key, int def) const {
   return it == kv_.end() ? def : std::stoi(it->second);
 }
 
+int Args::get_int_in(const std::string& key, int def, int lo, int hi) const {
+  const auto it = kv_.find(key);
+  return it == kv_.end() ? def : parse_int_in(key, it->second, lo, hi);
+}
+
 double Args::get_double(const std::string& key, double def) const {
   const auto it = kv_.find(key);
   return it == kv_.end() ? def : std::stod(it->second);
 }
 
 bool Args::get_flag(const std::string& key) const { return flags_.count(key) > 0; }
+
+int parse_int_in(const std::string& key, const std::string& text, int lo,
+                 int hi) {
+  std::size_t used = 0;
+  long long value = lo - 1LL;  // out of range unless the parse succeeds
+  try {
+    value = std::stoll(text, &used);
+  } catch (const std::exception&) {  // not a number, or beyond long long
+  }
+  if (used != text.size() || value < lo || value > hi)
+    throw std::invalid_argument(
+        "--" + key + " must be an integer " +
+        (hi == std::numeric_limits<int>::max()
+             ? ">= " + std::to_string(lo)
+             : "in " + std::to_string(lo) + ".." + std::to_string(hi)) +
+        ", got '" + text + "'");
+  return static_cast<int>(value);
+}
 
 }  // namespace bcop::util

@@ -8,13 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/batchnorm.hpp"
-#include "nn/binary_conv2d.hpp"
-#include "nn/binary_dense.hpp"
-#include "nn/flatten.hpp"
-#include "nn/maxpool.hpp"
-#include "nn/residual_sign.hpp"
-#include "nn/sign_activation.hpp"
 #include "tensor/kernels/dispatch.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -24,29 +17,8 @@
 
 namespace bcop::xnor {
 
-using tensor::BitMatrix;
 using tensor::Shape;
 using tensor::Tensor;
-
-namespace {
-
-// Pixel values are odd integers k' in [-255, 255] divided by 255
-// (facegen::MaskedFaceDataset::quantize_pixel); the first-layer accumulator
-// works directly on k'.
-constexpr double kPixelScale = 1.0 / 255.0;
-constexpr std::int64_t kPixelMax = 255;
-
-/// Transpose an nn weight matrix [In, Out] into packed rows [Out, In].
-BitMatrix pack_transposed(const Tensor& w) {
-  const std::int64_t in = w.shape()[0], out = w.shape()[1];
-  BitMatrix m(out, in);
-  for (std::int64_t o = 0; o < out; ++o)
-    for (std::int64_t i = 0; i < in; ++i)
-      m.set_from_sign(o, i, w.at2(i, o));
-  return m;
-}
-
-}  // namespace
 
 /// Plans keyed by the exact input shape (rank + dims, batch included)
 /// plus the active kernel dispatch tier -- a plan freezes one tier's
@@ -62,7 +34,6 @@ struct XnorNetwork::PlanCache {
   std::map<Key, ExecutionPlan> plans BCOP_GUARDED_BY(mutex);
 };
 
-XnorNetwork::XnorNetwork() : cache_(std::make_unique<PlanCache>()) {}
 XnorNetwork::~XnorNetwork() = default;
 
 XnorNetwork::XnorNetwork(std::string name, std::vector<Stage> stages)
@@ -114,131 +85,6 @@ const ResidualSpec* stage_residual(const Stage& s) {
           return &st.residual;
       },
       s);
-}
-
-XnorNetwork XnorNetwork::fold(nn::Sequential& model) {
-  XnorNetwork net;
-  net.name_ = model.name();
-  const std::size_t n = model.size();
-  std::size_t i = 0;
-  bool first_conv = true;
-  // Residual scale bits of the CURRENT activation stream: empty while it
-  // is classic {-1,+1} planes (acc = the raw popcount dot); otherwise the
-  // g_m of the producing ResidualSign, so the consumer's accumulator
-  // domain is A = sum_m g_m * acc_m in [-fan * sum(g), fan * sum(g)] with
-  // BN input value A / 256.
-  std::vector<std::int32_t> act_bits;
-
-  struct ActPair {
-    nn::BatchNorm* bn;
-    nn::ResidualSign* rs;  // null for classic SignActivation
-  };
-  auto take_bn_act = [&](const std::string& where) -> ActPair {
-    if (i + 1 >= n)
-      throw std::runtime_error("XnorNetwork::fold: " + where +
-                               " not followed by BatchNorm+Sign");
-    auto* bn = dynamic_cast<nn::BatchNorm*>(&model.layer(i));
-    auto* sign = dynamic_cast<nn::SignActivation*>(&model.layer(i + 1));
-    auto* rs = dynamic_cast<nn::ResidualSign*>(&model.layer(i + 1));
-    if (!bn || (!sign && !rs))
-      throw std::runtime_error("XnorNetwork::fold: " + where +
-                               " must be followed by BatchNorm then Sign, got " +
-                               model.layer(i).type() + ", " +
-                               model.layer(i + 1).type());
-    i += 2;
-    return {bn, rs};
-  };
-
-  // Fold BN + activation over accumulator domain [acc_min, acc_max] into
-  // bank 0 (returned) plus, for residual activations, the pattern banks in
-  // `spec`; leaves act_bits describing this stage's OUTPUT stream.
-  auto fold_activation = [&](const ActPair& act, std::int64_t acc_min,
-                             std::int64_t acc_max, double acc_scale,
-                             ResidualSpec& spec) -> ThresholdSpec {
-    if (!act.rs) {
-      act_bits.clear();
-      spec = ResidualSpec{};
-      return fold_batchnorm(*act.bn, acc_min, acc_max, acc_scale);
-    }
-    const std::vector<float> q = act.rs->quantized_scales();
-    spec.levels = act.rs->levels();
-    spec.scale_bits = act.rs->quantized_scale_bits();
-    spec.extra_banks.clear();
-    for (std::int64_t m = 1; m < spec.levels; ++m)
-      for (std::uint32_t p = 0; p < (1u << m); ++p)
-        spec.extra_banks.push_back(fold_batchnorm_residual(
-            *act.bn, acc_min, acc_max, acc_scale, q, m, p));
-    act_bits = spec.scale_bits;
-    return fold_batchnorm_residual(*act.bn, acc_min, acc_max, acc_scale, q,
-                                   0, 0);
-  };
-  // The consumer accumulator bound and BN value scale implied by the
-  // current input stream (binary fan-in `fan`).
-  auto acc_bound = [&](std::int64_t fan) -> std::int64_t {
-    if (act_bits.empty()) return fan;
-    std::int64_t sum = 0;
-    for (const std::int32_t g : act_bits) sum += g;
-    return fan * sum;
-  };
-  auto acc_scale = [&]() { return act_bits.empty() ? 1.0 : 1.0 / 256.0; };
-
-  while (i < n) {
-    nn::Layer& l = model.layer(i);
-    if (auto* conv = dynamic_cast<nn::BinaryConv2d*>(&l)) {
-      ++i;
-      const ActPair act = take_bn_act(std::string("conv ") + std::to_string(i));
-      const std::int64_t fan = conv->kernel() * conv->kernel() * conv->in_channels();
-      if (first_conv) {
-        FirstConvStage st;
-        st.k = conv->kernel();
-        st.ci = conv->in_channels();
-        st.co = conv->out_channels();
-        st.weights = conv->binarized_weights();
-        st.thresholds = fold_activation(act, -fan * kPixelMax, fan * kPixelMax,
-                                        kPixelScale, st.residual);
-        net.stages_.emplace_back(std::move(st));
-        first_conv = false;
-      } else {
-        BinConvStage st;
-        st.k = conv->kernel();
-        st.ci = conv->in_channels();
-        st.co = conv->out_channels();
-        st.weights = pack_transposed(conv->binarized_weights());
-        const std::int64_t bound = acc_bound(fan);
-        const double scale = acc_scale();
-        st.thresholds = fold_activation(act, -bound, bound, scale, st.residual);
-        net.stages_.emplace_back(std::move(st));
-      }
-    } else if (dynamic_cast<nn::MaxPool2*>(&l)) {
-      net.stages_.emplace_back(PoolStage{});
-      ++i;
-    } else if (dynamic_cast<nn::Flatten*>(&l)) {
-      net.stages_.emplace_back(FlattenStage{});
-      ++i;
-    } else if (auto* dense = dynamic_cast<nn::BinaryDense*>(&l)) {
-      ++i;
-      BinDenseStage st;
-      st.in = dense->in_features();
-      st.out = dense->out_features();
-      st.weights = pack_transposed(dense->binarized_weights());
-      if (i == n) {
-        st.has_threshold = false;  // classifier layer: raw logits
-      } else {
-        const ActPair act = take_bn_act("dense " + std::to_string(i));
-        const std::int64_t bound = acc_bound(st.in);
-        const double scale = acc_scale();
-        st.thresholds = fold_activation(act, -bound, bound, scale, st.residual);
-      }
-      net.stages_.emplace_back(std::move(st));
-    } else {
-      throw std::runtime_error(
-          std::string("XnorNetwork::fold: unsupported layer '") + l.type() +
-          "' -- only BinaryConv2d/BinaryDense BNNs can be folded");
-    }
-  }
-  if (net.stages_.empty())
-    throw std::runtime_error("XnorNetwork::fold: empty model");
-  return net;
 }
 
 std::int64_t XnorNetwork::max_levels() const {

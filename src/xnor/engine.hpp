@@ -1,8 +1,9 @@
 // Fast CPU inference engine for folded BinaryCoP networks.
 //
-// fold() compiles a trained nn::Sequential (the BinaryConv/BatchNorm/Sign
-// pipeline of Table I) into a stage list that evaluates with integer
-// arithmetic only:
+// An XnorNetwork is the deployed form of a trained BNN: the stage list
+// core::fold (src/core/fold.hpp) compiles from the BinaryConv/BatchNorm/
+// Sign pipeline of Table I, or the bitstream loader reads back. It
+// evaluates with integer arithmetic only:
 //   - FirstConv: 8-bit fixed-point pixels x binary weights, integer
 //     accumulators, folded thresholds (FINN treats the input layer the same
 //     way [7], [27]).
@@ -15,7 +16,9 @@
 // the allocation-free interpreter in exec.cpp against a Workspace arena --
 // forward() is forward_batch() with N = 1, so single-image and batched
 // results can never drift. The deploy::StreamingPipeline consumes the same
-// stage list and must match this engine bit-for-bit.
+// stage list and must match this engine bit-for-bit. Nothing here depends
+// on the training graph (src/nn): a serve replica holds its own copy of
+// one of these and nothing else of the model.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +27,6 @@
 #include <variant>
 #include <vector>
 
-#include "nn/sequential.hpp"
 #include "tensor/bit_tensor.hpp"
 #include "tensor/tensor.hpp"
 #include "xnor/folding.hpp"
@@ -103,9 +105,9 @@ class Workspace;
 
 class XnorNetwork {
  public:
-  XnorNetwork();
   ~XnorNetwork();
-  /// Assemble directly from stages (used by the bitstream loader).
+  /// Assemble from stages: core::fold and the bitstream loader build
+  /// networks this way. Throws std::invalid_argument on an empty list.
   XnorNetwork(std::string name, std::vector<Stage> stages);
 
   // Copies get a fresh (empty) plan cache; moves keep it -- a plan owns
@@ -117,10 +119,6 @@ class XnorNetwork {
   XnorNetwork& operator=(const XnorNetwork& other);
   XnorNetwork(XnorNetwork&&) noexcept;
   XnorNetwork& operator=(XnorNetwork&&) noexcept;
-
-  /// Compile a trained BNN. Throws std::runtime_error with a descriptive
-  /// message if the layer sequence is not a supported BNN topology.
-  static XnorNetwork fold(nn::Sequential& model);
 
   /// Logits [N, classes] (values are exact integers). Equivalent to
   /// forward_batch() -- one interpreter, one plan, N may be 1.

@@ -1,20 +1,17 @@
-// BatchNorm -> threshold folding (paper Sec. III-A).
+// Folded BatchNorm thresholds (paper Sec. III-A), as the engine runs them.
 //
 // Every BatchNorm in a BNN is immediately followed by sign(), so at
 // inference the pair collapses to a per-channel magnitude comparison on the
 // integer accumulator: out = +1 iff acc >= T (or acc <= T when the BN scale
-// gamma/sigma is negative). The threshold is found by *binary search over
-// the integer accumulator domain using the exact float predicate the
-// training graph evaluates*, which makes the folded network bit-identical
-// to BatchNorm+sign for every representable accumulator value -- including
-// the gamma == 0 degenerate case (constant output, encoded as a saturated
-// threshold).
+// gamma/sigma is negative). core::fold (src/core/fold.hpp) derives T from
+// a trained graph; a bitstream carries it as is. This header holds the
+// folded form and its branch-free replay form -- no training types.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "nn/batchnorm.hpp"
 #include "util/check.hpp"
 
 namespace bcop::xnor {
@@ -48,46 +45,18 @@ struct PreparedThresholds {
   static constexpr std::int32_t kAccBound = 1 << 25;
   std::vector<std::int32_t> thr;
   std::vector<std::int32_t> inv;
-  explicit PreparedThresholds(const ThresholdSpec& spec);
+
+  explicit PreparedThresholds(const ThresholdSpec& spec)
+      : thr(spec.t.size()), inv(spec.t.size()) {
+    for (std::size_t c = 0; c < spec.t.size(); ++c) {
+      // !flip: fire = acc >= t.  flip: fire = acc <= t = !(acc >= t + 1).
+      std::int64_t t = spec.t[c];
+      if (spec.flip[c]) t = t >= kAccBound ? kAccBound + 1 : t + 1;
+      thr[c] = static_cast<std::int32_t>(std::clamp<std::int64_t>(
+          t, -kAccBound, std::int64_t{kAccBound} + 1));
+      inv[c] = spec.flip[c] ? 1 : 0;
+    }
+  }
 };
-
-/// Fold `bn` (running statistics) against an accumulator in
-/// [acc_min, acc_max] that maps to the BN input as x = acc * acc_scale.
-/// For binary hidden layers acc is the {-1,+1} dot product (acc_scale = 1);
-/// for the 8-bit first layer acc is the integer sum of quantized pixels and
-/// acc_scale = 1/255.
-ThresholdSpec fold_batchnorm(const nn::BatchNorm& bn, std::int64_t acc_min,
-                             std::int64_t acc_max, double acc_scale);
-
-/// The exact predicate the training graph evaluates at inference:
-/// sign(BatchNorm_inference(x)) >= 0 for channel c with x = acc*acc_scale.
-/// Exposed so tests can compare fold results against brute force.
-bool bn_sign_predicate(const nn::BatchNorm& bn, std::int64_t c,
-                       std::int64_t acc, double acc_scale);
-
-/// Residual (ReBNet) variant of the predicate: the sign of residual level
-/// `level` given that levels 0..level-1 fired with the signs in `pattern`
-/// (bit j set => level j emitted +1). Mirrors nn::ResidualSign::forward
-/// exactly -- e = BN(x), then one float subtraction q_j * (+-1) per
-/// earlier level IN ORDER -- so folding against it is bit-faithful to the
-/// float graph. `q` are the quantized per-level scales (g_m / 256).
-/// level == 0 reduces to bn_sign_predicate.
-bool bn_residual_sign_predicate(const nn::BatchNorm& bn, std::int64_t c,
-                                std::int64_t acc, double acc_scale,
-                                const std::vector<float>& q,
-                                std::int64_t level, std::uint32_t pattern);
-
-/// Fold BatchNorm + residual level `level` under `pattern` into one
-/// threshold bank, by the same monotone binary search as fold_batchnorm
-/// (subtracting per-level constants preserves weak monotonicity in acc).
-/// A full residual activation needs one bank per (level, pattern) pair:
-/// 2^levels - 1 banks, selected at execution time by the signs the
-/// earlier levels actually fired.
-ThresholdSpec fold_batchnorm_residual(const nn::BatchNorm& bn,
-                                      std::int64_t acc_min,
-                                      std::int64_t acc_max, double acc_scale,
-                                      const std::vector<float>& q,
-                                      std::int64_t level,
-                                      std::uint32_t pattern);
 
 }  // namespace bcop::xnor

@@ -2,6 +2,7 @@
 
 #include "core/architecture.hpp"
 #include "core/evaluator.hpp"
+#include "core/fold.hpp"
 #include "facegen/dataset.hpp"
 
 namespace {
@@ -56,7 +57,7 @@ TEST(Evaluator, ModelAndXnorAgreeOnTheSameNetwork) {
 
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 3);
   const auto cm_model = core::Evaluator::evaluate_model(model, ds.test(), 16);
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  xnor::XnorNetwork net = core::fold(model);
   const auto cm_xnor = core::Evaluator::evaluate_xnor(net, ds.test(), 16);
 
   EXPECT_EQ(cm_model.total(), 40);

@@ -52,33 +52,6 @@ TEST(Predictor, MarginIsTopTwoSoftmaxGap) {
   EXPECT_LE(r.margin, 1.f);
 }
 
-// serve_levels caps the residual depth every classify call evaluates and
-// survives replicate() -- the contract a tiered serve::Router builds its
-// fast replicas on.
-TEST(Predictor, ServeLevelsCapReplicatesAndMatchesEngineCap) {
-  core::Predictor p(core::build_bnn(core::ArchitectureId::kMicroCnv, 9,
-                                    /*residual_levels=*/2));
-  EXPECT_EQ(p.serve_levels(), 0);
-  EXPECT_DEATH(p.set_serve_levels(3), "serve_levels");
-  p.set_serve_levels(1);
-  core::Predictor clone = p.replicate();
-  EXPECT_EQ(clone.serve_levels(), 1);
-
-  util::Rng rng(10);
-  tensor::Tensor batch(tensor::Shape{2, 32, 32, 3});
-  for (std::int64_t i = 0; i < batch.numel(); ++i)
-    batch[i] = static_cast<float>(rng.uniform());
-  const auto capped = clone.classify_batch(batch);
-  // Ground truth straight from the engine at the same cap.
-  const auto logits = p.network().forward_batch(batch, /*levels=*/1);
-  for (std::size_t i = 0; i < capped.size(); ++i) {
-    const float* row = logits.data() + static_cast<std::int64_t>(i) * 4;
-    EXPECT_EQ(static_cast<std::int64_t>(capped[i].label),
-              std::max_element(row, row + 4) - row)
-        << "row " << i;
-  }
-}
-
 TEST(Predictor, AdmitOnlyForCorrectClass) {
   core::Predictor::Result r;
   r.label = facegen::MaskClass::kCorrect;

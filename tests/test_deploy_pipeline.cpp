@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "deploy/performance.hpp"
 #include "deploy/pipeline.hpp"
 #include "facegen/dataset.hpp"
@@ -38,7 +39,7 @@ TEST_P(PipelinePerArch, MatchesXnorEngineBitExactly) {
   const auto arch = static_cast<core::ArchitectureId>(GetParam());
   nn::Sequential model = core::build_bnn(arch, 21);
   randomize_state(model, 22);
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  xnor::XnorNetwork net = core::fold(model);
   deploy::StreamingPipeline pipeline(net, core::layer_specs(arch));
 
   util::Rng rng(23);
@@ -59,7 +60,7 @@ TEST_P(PipelinePerArch, MatchesXnorEngineBitExactly) {
 TEST_P(PipelinePerArch, CycleCountsMatchPerformanceModel) {
   const auto arch = static_cast<core::ArchitectureId>(GetParam());
   nn::Sequential model = core::build_bnn(arch, 31);
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  xnor::XnorNetwork net = core::fold(model);
   const auto specs = core::layer_specs(arch);
   deploy::StreamingPipeline pipeline(net, specs);
 
@@ -83,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(Arches, PipelinePerArch, ::testing::Range(0, 3));
 
 TEST(Pipeline, SpecMismatchThrows) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kNCnv, 41);
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  xnor::XnorNetwork net = core::fold(model);
   EXPECT_THROW(deploy::StreamingPipeline(
                    net, core::layer_specs(core::ArchitectureId::kCnv)),
                std::invalid_argument);
@@ -94,7 +95,7 @@ TEST(Pipeline, SpecMismatchThrows) {
 
 TEST(Pipeline, DescribeListsEveryComputeStage) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 42);
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  xnor::XnorNetwork net = core::fold(model);
   deploy::StreamingPipeline pipeline(
       net, core::layer_specs(core::ArchitectureId::kMicroCnv));
   const std::string desc = pipeline.describe();
@@ -105,7 +106,7 @@ TEST(Pipeline, DescribeListsEveryComputeStage) {
 
 TEST(Pipeline, RejectsBatchedInput) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 43);
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  xnor::XnorNetwork net = core::fold(model);
   deploy::StreamingPipeline pipeline(
       net, core::layer_specs(core::ArchitectureId::kMicroCnv));
   EXPECT_THROW(pipeline.run(Tensor(Shape{2, 32, 32, 3})),

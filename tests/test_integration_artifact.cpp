@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "deploy/pipeline.hpp"
 #include "facegen/dataset.hpp"
 #include "facegen/renderer.hpp"
@@ -36,7 +37,7 @@ TEST(ArtifactIntegration, PipelineFromReloadedBitstreamIsBitExact) {
     opt.step();
   }
 
-  const xnor::XnorNetwork live = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork live = core::fold(model);
   const auto path =
       (std::filesystem::temp_directory_path() / "bcop_pipe.bcbs").string();
   xnor::save_bitstream(live, path);

@@ -9,6 +9,7 @@
 
 #include "core/architecture.hpp"
 #include "core/evaluator.hpp"
+#include "core/fold.hpp"
 #include "core/predictor.hpp"
 #include "core/trainer.hpp"
 #include "deploy/performance.hpp"
@@ -62,13 +63,13 @@ TEST_F(EndToEnd, TrainedModelBeatsChanceByFar) {
 
 TEST_F(EndToEnd, FoldedNetworkKeepsTheAccuracy) {
   const auto cm_model = core::Evaluator::evaluate_model(*model_, dataset_->test());
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(*model_);
+  xnor::XnorNetwork net = core::fold(*model_);
   const auto cm_xnor = core::Evaluator::evaluate_xnor(net, dataset_->test());
   EXPECT_NEAR(cm_xnor.accuracy(), cm_model.accuracy(), 0.03);
 }
 
 TEST_F(EndToEnd, PipelineAgreesWithEngineOnTestImages) {
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(*model_);
+  xnor::XnorNetwork net = core::fold(*model_);
   deploy::StreamingPipeline pipeline(
       net, core::layer_specs(core::ArchitectureId::kMicroCnv));
   for (int i = 0; i < 5; ++i) {
@@ -86,7 +87,7 @@ TEST_F(EndToEnd, SaveLoadFoldPreservesPredictions) {
       (std::filesystem::temp_directory_path() / "bcop_e2e.bcop").string();
   model_->save(path);
   core::Predictor loaded = core::Predictor::from_file(path);
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(*model_);
+  xnor::XnorNetwork net = core::fold(*model_);
 
   std::vector<std::int64_t> indices(20);
   std::iota(indices.begin(), indices.end(), 0);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/fold.hpp"
 #include "tensor/bit_span.hpp"
 #include "tensor/bit_tensor.hpp"
 #include "tensor/kernels/avx2.hpp"
@@ -305,7 +306,7 @@ TEST(KernelDifferential, Im2rowMatchesScalarAcrossChannelRegimes) {
 
 TEST(KernelDifferential, PrototypeLogitsIdenticalOnEveryTier) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 7);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   Tensor x(Shape{2, 32, 32, 3});
   util::Rng rng(41);
   for (std::int64_t i = 0; i < x.numel(); ++i)
@@ -330,7 +331,7 @@ TEST(KernelDifferential, PrototypeLogitsIdenticalOnEveryTier) {
        {core::ArchitectureId::kCnv, core::ArchitectureId::kNCnv,
         core::ArchitectureId::kMicroCnv}) {
     nn::Sequential residual = core::build_bnn(arch, 7, /*residual_levels=*/3);
-    const xnor::XnorNetwork rnet = xnor::XnorNetwork::fold(residual);
+    const xnor::XnorNetwork rnet = core::fold(residual);
     for (const std::int64_t batch : {1, 16}) {
       Tensor xb(Shape{batch, 32, 32, 3});
       for (std::int64_t i = 0; i < xb.numel(); ++i)
@@ -356,7 +357,7 @@ TEST(KernelDifferential, PrototypeLogitsIdenticalOnEveryTier) {
 
 TEST(KernelDispatch, PlanCacheKeysOnKernelLevel) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 11);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   const Shape in{1, 32, 32, 3};
 
   kn::set_level_override(kn::KernelLevel::kScalar);

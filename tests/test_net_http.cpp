@@ -116,11 +116,12 @@ Tensor u8_to_tensor(const std::string& payload) {
 core::Predictor::Result classify_at(const core::Predictor& prototype,
                                     const std::string& payload,
                                     std::int64_t cap) {
-  core::Predictor capped = prototype.replicate();
-  capped.set_serve_levels(cap);
-  return capped
-      .classify_batch(u8_to_tensor(payload).reshaped(Shape{1, 32, 32, 3}))
-      .front();
+  std::vector<core::Predictor::Result> results;
+  core::Predictor::to_results(
+      prototype.network().forward_batch(
+          u8_to_tensor(payload).reshaped(Shape{1, 32, 32, 3}), cap),
+      results);
+  return results.front();
 }
 
 /// The class and scores fields as HttpServer renders them.

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "core/predictor.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -284,7 +286,7 @@ TEST(ObsStageProfiler, ResidualConvRecordsGemmAndThresholdSubphases) {
     SCOPED_TRACE(c.key);
     nn::Sequential model =
         core::build_bnn(core::ArchitectureId::kMicroCnv, 5, c.levels);
-    const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+    const xnor::XnorNetwork net = core::fold(model);
     util::Rng rng(7);
     tensor::Tensor batch(tensor::Shape{5, 32, 32, 3});
     for (std::int64_t i = 0; i < batch.numel(); ++i)
@@ -329,7 +331,7 @@ TEST(ObsStageProfiler, ResidualConvRecordsGemmAndThresholdSubphases) {
 TEST(ObsStageProfiler, StepSlotsStayWithinExecuteAtBatch16) {
   obs::StageProfiler::global().set_enabled(true);
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kNCnv, 9);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   util::Rng rng(10);
   tensor::Tensor batch(tensor::Shape{16, 32, 32, 3});
   for (std::int64_t i = 0; i < batch.numel(); ++i)
@@ -407,6 +409,34 @@ TEST(ObsServe, SynchronousServerCounts) {
   EXPECT_EQ(batch_size.count(), sizes0 + 5);
   EXPECT_EQ(e2e.count(), e2e0 + 5);
   EXPECT_EQ(reg.gauge("bcop_serve_queue_depth").value(), 0);
+}
+
+// A client whose future.get() returned observes its own request in every
+// serve metric, the e2e latency sample included: the worker records that
+// sample before it fulfils the promise. One replica, one worker and no
+// coalescing window make each admission its own batch, served back to
+// back, so a sample recorded after the answer would lag behind here.
+TEST(ObsServe, E2eSampleLandsBeforeItsAnswer) {
+  auto& reg = obs::Registry::global();
+  obs::Counter& submitted = reg.counter("bcop_serve_submitted_total");
+  obs::LatencyHistogram& e2e = reg.histogram("bcop_serve_e2e_latency_ns");
+  const core::Predictor p(
+      core::build_bnn(core::ArchitectureId::kMicroCnv, 8));
+  serve::RouterConfig cfg;
+  cfg.replicas = 1;
+  cfg.batcher.workers = 1;
+  cfg.batcher.max_latency = std::chrono::microseconds(0);
+  serve::Router router(p, cfg);
+  const std::uint64_t submitted0 = submitted.value();
+  const std::uint64_t e2e0 = e2e.count();
+  const tensor::Tensor image(tensor::Shape{32, 32, 3});
+  for (int i = 0; i < 20000; ++i) {
+    auto future = router.try_submit(image);
+    ASSERT_TRUE(future.has_value()) << i;
+    future->get();
+    ASSERT_EQ(e2e.count() - e2e0, submitted.value() - submitted0)
+        << "request " << i << " answered before its e2e sample landed";
+  }
 }
 
 // Golden check of docs/observability.md's "Server metrics" table: its

@@ -292,24 +292,6 @@ TEST(Serve, ShutdownDrainsAcceptedRequests) {
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
 }
 
-// Predictor::replicate: the deployment clone classifies identically but
-// owns nothing of the training graph.
-TEST(Serve, ReplicatedPredictorClassifiesIdentically) {
-  const core::Predictor p = make_predictor(45);
-  const core::Predictor clone = p.replicate();
-  EXPECT_EQ(clone.model().size(), 0u)
-      << "replicas serve the folded net only; the float graph stays home";
-  EXPECT_EQ(clone.network().expected_input_shape(),
-            p.network().expected_input_shape());
-  util::Rng rng(46);
-  const Tensor batch = random_batch(5, rng);
-  const auto a = p.classify_batch(batch);
-  const auto b = clone.classify_batch(batch);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    expect_same_result(a[i], b[i], static_cast<std::int64_t>(i));
-}
-
 // End to end with rendered faces: the server answers exactly what
 // Predictor::classify answers for the same image.
 TEST(Serve, ServerAgreesWithClassifyOnFaces) {

@@ -287,13 +287,16 @@ serve::RouterConfig sync_tiered(float margin_threshold) {
   return cfg;
 }
 
-/// Ground truth for one image at a residual level cap: a replicate()d
-/// clone capped with set_serve_levels, classified directly.
+/// Ground truth for one image at a residual level cap: the folded network
+/// run directly at that cap, its logits turned into a Result.
 core::Predictor::Result classify_at(const core::Predictor& prototype,
                                     const Tensor& image, std::int64_t cap) {
-  core::Predictor capped = prototype.replicate();
-  capped.set_serve_levels(cap);
-  return capped.classify_batch(image.reshaped(Shape{1, 32, 32, 3})).front();
+  std::vector<core::Predictor::Result> results;
+  core::Predictor::to_results(
+      prototype.network().forward_batch(image.reshaped(Shape{1, 32, 32, 3}),
+                                        cap),
+      results);
+  return results.front();
 }
 
 struct TieredCounters {
@@ -310,7 +313,7 @@ struct TieredCounters {
 
 // Wide-margin traffic must never touch the full-depth replica: a threshold
 // of 0 accepts every margin, so each request costs exactly one M = 1 pass
-// and the answer is bit-identical to serving the capped clone directly.
+// and the answer is bit-identical to the network run at cap 1 directly.
 TEST(Tiered, WideMarginResolvesInLowTierOnly) {
   const core::Predictor p = make_residual_predictor(40);
   serve::Router router(p, sync_tiered(0.f));
@@ -330,6 +333,38 @@ TEST(Tiered, WideMarginResolvesInLowTierOnly) {
   EXPECT_EQ(router.replica(1).stats().requests, 0)
       << "no request may reach the full-depth replica below the threshold";
   EXPECT_EQ(router.replica(0).stats().requests, 4);
+}
+
+// The level cap belongs to the replica, not to the model it serves: a
+// fast replica swapped onto a second M = 3 network still answers at
+// M = 1. A threshold of 0 never escalates, so every answer is the fast
+// replica's, and it must be bit-identical to the new network run at cap 1.
+TEST(Tiered, SwappedFastReplicaKeepsLevelCapOne) {
+  const core::Predictor p = make_residual_predictor(50);
+  const core::Predictor next = make_residual_predictor(51);
+  serve::Router router(p, sync_tiered(0.f));
+  router.swap_model(0, next);
+  ASSERT_EQ(router.replica(0).generation(), 2);
+  util::Rng rng(52);
+  bool depths_distinguished = false;
+  for (int i = 0; i < 8; ++i) {
+    const Tensor image = random_image(rng);
+    auto future = router.try_submit(image);
+    ASSERT_TRUE(future.has_value()) << i;
+    const auto got = future->get();
+    const auto want = classify_at(next, image, 1);
+    const auto deep = classify_at(next, image, 3);
+    EXPECT_EQ(got.label, want.label) << i;
+    EXPECT_EQ(got.margin, want.margin) << i;
+    for (std::size_t k = 0; k < got.scores.size(); ++k) {
+      EXPECT_EQ(got.scores[k], want.scores[k]) << i << " class " << k;
+      if (want.scores[k] != deep.scores[k]) depths_distinguished = true;
+    }
+  }
+  EXPECT_TRUE(depths_distinguished)
+      << "M = 1 and M = 3 scores never differed, so the test cannot tell "
+         "the caps apart";
+  EXPECT_EQ(router.replica(1).stats().requests, 0);
 }
 
 // A low-margin input is provably RE-SERVED at full depth: it costs one

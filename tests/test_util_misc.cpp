@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -68,6 +69,42 @@ TEST(Args, RejectsPositionalArguments) {
 TEST(Args, RejectsMissingValue) {
   const char* argv[] = {"prog", "--key"};
   EXPECT_THROW(Args(2, argv), std::invalid_argument);
+}
+
+TEST(Args, RangeCheckedIntAcceptsBoundsAndDefault) {
+  const char* argv[] = {"prog", "--replicas", "64", "--port", "0"};
+  Args args(5, argv);
+  EXPECT_EQ(args.get_int_in("replicas", 2, 1, 64), 64);
+  EXPECT_EQ(args.get_int_in("port", 8080, 0, 65535), 0);
+  EXPECT_EQ(args.get_int_in("workers", 2, 1), 2) << "absent: the default";
+}
+
+TEST(Args, RangeCheckedIntRejectsOutOfRangeNamingFlagAndRange) {
+  const auto message = [](const char* key, const char* value, int lo,
+                          int hi) {
+    const char* argv[] = {"prog", key, value};
+    const Args args(3, argv);
+    try {
+      args.get_int_in(std::string(key).substr(2), 1, lo, hi);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message("--replicas", "0", 1, 64),
+            "--replicas must be an integer in 1..64, got '0'");
+  EXPECT_EQ(message("--port", "70000", 0, 65535),
+            "--port must be an integer in 0..65535, got '70000'");
+  EXPECT_EQ(message("--workers", "-1", 1, std::numeric_limits<int>::max()),
+            "--workers must be an integer >= 1, got '-1'");
+  // Not a whole integer, or beyond any int: the same error, never a wrap.
+  EXPECT_EQ(message("--workers", "2x", 1, 8),
+            "--workers must be an integer in 1..8, got '2x'");
+  EXPECT_EQ(message("--workers", "4294967297", 1, 8),
+            "--workers must be an integer in 1..8, got '4294967297'");
+  EXPECT_EQ(message("--workers", "99999999999999999999", 1, 8),
+            "--workers must be an integer in 1..8, got "
+            "'99999999999999999999'");
 }
 
 TEST(Csv, WritesHeaderAndEscapes) {

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "facegen/dataset.hpp"
 #include "facegen/renderer.hpp"
 #include "nn/optimizer.hpp"
@@ -32,7 +33,7 @@ xnor::XnorNetwork trained_ish_network(std::uint64_t seed) {
     model.backward(head.backward());
     opt.step();
   }
-  return xnor::XnorNetwork::fold(model);
+  return core::fold(model);
 }
 
 TEST(Bitstream, RoundTripPreservesLogitsExactly) {
@@ -77,7 +78,7 @@ TEST(Bitstream, ResidualRoundTripPreservesLogitsAtEveryLevelCap) {
     model.backward(head.backward());
     opt.step();
   }
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   ASSERT_EQ(net.max_levels(), 3);
 
   const std::string path = temp_path("bcop_residual.bcbs");

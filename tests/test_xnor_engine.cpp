@@ -10,6 +10,7 @@
 #include <numeric>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "facegen/dataset.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/softmax_xent.hpp"
@@ -55,7 +56,7 @@ TEST_P(EngineExactness, BitExactOnBipolarInputsMicroCnv) {
                                          static_cast<std::uint64_t>(GetParam()));
   randomize_bn_state(model, 50 + static_cast<std::uint64_t>(GetParam()),
                      Shape{4, 32, 32, 3});
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  xnor::XnorNetwork net = core::fold(model);
 
   util::Rng rng(99 + static_cast<std::uint64_t>(GetParam()));
   const Tensor x = bipolar_input(Shape{3, 32, 32, 3}, rng);
@@ -71,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineExactness, ::testing::Range(0, 4));
 TEST(Engine, PredictionAgreementOnQuantizedFaces) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 3);
   randomize_bn_state(model, 4, Shape{4, 32, 32, 3});
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  xnor::XnorNetwork net = core::fold(model);
 
   facegen::DatasetConfig cfg;
   cfg.per_class_train = 10;
@@ -98,7 +99,7 @@ TEST(Engine, PredictionAgreementOnQuantizedFaces) {
 TEST(Engine, LogitsAreIntegers) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 5);
   randomize_bn_state(model, 6, Shape{4, 32, 32, 3});
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   util::Rng rng(7);
   const Tensor logits = net.forward(bipolar_input(Shape{2, 32, 32, 3}, rng));
   for (std::int64_t i = 0; i < logits.numel(); ++i)
@@ -107,7 +108,7 @@ TEST(Engine, LogitsAreIntegers) {
 
 TEST(Engine, StageSequenceMatchesArchitecture) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kNCnv, 8);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   std::vector<std::string> kinds;
   for (const auto& s : net.stages()) kinds.push_back(xnor::stage_kind(s));
   const std::vector<std::string> expected{
@@ -118,17 +119,17 @@ TEST(Engine, StageSequenceMatchesArchitecture) {
 
 TEST(Engine, FoldRejectsFp32Models) {
   nn::Sequential model = core::build_fp32_cnv(1);
-  EXPECT_THROW(xnor::XnorNetwork::fold(model), std::runtime_error);
+  EXPECT_THROW(core::fold(model), std::runtime_error);
 }
 
 TEST(Engine, FoldRejectsEmptyModel) {
   nn::Sequential model;
-  EXPECT_THROW(xnor::XnorNetwork::fold(model), std::runtime_error);
+  EXPECT_THROW(core::fold(model), std::runtime_error);
 }
 
 TEST(Engine, WeightBitsMatchHandCount) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 9);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   // Weights: conv 27*16 + 144*16 + 144*32 + 288*32 + 288*64, FC 576*128 + 128*4.
   const std::int64_t weights = 27 * 16 + 144 * 16 + 144 * 32 + 288 * 32 +
                                288 * 64 + 576 * 128 + 128 * 4;
@@ -139,7 +140,7 @@ TEST(Engine, WeightBitsMatchHandCount) {
 
 TEST(Engine, FoldedModelSmallerThanFloat32) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kNCnv, 10);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   const std::int64_t float_bits = model.parameter_count() * 32;
   // The paper's ~x32 compression claim (Sec. II-B), minus threshold words.
   EXPECT_LT(net.weight_bits(), float_bits / 16);

@@ -11,6 +11,7 @@
 #include <limits>
 #include <string>
 
+#include "core/fold.hpp"
 #include "nn/batchnorm.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -19,8 +20,8 @@
 namespace {
 
 using namespace bcop;
-using xnor::bn_sign_predicate;
-using xnor::fold_batchnorm;
+using core::bn_sign_predicate;
+using core::fold_batchnorm;
 using xnor::PreparedThresholds;
 using xnor::ThresholdSpec;
 

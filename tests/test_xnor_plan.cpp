@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "tensor/tensor.hpp"
 #include "test_stage_lists.hpp"
 #include "util/rng.hpp"
@@ -41,7 +42,7 @@ Tensor random_images(std::int64_t n, std::uint64_t seed) {
 
 TEST(ExecutionPlanTest, CompilesPrototypeGeometry) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 7);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   const Shape input{3, 32, 32, 3};
   const ExecutionPlan plan = ExecutionPlan::compile(net, input);
 
@@ -67,7 +68,7 @@ TEST(ExecutionPlanTest, CompilesPrototypeGeometry) {
 
 TEST(ExecutionPlanTest, RejectsMismatchedInput) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 7);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   // Wrong rank and wrong channel count both carry descriptive messages.
   EXPECT_THROW(ExecutionPlan::compile(net, Shape{4, 9}), std::runtime_error);
   EXPECT_THROW(ExecutionPlan::compile(net, Shape{1, 32, 32, 5}),
@@ -78,7 +79,7 @@ TEST(ExecutionPlanTest, RejectsMismatchedInput) {
 
 TEST(ExecutionPlanTest, PlanCacheReturnsStableReferences) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 11);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   const ExecutionPlan& a = net.plan_for(Shape{2, 32, 32, 3});
   const ExecutionPlan& b = net.plan_for(Shape{4, 32, 32, 3});
   const ExecutionPlan& a2 = net.plan_for(Shape{2, 32, 32, 3});
@@ -92,7 +93,7 @@ TEST(ExecutionPlanTest, PlanCacheReturnsStableReferences) {
 
 TEST(ExecutionPlanTest, WorkspaceGrowsMonotonically) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kNCnv, 3);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   const ExecutionPlan& small = net.plan_for(Shape{1, 32, 32, 3});
   const ExecutionPlan& big = net.plan_for(Shape{8, 32, 32, 3});
   ASSERT_GT(big.arena_bytes(), small.arena_bytes());
@@ -114,7 +115,7 @@ TEST(ExecutionPlanTest, WorkspaceGrowsMonotonically) {
 
 TEST(ExecutionPlanTest, DetailExecuteMatchesForwardBatch) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kCnv, 19);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   const Tensor x = random_images(2, 42);
 
   const Tensor expected = net.forward_batch(x);
@@ -165,7 +166,7 @@ TEST(ExecutionPlanTest, RejectsStageListsThatAreNotClassifiers) {
 TEST(ExecutionPlanResidual, MultiLevelPlanLaysOutBanksPlanesAndScratch) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 7,
                                          /*residual_levels=*/3);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   ASSERT_EQ(net.max_levels(), 3);
   const Shape input{2, 32, 32, 3};
   const ExecutionPlan plan = ExecutionPlan::compile(net, input);
@@ -218,7 +219,7 @@ TEST(ExecutionPlanResidual, MultiLevelPlanLaysOutBanksPlanesAndScratch) {
   // one image's five regions [half A | half B | patch | acc | floats],
   // each the 64-byte-aligned maximum over its (one-image) steps.
   nn::Sequential classic = core::build_bnn(core::ArchitectureId::kMicroCnv, 7);
-  const XnorNetwork cnet = XnorNetwork::fold(classic);
+  const XnorNetwork cnet = core::fold(classic);
   const ExecutionPlan cplan = ExecutionPlan::compile(cnet, input);
   auto align64 = [](std::size_t x) { return (x + 63) & ~std::size_t{63}; };
   auto bytes = [](std::int64_t rows, std::int64_t wpr) {
@@ -255,13 +256,13 @@ TEST(ExecutionPlanResidual, MultiLevelPlanLaysOutBanksPlanesAndScratch) {
       {core::ArchitectureId::kCnv, 282944u, 422784u}};
   for (const auto& [id, m1, m3] : b1_slices) {
     nn::Sequential m = core::build_bnn(id, 7);
-    const XnorNetwork proto = XnorNetwork::fold(m);
+    const XnorNetwork proto = core::fold(m);
     EXPECT_EQ(ExecutionPlan::compile(proto, one).arena_bytes(), m1)
         << core::arch_name(id);
     EXPECT_EQ(ExecutionPlan::compile(proto, input).arena_bytes(), 2 * m1)
         << core::arch_name(id);
     nn::Sequential r = core::build_bnn(id, 7, /*residual_levels=*/3);
-    const XnorNetwork rproto = XnorNetwork::fold(r);
+    const XnorNetwork rproto = core::fold(r);
     const ExecutionPlan rplan = ExecutionPlan::compile(rproto, one);
     EXPECT_EQ(rplan.slice_bytes(), m3) << core::arch_name(id);
     EXPECT_EQ(rplan.steps().front().kind, StepKind::kFirstConv);
@@ -316,7 +317,7 @@ TEST(ExecutionPlanTest, RejectsFirstConvWiderThanItsTile) {
 TEST(ExecutionPlanTest, RejectsThresholdBanksThatDoNotMatchTheirStage) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 21,
                                          /*residual_levels=*/3);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   const Shape input{1, 32, 32, 3};
   ASSERT_EQ(testhelpers::compile_error(net, input), "compiled");
   std::size_t conv = 0, dense = 0;
@@ -367,7 +368,7 @@ TEST(ExecutionPlanTest, RejectsThresholdBanksThatDoNotMatchTheirStage) {
 TEST(ExecutionPlanResidual, LevelCapTruncatesBanksAndKeysTheCache) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 13,
                                          /*residual_levels=*/3);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   const Shape input{1, 32, 32, 3};
 
   const ExecutionPlan capped = ExecutionPlan::compile(net, input, 2);
@@ -402,7 +403,7 @@ TEST(ExecutionPlanResidual, LevelCapTruncatesBanksAndKeysTheCache) {
 TEST(ExecutionPlanResidual, DetailExecuteMatchesForwardBatchAtEveryCap) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 19,
                                          /*residual_levels=*/2);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   const Tensor x = random_images(2, 42);
   for (std::int64_t cap = 0; cap <= 2; ++cap) {
     const Tensor expected = net.forward_batch(x, cap);
@@ -423,7 +424,7 @@ TEST(ExecutionPlanResidual, DetailExecuteMatchesForwardBatchAtEveryCap) {
 TEST(ExecutionPlanResidual, PlansReplayAfterTheirNetworkIsDestroyed) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 29,
                                          /*residual_levels=*/3);
-  auto net = std::make_unique<XnorNetwork>(XnorNetwork::fold(model));
+  auto net = std::make_unique<XnorNetwork>(core::fold(model));
   const Tensor x = random_images(2, 31);
   std::vector<ExecutionPlan> plans;
   std::vector<Tensor> before;
@@ -446,7 +447,7 @@ TEST(ExecutionPlanResidual, PlansReplayAfterTheirNetworkIsDestroyed) {
 
 TEST(ExecutionPlanTest, CopiedNetworkKeepsWorking) {
   nn::Sequential model = core::build_bnn(core::ArchitectureId::kMicroCnv, 23);
-  const XnorNetwork net = XnorNetwork::fold(model);
+  const XnorNetwork net = core::fold(model);
   const Tensor x = random_images(2, 7);
   const Tensor expected = net.forward_batch(x);  // also warms net's cache
 

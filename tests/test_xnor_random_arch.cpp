@@ -5,6 +5,7 @@
 // on bipolar inputs.
 #include <gtest/gtest.h>
 
+#include "core/fold.hpp"
 #include "test_random_arch.hpp"
 #include "xnor/engine.hpp"
 
@@ -25,7 +26,7 @@ TEST_P(RandomArchFolding, EngineMatchesGraphBitExactly) {
   // Brief training to give BN layers non-trivial state.
   testhelpers::briefly_train(arch, rng);
 
-  xnor::XnorNetwork net = xnor::XnorNetwork::fold(arch.model);
+  xnor::XnorNetwork net = core::fold(arch.model);
   for (int trial = 0; trial < 3; ++trial) {
     Tensor x(Shape{2, arch.input_size, arch.input_size, arch.input_channels});
     for (std::int64_t i = 0; i < x.numel(); ++i)

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "test_random_arch.hpp"
 #include "xnor/engine.hpp"
 
@@ -35,7 +36,7 @@ void expect_folded_matches_float(ArchitectureId id, std::int64_t levels) {
   testhelpers::RandomArch arch{core::build_bnn(id, 17, levels), 32, 3};
   util::Rng rng(2024);
   testhelpers::briefly_train(arch, rng, 2);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(arch.model);
+  const xnor::XnorNetwork net = core::fold(arch.model);
   ASSERT_EQ(net.max_levels(), levels);
 
   Tensor x(Shape{3, 32, 32, 3});

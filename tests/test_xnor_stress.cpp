@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernels/dispatch.hpp"
 #include "tensor/tensor.hpp"
@@ -36,7 +37,7 @@ constexpr std::int64_t kPixels = 32 * 32 * 3;
 TEST(XnorStress, ConcurrentCallersMatchScalarBatchOneLogits) {
   nn::Sequential model =
       core::build_bnn(core::ArchitectureId::kNCnv, 31, /*residual_levels=*/3);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
   ASSERT_EQ(net.max_levels(), 3);
 
   std::vector<Tensor> images;

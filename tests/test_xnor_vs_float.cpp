@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/fold.hpp"
 #include "test_random_arch.hpp"
 #include "xnor/engine.hpp"
 #include "xnor/plan.hpp"
@@ -44,7 +45,7 @@ void expect_all_paths_agree(std::uint64_t seed, std::int64_t levels) {
   util::Rng rng(seed + 123);
   testhelpers::briefly_train(arch, rng);
 
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(arch.model);
+  const xnor::XnorNetwork net = core::fold(arch.model);
   ASSERT_EQ(net.max_levels(), levels);
 
   const std::int64_t kBatch = 5;
@@ -82,7 +83,7 @@ TEST_P(XnorVsFloat, AllThreePathsAgree) {
   util::Rng rng(seed + 123);
   testhelpers::briefly_train(arch, rng);
 
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(arch.model);
+  const xnor::XnorNetwork net = core::fold(arch.model);
 
   const std::int64_t kBatch = 5;
   Tensor x(Shape{kBatch, arch.input_size, arch.input_size,
@@ -146,7 +147,7 @@ TEST(XnorVsFloatTruncated, LevelCapMatchesHandTruncatedNetwork) {
     RandomArch arch = make_random_arch(static_cast<std::uint64_t>(seed) * 131 + 7, 3);
     util::Rng rng(static_cast<std::uint64_t>(seed) + 77);
     testhelpers::briefly_train(arch, rng);
-    const xnor::XnorNetwork net = xnor::XnorNetwork::fold(arch.model);
+    const xnor::XnorNetwork net = core::fold(arch.model);
 
     Tensor x(Shape{3, arch.input_size, arch.input_size,
                    arch.input_channels});
@@ -191,7 +192,7 @@ TEST(XnorVsFloatWorkspace, SharedWorkspaceReuseStaysBitExact) {
     RandomArch arch = make_random_arch(static_cast<std::uint64_t>(seed) * 977 + 5);
     util::Rng rng(static_cast<std::uint64_t>(seed) + 321);
     testhelpers::briefly_train(arch, rng);
-    const xnor::XnorNetwork net = xnor::XnorNetwork::fold(arch.model);
+    const xnor::XnorNetwork net = core::fold(arch.model);
 
     for (const std::int64_t batch : {std::int64_t{1}, std::int64_t{6}}) {
       Tensor x(Shape{batch, arch.input_size, arch.input_size,

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/architecture.hpp"
+#include "core/fold.hpp"
 #include "core/predictor.hpp"
 #include "obs/stage_profiler.hpp"
 #include "tensor/kernels/dispatch.hpp"
@@ -58,7 +59,7 @@ class ZeroAllocPrototype : public ::testing::TestWithParam<ArchitectureId> {};
 TEST_P(ZeroAllocPrototype, ForwardBatchSteadyStateIsAllocationFree) {
   obs::StageProfiler::global().set_enabled(true);
   nn::Sequential model = core::build_bnn(GetParam(), 29);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
 
   // The contract holds on EVERY kernel dispatch tier this host can run,
   // not just the detected best: a SIMD tier that allocates (or a scalar
@@ -99,7 +100,7 @@ TEST_P(ZeroAllocPrototype, ForwardBatchSteadyStateIsAllocationFree) {
 TEST_P(ZeroAllocPrototype, ResidualForwardBatchSteadyStateIsAllocationFree) {
   obs::StageProfiler::global().set_enabled(true);
   nn::Sequential model = core::build_bnn(GetParam(), 29, /*residual_levels=*/3);
-  const xnor::XnorNetwork net = xnor::XnorNetwork::fold(model);
+  const xnor::XnorNetwork net = core::fold(model);
 
   const Tensor x = random_images(2, 555);
   for (std::int64_t cap = 0; cap <= 3; ++cap) {
